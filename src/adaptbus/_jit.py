@@ -2,8 +2,9 @@
 the same code interpreted when it is not, or when ADAPTBUS_DISABLE_JIT=1.
 
 The fallback is the identical source executed by CPython, so both paths are
-bit-for-bit equivalent; ``benchmarks/bench_jit.py`` times them against each
-other.
+bit-for-bit equivalent.  numba is the optional ``jit`` extra
+(``pip install -e .[jit]``); ``python3 perfbench/run.py`` measures whichever
+path is active.
 """
 
 import os

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .plant import DisturbanceTrain, PlantDivergenceError, PlantModel, make_impu
 from .supervisor import TRACE_FIELDS, AppSupervisor, containment_check
 
 SCHEMA_VERSION = 1
+INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
 
 DEFAULT_TOLERANCES = {
     "bound": 1e3,
@@ -166,7 +168,7 @@ def parse_config(source) -> ScenarioConfig:
             ))
         ref_spec = raw.get("reference", {"type": "constant", "level": 1.0})
         try:
-            reference.from_spec(ref_spec)
+            gen = reference.from_spec(ref_spec)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"reference: {exc}") from exc
         gammas = raw.get("gammas", [0.5, 0.5])
@@ -177,6 +179,8 @@ def parse_config(source) -> ScenarioConfig:
             raise ConfigError("beta0_init must be nonzero: the divisor estimate cannot start at zero")
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(raw.get("tolerances", {}))
+        if isinstance(gen, reference.Tabulated):
+            _check_table_length(gen, horizon, int(protocol["d" if kind == "fixed" else "d2"]), tol)
         dist = raw.get("disturbance")
         if dist is not None:
             _validate_disturbance(dist, horizon)
@@ -204,6 +208,26 @@ def parse_config(source) -> ScenarioConfig:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
+
+
+def _check_table_length(gen: reference.Tabulated, horizon: int, lookahead: int, tol: dict) -> None:
+    """A tabulated reference must hold every sample the run reads: the
+    horizon plus the delay's lookahead, and the richness-check window."""
+    have = gen.values.size
+    need = horizon + lookahead
+    if have < need:
+        raise ConfigError(
+            f"reference: the table has {have} values; horizon {horizon} plus the "
+            f"lookahead {lookahead} needs {need}"
+        )
+    declared = gen.declared_sr_order
+    if declared and tol.get("check_sr", True):
+        window = _richness_window(declared)[2]
+        if have < window:
+            raise ConfigError(
+                f"reference: the table has {have} values; checking the declared "
+                f"richness order {declared} needs {window}"
+            )
 
 
 def _validate_disturbance(spec: dict, horizon: int) -> None:
@@ -250,14 +274,20 @@ class Trace:
     schema_version: int = SCHEMA_VERSION
 
 
+def _richness_window(declared: int) -> tuple[int, int, int]:
+    """(largest order tested, window length, samples read) of the richness
+    check of a reference that declares the order ``declared``."""
+    m_max = declared + 1
+    N = 8 * m_max + 16
+    return m_max, N, N + m_max + 64
+
+
 def _check_reference_richness(cfg: ScenarioConfig) -> None:
     gen = cfg.reference()
     declared = gen.declared_sr_order
     if declared is None or not cfg.tolerances.get("check_sr", True) or declared == 0:
         return
-    m_max = declared + 1
-    N = 8 * m_max + 16
-    T = N + m_max + 64
+    m_max, N, T = _richness_window(declared)
     seq = gen.sequence(T)
     peak = float(np.max(np.abs(seq))) if seq.size else 0.0
     if peak == 0.0:
@@ -504,7 +534,7 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
 def _column_array(name: str, values: list) -> np.ndarray:
     if name == "mode":
         return np.array(values, dtype=object)
-    if name in ("app", "k", "delay", "rank", "switch"):
+    if name in INT_FIELDS:
         return np.asarray(values, dtype=int)
     return np.asarray(values, dtype=float)
 
@@ -513,59 +543,139 @@ def _column_array(name: str, values: list) -> np.ndarray:
 # persistence
 
 
-def _fmt_cell(name: str, v) -> str:
-    if name == "mode":
-        return str(v)
-    if name in ("app", "k", "delay", "rank", "switch"):
-        return str(int(v))
-    return repr(float(v))
+_BLOCK = 4096  # rows (or list items) formatted and written at a time
 
 
 def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
     """Write the trace; CSV holds the per-sample rows (header pinned to the
-    trace schema), JSON the full structure including config and summary.
-    Floats are serialized at round-trip precision."""
+    trace schema), JSON the full structure including config and summary, in
+    the layout of ``json.dumps(doc, indent=1)``.  Floats are serialized at
+    round-trip precision.  Both formats are streamed to the file a block of
+    rows at a time."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown export format {fmt!r}")
     path = Path(path)
     try:
-        if fmt == "csv":
-            lines = [",".join(TRACE_FIELDS)]
-            for app in trace.apps:
-                n = len(app.columns["k"])
-                for r in range(n):
-                    lines.append(",".join(_fmt_cell(name, app.columns[name][r]) for name in TRACE_FIELDS))
-            path.write_text("\n".join(lines) + "\n")
-        elif fmt == "json":
-            doc = {
-                "schema_version": trace.schema_version,
-                "status": trace.status,
-                "config": trace.config,
-                "summary": trace.summary,
-                "apps": [
-                    {
-                        "app": app.app_id,
-                        "switches": [list(s) for s in app.switches],
-                        "columns": {
-                            name: [_json_cell(name, v) for v in app.columns[name]]
-                            for name in TRACE_FIELDS
-                        },
-                    }
-                    for app in trace.apps
-                ],
-                "bus": trace.bus,
-            }
-            path.write_text(json.dumps(doc, indent=1))
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
+        with path.open("w") as f:
+            if fmt == "csv":
+                _write_csv(trace, f)
+            else:
+                f.writelines(_json_chunks(_json_doc(trace), "\n"))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def _json_cell(name: str, v):
+def _typed_column(name: str, col) -> np.ndarray:
+    """A trace column with the element type the schema gives it: str for
+    ``mode``, int for the counters and indices, float for the rest."""
     if name == "mode":
-        return str(v)
-    if name in ("app", "k", "delay", "rank", "switch"):
-        return int(v)
-    return float(v)
+        return np.array([str(v) for v in col], dtype=object)
+    return np.asarray(col, dtype=np.int64 if name in INT_FIELDS else float)
+
+
+def _write_csv(trace: Trace, f) -> None:
+    f.write(",".join(TRACE_FIELDS) + "\n")
+    for app in trace.apps:
+        n = len(app.columns["k"])
+        cols = [_typed_column(name, app.columns[name]) for name in TRACE_FIELDS]
+        for i in range(0, n, _BLOCK):
+            # rows are counted by the k column; zip stops at the shortest slice
+            block = [c[i:i + _BLOCK].tolist() for c in cols]
+            # repr of a Python int/float is the text str(int(v))/repr(float(v))
+            cells = [b if c.dtype == object else map(repr, b) for b, c in zip(block, cols)]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _json_doc(trace: Trace) -> dict:
+    return {
+        "schema_version": trace.schema_version,
+        "status": trace.status,
+        "config": trace.config,
+        "summary": trace.summary,
+        "apps": [
+            {
+                "app": app.app_id,
+                "switches": [list(s) for s in app.switches],
+                "columns": {name: _typed_column(name, app.columns[name]) for name in TRACE_FIELDS},
+            }
+            for app in trace.apps
+        ],
+        "bus": trace.bus,
+    }
+
+
+def _json_chunks(obj, pad: str):
+    """The text ``json.dumps(obj, indent=1)`` gives, for a value that starts a
+    line indented by ``pad`` (a newline and the spaces), in pieces: dicts key
+    by key, lists and arrays _BLOCK items at a time."""
+    inner = pad + " "
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            yield sep + _json_key(key) + ": "
+            yield from _json_chunks(value, inner)
+            sep = "," + inner
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
+            yield "[]"
+            return
+        sep = "[" + inner
+        for i in range(0, len(obj), _BLOCK):
+            block = obj[i:i + _BLOCK]
+            if isinstance(block, np.ndarray):  # a typed trace column: scalars only
+                yield sep + _json_scalars(block.tolist(), inner)
+            else:
+                yield sep + _json_items(block, inner)
+            sep = "," + inner
+        yield pad + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _json_items(items, pad: str) -> str:
+    """The items of a non-empty list, one per line indented by ``pad``.
+
+    A list of scalars is one call of the C encoder, with the line break and
+    indent as its item separator; a list of flat rows (the bus logs) is one
+    call over all their cells, split back into rows.  Both are exact because
+    ``ensure_ascii`` escapes every newline inside a string, so a separator
+    that starts with one cannot occur inside an item."""
+    sep = "," + pad
+    if not isinstance(items[0], (dict, list, tuple)):
+        text = _json_scalars(items, pad)
+        if not _holds_container(text, sep):
+            return text
+    elif all(isinstance(row, (list, tuple)) and row for row in items):
+        # all cells in one call, split back into rows
+        text = _json_scalars([v for row in items for v in row], "\n")
+        if not _holds_container(text, ",\n"):
+            cells = iter(text.split(",\n"))
+            cell_pad = pad + " "
+            cell_sep = "," + cell_pad
+            return sep.join("[" + cell_pad + cell_sep.join(islice(cells, len(row))) + pad + "]"
+                            for row in items)
+    return sep.join("".join(_json_chunks(v, pad)) for v in items)
+
+
+def _json_scalars(items, pad: str) -> str:
+    """The items of a non-empty list of scalars, one per line indented by
+    ``pad``, in one call of the C encoder."""
+    return json.dumps(items, separators=("," + pad, ": "))[1:-1]
+
+
+def _holds_container(text: str, sep: str) -> bool:
+    """Whether ``text``, list items joined by a separator ``sep`` that holds
+    a newline, has a list or dict among them."""
+    return text[0] in "[{" or sep + "[" in text or sep + "{" in text
+
+
+def _json_key(key) -> str:
+    # as the json module writes keys: a non-str key as the text of its value
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
 
 
 def load_trace(path) -> Trace:
@@ -602,7 +712,7 @@ def read_trace_csv(path) -> dict:
     for name, vals in cols.items():
         if name == "mode":
             out[name] = np.array(vals, dtype=object)
-        elif name in ("app", "k", "delay", "rank", "switch"):
+        elif name in INT_FIELDS:
             out[name] = np.array([int(v) for v in vals], dtype=int)
         else:
             out[name] = np.array([float(v) for v in vals])

@@ -87,7 +87,13 @@ class Square(ReferenceGenerator):
         self.declared_sr_order = None  # period-dependent; declare explicitly if needed
 
     def value(self, k: int) -> float:
-        return float(self.amplitude if (k % self.period) < self.duty * self.period else -self.amplitude)
+        return self.value_at(k, 0.0)
+
+    def value_at(self, k: int, phase_offset: float = 0.0) -> float:
+        # phase_offset in radians of the fundamental, as SinusoidSum takes it:
+        # the wave is advanced by phase_offset / (2 pi) periods
+        pos = (k + phase_offset / (2 * np.pi) * self.period) % self.period
+        return float(self.amplitude if pos < self.duty * self.period else -self.amplitude)
 
 
 @dataclass

@@ -78,6 +78,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="richness"):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("protocol, n_values", [
+        ({"kind": "fixed", "d": 2}, 51),
+        ({"kind": "switching", "d2": 3, "eth": 0.05}, 52),
+    ])
+    def test_short_table_rejected(self, protocol, n_values):
+        ref = {"type": "file", "values": [1.0] * n_values}
+        with pytest.raises(ConfigError, match="needs"):
+            parse_config(minimal_config(protocol=protocol, reference=ref))
+        ref["values"].append(1.0)  # horizon 50 plus the lookahead
+        parse_config(minimal_config(protocol=protocol, reference=ref))
+
+    def test_short_table_for_richness_check_rejected(self):
+        ref = {"type": "file", "values": [1.0, -1.0] * 30, "sr_order": 1}
+        with pytest.raises(ConfigError, match="richness order 1 needs 98"):
+            parse_config(minimal_config(protocol={"kind": "fixed", "d": 2}, reference=ref))
+
     def test_beta0_zero_rejected(self):
         with pytest.raises(ConfigError, match="beta0"):
             parse_config(minimal_config(beta0_init=0.0))
@@ -233,6 +249,18 @@ class TestCLI:
         out = self.run_cli("check", "--config", str(p))
         assert out.returncode == 2
         assert "configuration error" in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_short_table_is_config_error(self, tmp_path, command):
+        cfg = minimal_config(protocol={"kind": "fixed", "d": 2},
+                             reference={"type": "file", "values": list(range(1, 11))})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "configuration error" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_run_and_analyze(self, tmp_path):
         cfg = minimal_config(horizon=400, tolerances={"settle_sample": 300, "tracking_tol": 0.05})
