@@ -15,7 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import ConfigError, evaluate_monitors, export_trace, load_trace, parse_config, run_scenario
+from .harness import (ConfigError, check_impulse_times, evaluate_monitors, export_trace, load_trace,
+                      parse_config, run_scenario)
 
 EXIT_OK = 0
 EXIT_MONITOR_FAIL = 1
@@ -43,6 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
+    check_impulse_times(cfg)
     if args.seed is not None:
         raw = dict(cfg.raw)
         raw["seed"] = args.seed
@@ -67,6 +69,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = parse_config(args.config)
+    check_impulse_times(cfg)
     n = len(cfg.plants)
     print(f"config ok: {cfg.name!r}, {n} application(s), kind={cfg.kind}, horizon={cfg.horizon}")
     return EXIT_OK

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +18,9 @@ import numpy as np
 from . import kernels, netbus, reference
 from .adapt import ZeroDivisorError
 from .excitation import sr_order
-from .netbus import BusCapacityError, BusConfig, BusState
+from .netbus import BusCapacityError, BusConfig, BusState, Mode
 from .plant import DisturbanceTrain, PlantDivergenceError, PlantModel, make_impulse_train
-from .supervisor import TRACE_FIELDS, AppSupervisor, containment_check
+from .supervisor import MONITOR_FIELDS, TRACE_FIELDS, AppSupervisor, DisturbanceInverseFilter, containment_check
 
 SCHEMA_VERSION = 1
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
@@ -140,6 +139,7 @@ def parse_config(source) -> ScenarioConfig:
                 raise ConfigError("switching protocol needs d2 >= 2")
             if float(protocol.get("eth", 0.0)) <= 0:
                 raise ConfigError("switching protocol needs eth > 0")
+        delay = int(protocol["d" if kind == "fixed" else "d2"])  # the longest delay a loop uses
         plants_raw = raw.get("plants", [])
         if not plants_raw:
             raise ConfigError("at least one plant is required")
@@ -157,6 +157,9 @@ def parse_config(source) -> ScenarioConfig:
             b0i = p.get("beta0_init")
             if b0i is not None and float(b0i) == 0.0:
                 raise ConfigError(f"plant[{i}]: beta0_init must be nonzero")
+            for name, depth in (("y_init", max(model.m1, 1)), ("u_init", max(model.m2 + delay, 1))):
+                if len(p.get(name, ())) > depth:
+                    raise ConfigError(f"plant[{i}]: {name} has {len(p[name])} values; the history holds {depth}")
             plants.append(PlantSpec(
                 model=model,
                 y_init=tuple(p.get("y_init", ())),
@@ -180,7 +183,10 @@ def parse_config(source) -> ScenarioConfig:
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(raw.get("tolerances", {}))
         if isinstance(gen, reference.Tabulated):
-            _check_table_length(gen, horizon, int(protocol["d" if kind == "fixed" else "d2"]), tol)
+            shifted = [i for i, spec in enumerate(plants) if spec.phase_offset != 0.0]
+            if shifted:
+                raise ConfigError(f"plant[{shifted[0]}]: phase_offset needs a periodic reference, not a file")
+            _check_table_length(gen, horizon, delay, tol)
         dist = raw.get("disturbance")
         if dist is not None:
             _validate_disturbance(dist, horizon)
@@ -243,6 +249,15 @@ def _validate_disturbance(spec: dict, horizon: int) -> None:
             raise ConfigError(f"disturbance: {exc}") from exc
     elif not spec.get("random", False):
         raise ConfigError("disturbance needs explicit 'times' or 'random': true")
+
+
+def check_impulse_times(cfg: ScenarioConfig) -> None:
+    """Reject impulse times outside [0, horizon), which a run never reaches; the
+    command line calls this, parse_config does not, so a caller can shorten a run."""
+    for spec in [cfg.disturbance] + [plant.disturbance for plant in cfg.plants]:
+        for t in (spec or {}).get("times") or ():
+            if not 0 <= int(t) < cfg.horizon:
+                raise ConfigError(f"disturbance: impulse time {t} lies outside the horizon [0, {cfg.horizon})")
 
 
 def _build_train(spec: dict | None, horizon: int, rng) -> DisturbanceTrain:
@@ -344,18 +359,9 @@ def _run_fixed(cfg: ScenarioConfig) -> Trace:
             status = f"diverged: app {i} at sample {k_stop}"
         elif st == kernels.SIM_ZERO_DIVISOR:
             status = f"zero divisor: app {i} at sample {k_stop}"
-        theta_star = model.true_theta(d)
-        # equivalent reference: yref + inverse-plant-filtered disturbance
-        dprime = _dprime_sequence(model, train, T + d)
-        ideal_ref = yref_ext + dprime
-        _, _, _, _, _, _, Phi_star_hist = kernels.simulate_fixed_delay(
-            model.a, model.b, d, gamma, theta_star.copy(), ideal_ref, np.zeros(T + 1),
-            np.asarray(spec.y_init, dtype=float), np.asarray(spec.u_init, dtype=float), False,
-        )
-        cols = _fixed_columns(
-            i, d, T_eff, y, u, eps, theta_hist, Phi_hist, Phi_star_hist,
-            yref_ext, dprime, dist, theta_star, spec.oracle, cfg.tolerances,
-        )
+        yref_prime = yref_ext + _dprime_sequence(model, train, T + d)
+        cols = _fixed_columns(i, d, T_eff, y, u, eps, theta_hist, Phi_hist, yref_ext, yref_prime,
+                              dist, spec, cfg.tolerances)
         apps.append(AppTrace(app_id=i, columns=cols, switches=[]))
         theta_norms = np.linalg.norm(theta_hist[:T_eff], axis=1) if T_eff else np.zeros(0)
         summary_apps.append(_app_summary(i, cols, theta_norms, None))
@@ -369,14 +375,22 @@ def _run_fixed(cfg: ScenarioConfig) -> Trace:
 
 
 def _dprime_sequence(model: PlantModel, train: DisturbanceTrain, n: int) -> np.ndarray:
-    from .supervisor import DisturbanceInverseFilter
-
     filt = DisturbanceInverseFilter(model)
     return np.array([filt.step(train.value(t)) for t in range(n)])
 
 
-def _fixed_columns(app_id, d, T_eff, y, u, eps, theta_hist, Phi_hist, Phi_star_hist,
-                   yref_ext, dprime, dist, theta_star, oracle, tol) -> dict:
+def _ideal_regressors(model: PlantModel, d: int, yref_prime: np.ndarray, n: int,
+                      y_init=(), u_init=()) -> np.ndarray:
+    """Phi*(k), k < n, of the ideal closed loop at delay d: the true plant and
+    parameters, no disturbance, driven by the equivalent reference."""
+    return kernels.simulate_fixed_delay(
+        model.a, model.b, d, 0.5, model.true_theta(d), yref_prime[:n + d], np.zeros(n + 1),
+        np.asarray(y_init, dtype=float), np.asarray(u_init, dtype=float), False,
+    )[-1][d: d + n]
+
+
+def _fixed_columns(app_id, d, T_eff, y, u, eps, theta_hist, Phi_hist, yref_ext, yref_prime,
+                   dist, spec, tol) -> dict:
     T = T_eff
     ks = np.arange(T)
     yk = y[:T]
@@ -389,7 +403,7 @@ def _fixed_columns(app_id, d, T_eff, y, u, eps, theta_hist, Phi_hist, Phi_star_h
         "mode": np.array([_fixed_mode_label(d)] * T, dtype=object),
         "y": yk.copy(),
         "yref": yrefk.copy(),
-        "yref_prime": (yref_ext[:T] + dprime[:T]).copy(),
+        "yref_prime": yref_prime[:T].copy(),
         "e": e,
         "u": u[:T].copy(),
         "delay": np.full(T, d, dtype=int),
@@ -397,26 +411,36 @@ def _fixed_columns(app_id, d, T_eff, y, u, eps, theta_hist, Phi_hist, Phi_star_h
         "switch": np.zeros(T, dtype=int),
         "dist": dist[:T].copy(),
     }
-    if oracle and T:
-        diff = theta_hist[:T] - theta_star[None, :]
-        V = np.einsum("ki,ki->k", diff, diff)
-        dV = np.concatenate([[0.0], np.diff(V)])
-        phid = Phi[:, :-1] - Phi_star_hist[d: d + T, :-1]
-        phi_err = np.linalg.norm(phid, axis=1)
-        rank, alpha_hat = _windowed_rank(Phi, tol.get("rank_tol", 1e-6))
-        theta_err = theta_star[None, :] - theta_hist[:T]
-        ortho = np.abs(np.einsum("ki,ki->k", Phi, theta_err)) / (1.0 + np.linalg.norm(Phi, axis=1))
-        cols.update({
-            "V": V, "dV": dV, "phi_err": phi_err, "rank": rank,
-            "alpha_hat": alpha_hat, "ortho_res": ortho,
-        })
+    if spec.oracle and T:
+        theta_err = spec.model.true_theta(d)[None, :] - theta_hist[:T]
+        Phi_star = _ideal_regressors(spec.model, d, yref_prime, T, spec.y_init, spec.u_init)
+        cols.update(_monitor_columns(theta_err, Phi[:, :-1] - Phi_star[:, :-1], Phi, theta_err,
+                                     tol.get("rank_tol", 1e-6)))
     else:
-        z = np.zeros(T)
-        cols.update({
-            "V": z, "dV": z.copy(), "phi_err": z.copy(),
-            "rank": np.zeros(T, dtype=int), "alpha_hat": z.copy(), "ortho_res": z.copy(),
-        })
+        cols.update(_zero_monitor_columns(T))
     return {name: cols[name] for name in TRACE_FIELDS}
+
+
+def _monitor_columns(v_err, phi_diff, Phi, theta_err, rank_tol: float) -> dict:
+    """The monitor columns from whole-run arrays, one row per sample: V = |v_err|^2
+    and its increment, |phi_diff| (loop regressor minus the ideal model's), the
+    windowed Gram rank of Phi and |Phi . theta_err| / (1 + |Phi|)."""
+    V = np.einsum("ki,ki->k", v_err, v_err)
+    rank, alpha_hat = _windowed_rank(Phi, rank_tol)
+    return {
+        "V": V,
+        "dV": np.concatenate([[0.0], np.diff(V)]),
+        "phi_err": np.linalg.norm(phi_diff, axis=1),
+        "rank": rank,
+        "alpha_hat": alpha_hat,
+        "ortho_res": np.abs(np.einsum("ki,ki->k", Phi, theta_err)) / (1.0 + np.linalg.norm(Phi, axis=1)),
+    }
+
+
+def _zero_monitor_columns(T: int) -> dict:
+    """The monitor columns of an app run without the oracle."""
+    return {name: np.zeros(T, dtype=int if name == "rank" else float)
+            for name in MONITOR_FIELDS if name != "yref_prime"}
 
 
 def _windowed_rank(Phi: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -480,8 +504,6 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
             app_id=i, model=spec.model, d2=buscfg.d2, eth=buscfg.eth,
             yref=yref_ext, train=train, gamma1=cfg.gamma1, gamma2=cfg.gamma2,
             beta0_init=spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init,
-            oracle=spec.oracle,
-            rank_tol=cfg.tolerances.get("rank_tol", 1e-6),
             y_init=spec.y_init, u_init=spec.u_init,
         ))
     state = BusState()
@@ -500,14 +522,14 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
                 sups[app].supervise_step(k)
     except (PlantDivergenceError, BusCapacityError, ZeroDivisorError) as exc:
         status = f"aborted at sample {k}: {exc}"
+    rank_tol = cfg.tolerances.get("rank_tol", 1e-6)
     apps = []
     summary_apps = []
-    for sup in sups:
-        n_rows = min(len(sup.rows[name]) for name in TRACE_FIELDS)
-        cols = {name: _column_array(name, sup.rows[name][:n_rows]) for name in TRACE_FIELDS}
+    for sup, spec in zip(sups, cfg.plants):
+        cols = _switching_columns(sup, spec.oracle, rank_tol)
         switches = [(ev.k, ev.direction, ev.p) for ev in sup.switch_log.events]
         apps.append(AppTrace(app_id=sup.app_id, columns=cols, switches=switches))
-        summary_apps.append(_app_summary(sup.app_id, cols, np.asarray(sup.theta_norm_hist), switches))
+        summary_apps.append(_app_summary(sup.app_id, cols, sup.theta_norm_hist, switches))
     bus = {
         "cycles": [
             {
@@ -529,6 +551,39 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
         bus=bus,
         summary={"kind": "switching", "d2": buscfg.d2, "eth": buscfg.eth, "apps": summary_apps},
     )
+
+
+def _switching_columns(sup: AppSupervisor, oracle: bool, rank_tol: float) -> dict:
+    """The simulation rows one switching app recorded, and the monitor columns
+    computed from its recorded estimates and regressors (without the oracle:
+    zero, and yref_prime = yref)."""
+    n = len(sup.rows["k"])
+    cols = {name: _column_array(name, values) for name, values in sup.rows.items()}
+    cols.update(_zero_monitor_columns(n), yref_prime=cols["yref"].copy())
+    if oracle and n:
+        model, d2 = sup.model, sup.d2
+        yref_prime = sup.yref[:n + d2] + _dprime_sequence(model, sup.train, n + d2)
+        # the ideal reference models start from zero initial conditions
+        star1, star2 = (_ideal_regressors(model, d, yref_prime, n) for d in (1, d2))
+        Phi1, Phi2 = sup.Phi1_hist[1: 1 + n], sup.Phi2_hist[d2: d2 + n]
+        theta2_err = model.true_theta(d2) - sup.theta2_hist[:n]
+        tt = cols["mode"] == Mode.TT.value
+        cols.update(_monitor_columns(
+            _by_mode(tt, model.true_theta(1) - sup.theta1_hist[:n], theta2_err),
+            _by_mode(tt, Phi1[:, :-1] - star1[:, :-1], Phi2[:, :-1] - star2[:, :-1]),
+            Phi2, theta2_err, rank_tol,
+        ), yref_prime=yref_prime[:n])
+        # a Gram window reports once it holds M2 samples
+        cols["rank"][:sup.M2 - 1] = 0
+        cols["alpha_hat"][:sup.M2 - 1] = 0.0
+    return {name: cols[name] for name in TRACE_FIELDS}
+
+
+def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.ndarray:
+    """Row k of tt_rows (zero-padded to the ET width) where tt[k] holds, else of et_rows."""
+    out = np.where(tt[:, None], 0.0, et_rows)
+    out[tt, : tt_rows.shape[1]] = tt_rows[tt]
+    return out
 
 
 def _column_array(name: str, values: list) -> np.ndarray:
@@ -639,38 +694,48 @@ def _json_chunks(obj, pad: str):
 def _json_items(items, pad: str) -> str:
     """The items of a non-empty list, one per line indented by ``pad``.
 
-    A list of scalars is one call of the C encoder, with the line break and
-    indent as its item separator; a list of flat rows (the bus logs) is one
-    call over all their cells, split back into rows.  Both are exact because
-    ``ensure_ascii`` escapes every newline inside a string, so a separator
-    that starts with one cannot occur inside an item."""
+    Scalars, a list of flat rows (the bus deliveries) and each key's scalar
+    values in a list of dicts with the same keys (the bus cycles) take one
+    call of the C encoder, with a line break in its separator.  This is exact
+    because ``ensure_ascii`` escapes every newline inside a string, so only a
+    separator holds one, and the characters next to it show where a list
+    starts or ends."""
     sep = "," + pad
-    if not isinstance(items[0], (dict, list, tuple)):
-        text = _json_scalars(items, pad)
-        if not _holds_container(text, sep):
-            return text
-    elif all(isinstance(row, (list, tuple)) and row for row in items):
-        # all cells in one call, split back into rows
-        text = _json_scalars([v for row in items for v in row], "\n")
-        if not _holds_container(text, ",\n"):
-            cells = iter(text.split(",\n"))
+    if all(isinstance(row, (list, tuple)) and row for row in items):
+        # all rows in one call; every ",\n" in its text is a separator, and
+        # one between "]" and "[" separates rows
+        text = json.dumps(items, separators=(",\n", ": "))
+        if (text.count(",\n[") == len(items) - 1 and text[2] not in "[{"
+                and ",\n{" not in text and ",\n[[" not in text and ",\n[{" not in text):
             cell_pad = pad + " "
-            cell_sep = "," + cell_pad
-            return sep.join("[" + cell_pad + cell_sep.join(islice(cells, len(row))) + pad + "]"
-                            for row in items)
-    return sep.join("".join(_json_chunks(v, pad)) for v in items)
+            body = text[2:-2].replace(",\n", "," + cell_pad)
+            body = body.replace("]," + cell_pad + "[", pad + "]," + pad + "[" + cell_pad)
+            return "[" + cell_pad + body + pad + "]"
+    elif isinstance(items[0], dict) and items[0] and not any(isinstance(v, dict) for v in items[0].values()):
+        # nested dicts (the apps' column dicts) stay whole, so memory holds one copy
+        keys = list(items[0])
+        if all(isinstance(d, dict) and list(d) == keys for d in items):
+            inner = pad + " "
+            heads = ["{" + inner + _json_key(keys[0]) + ": "]
+            heads += ["," + inner + _json_key(key) + ": " for key in keys[1:]]
+            columns = [_json_values([d[key] for d in items], inner) for key in keys]
+            return sep.join("".join(h + v for h, v in zip(heads, values)) + pad + "}"
+                            for values in zip(*columns))
+    return sep.join(_json_values(items, pad))
+
+
+def _json_values(values: list, pad: str) -> list:
+    """The text of each value for a line indented by ``pad``: one call of
+    the C encoder when all of them are scalars."""
+    if any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in values):
+        return ["".join(_json_chunks(v, pad)) for v in values]
+    return _json_scalars(values, "\n").split(",\n")
 
 
 def _json_scalars(items, pad: str) -> str:
     """The items of a non-empty list of scalars, one per line indented by
     ``pad``, in one call of the C encoder."""
     return json.dumps(items, separators=("," + pad, ": "))[1:-1]
-
-
-def _holds_container(text: str, sep: str) -> bool:
-    """Whether ``text``, list items joined by a separator ``sep`` that holds
-    a newline, has a list or dict among them."""
-    return text[0] in "[{" or sep + "[" in text or sep + "{" in text
 
 
 def _json_key(key) -> str:

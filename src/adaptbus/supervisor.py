@@ -1,7 +1,7 @@
 """Switching adaptive controller: dual estimates (one per bus mode), the
-switching-instant reset/hold rules, and the runtime proof monitors (common
-Lyapunov value, equivalent reference, ideal reference models, containment
-scan).
+switching-instant reset/hold rules, the histories the monitors read after a
+run, and the per-sample monitor definitions (common Lyapunov value,
+equivalent reference, ideal reference models, containment scan).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from . import adapt, kernels
 from .adapt import ParameterEstimate
-from .excitation import DEFAULT_RANK_TOL, GramWindow
 from .netbus import Mode, SwitchEvent, SwitchLog, select_mode
 from .plant import DisturbanceTrain, PlantModel, SignalHistory, step_difference
 
@@ -238,28 +237,18 @@ def containment_check(e: np.ndarray, switches: list[SwitchEvent], eth: float,
     return ContainmentReport(entries=entries, phases=phases, eth=eth, window=window)
 
 
-@dataclass
-class _MonitorBundle:
-    theta_star_1: np.ndarray
-    theta_star_2: np.ndarray
-    filt: DisturbanceInverseFilter
-    rm1: ReferenceModel
-    rm2: ReferenceModel
-    gram: GramWindow
-    v_prev: float | None = None
-
-
 class AppSupervisor:
     """One application's switching loop: mode selection feeds the bus, the
     per-mode controller runs update-then-control, switching instants trigger
     the reset/hold rules, and the plant is stepped with the active mode's
-    delay.
+    delay.  Over T = len(yref) - d2 samples it records each estimate after sample k,
+    reset included, at row k of ``theta1_hist``/``theta2_hist`` and the regressor of
+    time t (pre-start ones too) at row t + 1 / t + d2 of ``Phi1_hist``/``Phi2_hist``.
     """
 
     def __init__(self, app_id, model: PlantModel, d2: int, eth: float, yref: np.ndarray,
                  train: DisturbanceTrain | None = None, gamma1: float = 0.5,
-                 gamma2: float = 0.5, beta0_init: float = 1.0, oracle: bool = True,
-                 rank_tol: float = DEFAULT_RANK_TOL, y_init=(), u_init=()):
+                 gamma2: float = 0.5, beta0_init: float = 1.0, y_init=(), u_init=()):
         if d2 < 2:
             raise ValueError("d2 must be >= 2")
         self.app_id = app_id
@@ -268,8 +257,6 @@ class AppSupervisor:
         self.eth = float(eth)
         self.yref = np.asarray(yref, dtype=float)
         self.train = train if train is not None else DisturbanceTrain.empty()
-        self.rank_tol = rank_tol
-        self.oracle = oracle
         m1, m2 = model.m1, model.m2
         self.history = SignalHistory(m1, m2, d_max=self.d2, y_init=y_init, u_init=u_init)
         self.duals = DualEstimates.create(m1, m2, self.d2, gamma1, gamma2, beta0_init)
@@ -279,65 +266,40 @@ class AppSupervisor:
         self.p = 0
         self.switch_log = SwitchLog()
         self.access_counts: dict = {}
-        self._phi1_hist: list[np.ndarray] = []
-        self._phi2_hist: list[np.ndarray] = []
+        T = max(self.yref.shape[0] - self.d2, 0)
+        self.Phi1_hist = np.zeros((T + 1, self.M1))
+        self.Phi2_hist = np.zeros((T + self.d2, self.M2))
+        self.theta1_hist = np.zeros((T, self.M1))
+        self.theta2_hist = np.zeros((T, self.M2))
         self._seed_prestart_regressors(y_init, u_init)
         self._mode_next = self.mode
         self._e_k = 0.0
         self._delay = 1
-        if oracle:
-            self.monitors = _MonitorBundle(
-                theta_star_1=model.true_theta(1),
-                theta_star_2=model.true_theta(self.d2),
-                filt=DisturbanceInverseFilter(model),
-                rm1=ReferenceModel(model, 1),
-                rm2=ReferenceModel(model, self.d2),
-                gram=GramWindow(self.M2, window_len=8 * self.M2),
-            )
-        else:
-            self.monitors = None
-        self._dprime: list[float] = []
-        self.rows: dict[str, list] = {name: [] for name in TRACE_FIELDS}
-        self.theta_norm_hist: list[float] = []
+        self.rows: dict[str, list] = {name: [] for name in SIM_FIELDS}
+
+    @property
+    def theta_norm_hist(self) -> np.ndarray:
+        """max(|theta1|, |theta2|) after each completed sample."""
+        n = len(self.rows["k"])
+        return np.maximum(np.linalg.norm(self.theta1_hist[:n], axis=1),
+                          np.linalg.norm(self.theta2_hist[:n], axis=1))
 
     # -- pre-start regressors -------------------------------------------------
 
     def _seed_prestart_regressors(self, y_init, u_init) -> None:
-        y_init = np.asarray(y_init, dtype=float)
-        u_init = np.asarray(u_init, dtype=float)
-
-        def val_y(t: int) -> float:
-            idx = -t
-            return float(y_init[idx]) if 0 <= idx < y_init.shape[0] else 0.0
-
-        def val_u(t: int) -> float:
-            idx = -t - 1
-            return float(u_init[idx]) if 0 <= idx < u_init.shape[0] else 0.0
-
-        m1, m2 = self.model.m1, self.model.m2
-        for d, hist in ((1, self._phi1_hist), (self.d2, self._phi2_hist)):
+        m1, m2, d2 = self.model.m1, self.model.m2, self.d2
+        ys = np.zeros(m1 + d2)  # ys[i] = y(-i)
+        us = np.zeros(m2 + 2 * d2)  # us[i] = u(-1-i)
+        ys[:len(y_init)] = y_init
+        us[:len(u_init)] = u_init
+        for d, hist in ((1, self.Phi1_hist), (d2, self.Phi2_hist)):
             for t in range(-d, 0):
-                parts = [val_y(t - i) for i in range(m1)]
-                parts += [val_u(t - j) for j in range(1, m2 + d)]
-                parts.append(val_u(t))
-                hist.append(np.asarray(parts, dtype=float))
+                hist[t + d] = np.concatenate([ys[-t: -t + m1], us[-t: -t + m2 + d - 1], [us[-t - 1]]])
 
     def _phi_at(self, mode: Mode, t: int) -> np.ndarray:
         if mode == Mode.TT:
-            return self._phi1_hist[t + 1]
-        return self._phi2_hist[t + self.d2]
-
-    def _ensure_dprime(self, k: int) -> None:
-        if self.monitors is None:
-            return
-        while len(self._dprime) <= k:
-            t = len(self._dprime)
-            self._dprime.append(self.monitors.filt.step(self.train.value(t)))
-
-    def _yref_prime(self, j: int) -> float:
-        if self.monitors is None:
-            return float(self.yref[j])
-        return float(self.yref[j]) + self._dprime[j]
+            return self.Phi1_hist[t + 1]
+        return self.Phi2_hist[t + self.d2]
 
     # -- per-sample phases ----------------------------------------------------
 
@@ -354,8 +316,8 @@ class AppSupervisor:
 
     def supervise_step(self, k: int) -> dict:
         """Update-then-control in the active mode, apply any pending switch
-        reset, step the plant with this sample's delay, and evaluate the
-        monitors.  Returns the trace row."""
+        reset, record the estimates, and step the plant with this sample's
+        delay.  Returns the sample's row of simulation columns."""
         mode = self.mode
         d = 1 if mode == Mode.TT else self.d2
         m1, m2 = self.model.m1, self.model.m2
@@ -382,13 +344,16 @@ class AppSupervisor:
                 self.duals.theta2 = est
             self._bump(mode, "update")
 
-        phi1 = np.concatenate([self.history.y_window(m1), self.history.u_window(m2)])
-        phi2 = np.concatenate([self.history.y_window(m1), self.history.u_window(m2 + self.d2 - 1)])
-        phi_active = phi1 if mode == Mode.TT else phi2
+        # Phi1(k) and Phi2(k) share y(k)..y(k-m1+1) and start with the same inputs
+        Phi1 = self.Phi1_hist[k + 1]
+        Phi2 = self.Phi2_hist[k + self.d2]
+        Phi1[:m1] = Phi2[:m1] = self.history.y_window(m1)
+        Phi2[m1:-1] = self.history.u_window(m2 + self.d2 - 1)
+        Phi1[m1:-1] = Phi2[m1:m1 + m2]
+        phi_active = Phi1[:-1] if mode == Mode.TT else Phi2[:-1]
         u_k = adapt.control_law(est, phi_active, self.yref[k + d])
         self._bump(mode, "control")
-        self._phi1_hist.append(np.concatenate([phi1, [u_k]]))
-        self._phi2_hist.append(np.concatenate([phi2, [u_k]]))
+        Phi1[-1] = Phi2[-1] = u_k
 
         switch_code = 0
         if self._mode_next != mode:
@@ -398,15 +363,14 @@ class AppSupervisor:
             apply_reset(self.duals, self.p, direction, m2, self.d2)
             switch_code = 1 if direction == "TT->ET" else 2
             self.mode = self._mode_next
+        # a reset only touches the inactive estimate, so the active row is est
+        self.theta1_hist[k] = self.duals.theta1.theta
+        self.theta2_hist[k] = self.duals.theta2.theta
 
         step_difference(self.model, self.history, u_k, self.train, d=d)
-        self.theta_norm_hist.append(max(
-            float(np.linalg.norm(self.duals.theta1.theta)),
-            float(np.linalg.norm(self.duals.theta2.theta)),
-        ))
 
-        row = self._monitor_row(k, mode, d, y_k, u_k, eps, est, phi_active, switch_code)
-        for name in TRACE_FIELDS:
+        row = self._monitor_row(k, mode, d, y_k, u_k, eps, switch_code)
+        for name in SIM_FIELDS:
             self.rows[name].append(row[name])
         return row
 
@@ -415,53 +379,18 @@ class AppSupervisor:
         key = (mode.value, which, op)
         self.access_counts[key] = self.access_counts.get(key, 0) + 1
 
-    def _monitor_row(self, k, mode, d, y_k, u_k, eps, est, phi_active, switch_code) -> dict:
-        V = dV = 0.0
-        phi_err = 0.0
-        rank = 0
-        alpha_hat = 0.0
-        ortho = 0.0
-        yp_k = float(self.yref[k])
-        if self.monitors is not None:
-            mon = self.monitors
-            self._ensure_dprime(k + self.d2)
-            yp_k = self._yref_prime(k)
-            Phi_star1 = mon.rm1.step(self._yref_prime(k + 1))
-            Phi_star2 = mon.rm2.step(self._yref_prime(k + self.d2))
-            phi_star = Phi_star1[:-1] if mode == Mode.TT else Phi_star2[:-1]
-            phi_err = signal_error(phi_active, phi_star)
-            if mode == Mode.TT:
-                diff = _pad(mon.theta_star_1, self.M2) - _pad(est.theta, self.M2)
-            else:
-                diff = mon.theta_star_2 - est.theta
-            V = float(np.dot(diff, diff))
-            dV = 0.0 if mon.v_prev is None else V - mon.v_prev
-            mon.v_prev = V
-            Phi2 = self._phi2_hist[-1]
-            mon.gram.push(Phi2)
-            if len(mon.gram) >= self.M2:
-                rep = mon.gram.report(self.rank_tol)
-                rank = rep.rank
-                alpha_hat = rep.alpha_hat
-            theta2_err = mon.theta_star_2 - self.duals.theta2.theta
-            ortho = abs(float(np.dot(Phi2, theta2_err))) / (1.0 + float(np.linalg.norm(Phi2)))
+    def _monitor_row(self, k, mode, d, y_k, u_k, eps, switch_code) -> dict:
+        """The simulation columns of sample k."""
         return {
             "app": self.app_id,
             "k": k,
             "mode": mode.value,
             "y": float(y_k),
             "yref": float(self.yref[k]),
-            "yref_prime": yp_k,
             "e": self._e_k,
             "u": float(u_k),
             "delay": int(d),
             "eps": float(eps),
-            "V": V,
-            "dV": dV,
-            "phi_err": phi_err,
-            "rank": int(rank),
-            "alpha_hat": float(alpha_hat),
-            "ortho_res": float(ortho),
             "switch": int(switch_code),
             "dist": float(self.train.value(k)),
         }
@@ -471,3 +400,6 @@ TRACE_FIELDS = [
     "app", "k", "mode", "y", "yref", "yref_prime", "e", "u", "delay", "eps",
     "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res", "switch", "dist",
 ]
+# computed after a run from the true plant; the loop records the rest
+MONITOR_FIELDS = ("yref_prime", "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res")
+SIM_FIELDS = [name for name in TRACE_FIELDS if name not in MONITOR_FIELDS]

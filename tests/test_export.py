@@ -115,6 +115,13 @@ def _odd_values() -> Trace:
         "nested": {"empty_list": [], "empty_dict": {}, "mixed": [1, "a, b", [2, [3]], {}, None, True]},
         "rows": [[1, "x\ny"], [2.5, "π", False, None, 1e300]],
         "tuple": (1, 2),
+        "dict_rows": [{"a": 1, "b": "x\ny", 3: None}, {"a": math.nan, "b": [1, [2]], 3: {}}],
+        "ragged_dicts": [{"a": 1, "b": 2}, {"b": 2, "a": 1}, {"a": 1}],
+        "reordered_dicts": [{"a": 1, "b": [2]}, {"b": [3], "a": 4}],
+        # lists of rows with a container cell, first in a row or later
+        "rows_with_lists": [[[1, 2], [3, [4]]], [[1, 2], [[3], 4]], [[[1], 2], [3, 4]], [[1], [2, []]]],
+        "rows_with_dicts": [[[1, 2], [3, {"a": 1}]], [[1, 2], [{"a": 1}, 4]], [[{"a": [1]}, 2], [3]]],
+        "rows_of_brackets": [["],\n[", "[["], ["{", "]"], ["a", ",\n["]],
     }
     summary = {
         "kind": "switching",

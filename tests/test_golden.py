@@ -1,0 +1,90 @@
+"""Golden digests of the five bundled configs.
+
+Each config pins the sha256 of its simulation columns (``y u e eps mode
+switch delay dist`` of every app, in app order), its status and its
+(monitor, passed) verdicts.  The switching configs use constant references,
+so their arithmetic is fixed-order scalar code and they are compared on every
+machine.  The fixed configs read numpy's vectorised ``sin``, which is not
+bit-stable across CPUs, so they are compared only where the numpy/CPU
+fingerprint matches the one they were recorded with.
+
+A change that moves a digest re-records it here and says why in CHANGES.md.
+"""
+
+import hashlib
+import platform
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from adaptbus.harness import INT_FIELDS, evaluate_monitors, parse_config, run_scenario
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SIM_COLUMNS = ("y", "u", "e", "eps", "mode", "switch", "delay", "dist")
+
+FINGERPRINT = {"numpy": "2.4.6", "machine": "x86_64", "cpu": "Intel(R) Xeon(R) Processor"}
+
+SWITCHING_VERDICTS = ["completed", "bounded_signals", "impulse_triggers_tt", "re_entry_containment",
+                      "et_phase_length", "lyapunov_in_mode", "bus_delay_dichotomy",
+                      "minislot_conservation"]
+QUIET_VERDICTS = ["completed", "bounded_signals", "re_entry_containment", "et_phase_length",
+                  "lyapunov_in_mode", "quiescent_switches", "bus_delay_dichotomy",
+                  "minislot_conservation"]
+FIXED_VERDICTS = ["completed", "bounded_signals", "tracking_tail", "regressor_rank",
+                  "orthogonality_residual", "parameter_error_monotone"]
+
+# config: (sim sha256, status, monitors; every one passed)
+GOLDEN = {
+    "fixed_tt": ("946ce4b84298c5773d77b3f6fb9e8c85943611ace824e865267c76a28758e7a0",
+                 "ok", FIXED_VERDICTS),
+    "fixed_et": ("2edf14f68e33fc529beb393a694a761668b3a12274482000ab1daec567d1fbe2",
+                 "ok", FIXED_VERDICTS),
+    "switching_1app": ("954a5f10f27f01e15d4b83869a20dcc459e9aaf8241347b1bdd8cf5305f35f01",
+                       "ok", SWITCHING_VERDICTS),
+    "switching_1app_quiet": ("9d6c4378ee58ccaf612fbacdd1594a0a99f8832e727bf30a49f80d0bf0ab8a37",
+                             "ok", QUIET_VERDICTS),
+    "switching_3app": ("d8dd5632432b68a01a304e24d0197287a41c8d65ae4bd7c5079a5bfbe4313cac",
+                       "ok", SWITCHING_VERDICTS),
+}
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def fingerprint() -> dict:
+    return {"numpy": np.__version__, "machine": platform.machine(), "cpu": cpu_model()}
+
+
+def sim_digest(trace) -> str:
+    h = hashlib.sha256()
+    for app in trace.apps:
+        for name in SIM_COLUMNS:
+            col = app.columns[name]
+            h.update(name.encode())
+            if name == "mode":
+                h.update("\n".join(str(v) for v in col).encode())
+            else:
+                dtype = "<i8" if name in INT_FIELDS else "<f8"
+                h.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_config_matches_golden(name):
+    if name.startswith("fixed") and fingerprint() != FINGERPRINT:
+        pytest.skip(f"recorded with {FINGERPRINT}; vectorised sin differs on {fingerprint()}")
+    digest, status, monitors = GOLDEN[name]
+    cfg = parse_config(CONFIG_DIR / f"{name}.json")
+    trace = run_scenario(cfg)
+    report = evaluate_monitors(trace, cfg)
+    assert trace.status == status
+    assert [(r.name, r.passed) for r in report.results] == [(m, True) for m in monitors]
+    assert sim_digest(trace) == digest

@@ -8,6 +8,7 @@ import pytest
 
 from adaptbus.harness import (
     ConfigError,
+    check_impulse_times,
     evaluate_monitors,
     export_trace,
     load_trace,
@@ -97,6 +98,41 @@ class TestParseConfig:
     def test_beta0_zero_rejected(self):
         with pytest.raises(ConfigError, match="beta0"):
             parse_config(minimal_config(beta0_init=0.0))
+
+    @pytest.mark.parametrize("times", [[50], [-1], [10, 60]])
+    def test_impulse_time_outside_horizon_rejected(self, times):
+        dist = {"times": times, "amplitudes": 1.0, "t_dw": 5}
+        for raw in (minimal_config(disturbance=dist),
+                    minimal_config(plants=[{"a": [-0.5], "b": [1.0], "disturbance": dist}])):
+            cfg = parse_config(raw)  # accepted, so that a caller can shorten the horizon
+            with pytest.raises(ConfigError, match=r"outside the horizon \[0, 50\)"):
+                check_impulse_times(cfg)
+        check_impulse_times(parse_config(minimal_config(disturbance=dict(dist, times=[0, 49]))))
+
+    # the gain plant's history holds 1 past output and m2 + d past inputs
+    @pytest.mark.parametrize("protocol, u_depth", [
+        ({"kind": "fixed", "d": 2}, 2),
+        ({"kind": "switching", "d2": 3, "eth": 0.05}, 3),
+    ])
+    @pytest.mark.parametrize("field", ["y_init", "u_init"])
+    def test_initial_conditions_deeper_than_history_rejected(self, protocol, u_depth, field):
+        depth = 1 if field == "y_init" else u_depth
+        plants = [{"a": [-0.5], "b": [1.0]}, {"a": [], "b": [0.25], field: [0.1] * depth}]
+        cfg = minimal_config(protocol=protocol, plants=plants,
+                             reference={"type": "constant", "level": 1.0})
+        run_scenario(parse_config(cfg))
+        plants[1][field].append(0.2)
+        message = rf"plant\[1\]: {field} has {depth + 1} values; the history holds {depth}"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+
+    def test_phase_offset_of_file_reference_rejected(self):
+        ref = {"type": "file", "values": [1.0, 2.0] * 30}
+        plants = [{"a": [-0.5], "b": [1.0]}, {"a": [], "b": [0.5], "phase_offset": 0.5}]
+        with pytest.raises(ConfigError, match=r"plant\[1\]: phase_offset"):
+            parse_config(minimal_config(reference=ref, plants=plants))
+        plants[1]["phase_offset"] = 0.0
+        parse_config(minimal_config(reference=ref, plants=plants))
 
 
 class TestRunFixed:
@@ -260,6 +296,18 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert "configuration error" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_impulse_after_horizon_is_config_error(self, tmp_path, command):
+        cfg = json.loads((CONFIG_DIR / "switching_1app.json").read_text())
+        cfg["horizon"] = 300  # the impulses stay at 1500 and later
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "configuration error: disturbance: impulse time 1500 lies outside" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_run_and_analyze(self, tmp_path):

@@ -229,11 +229,11 @@ class TestErrorEquationOracle:
 
 
 def run_switching(model_kwargs, horizon=5000, times=(1500, 2200, 2900, 3600, 4300),
-                  level=2.0, beta0_init=0.25, eth=0.05, oracle=True):
+                  level=2.0, beta0_init=0.25, eth=0.05):
     model = PlantModel(**model_kwargs)
     yref = np.full(horizon + 2, level)
     train = make_impulse_train(500, horizon, 1.0, times=list(times)) if times else None
-    sup = AppSupervisor(0, model, 2, eth, yref, train, beta0_init=beta0_init, oracle=oracle)
+    sup = AppSupervisor(0, model, 2, eth, yref, train, beta0_init=beta0_init)
     cfg = BusConfig.default(1, d2=2, eth=eth, minislots_per_cycle=8)
     state = BusState()
     for k in range(horizon):
@@ -331,6 +331,41 @@ class TestSupervisorLoop:
         assert np.max(np.abs(sup.rows["y"])) < 1e3
         assert np.max(np.abs(sup.rows["u"])) < 1e3
         assert max(sup.theta_norm_hist) < 1e3
+
+    def test_recorded_histories_match_the_live_loop(self):
+        # the monitors read these arrays after the run: each regressor row
+        # must be the one build_regressor gives before the step, and each
+        # estimate row the live estimate after the step, reset included
+        from adaptbus import kernels
+        from adaptbus.adapt import build_regressor
+
+        model = PlantModel(a=[-0.5, 0.1], b=[1.0, 0.3])
+        horizon, d2 = 900, 3
+        yref = np.full(horizon + d2, 1.5)
+        train = make_impulse_train(300, horizon, 1.0, times=[300, 600])
+        y_init, u_init = np.array([0.2, -0.1]), np.array([0.3, 0.0, -0.2, 0.1])
+        sup = AppSupervisor(0, model, d2, 0.05, yref, train, beta0_init=0.8,
+                            y_init=y_init, u_init=u_init)
+        # the pre-start rows as the fixed-delay kernel builds them
+        for d, hist in ((1, sup.Phi1_hist), (d2, sup.Phi2_hist)):
+            kernel_rows = kernels.simulate_fixed_delay(
+                model.a, model.b, d, 0.5, model.true_theta(d), yref[:10 + d], np.zeros(11),
+                y_init, u_init, False)[-1]
+            assert np.array_equal(hist[:d], kernel_rows[:d])
+        cfg = BusConfig.default(1, d2=d2, eth=0.05, minislots_per_cycle=8)
+        state = BusState()
+        for k in range(horizon):
+            state.modes[0] = sup.sense(k)
+            transmit(state, cfg, 0, k)
+            advance_cycle(state, cfg)
+            pairs = [build_regressor(sup.history, d, 0.0) for d in (1, d2)]
+            sup.supervise_step(k)
+            for pair, Phi in zip(pairs, (sup.Phi1_hist[k + 1], sup.Phi2_hist[k + d2])):
+                assert np.array_equal(Phi[:-1], pair.phi)
+                assert Phi[-1] == sup.rows["u"][k]
+            assert np.array_equal(sup.theta1_hist[k], sup.duals.theta1.theta)
+            assert np.array_equal(sup.theta2_hist[k], sup.duals.theta2.theta)
+        assert {"TT", "ET"} <= set(sup.rows["mode"]) and len(sup.switch_log.events) >= 3
 
     def test_reset_exactness_live(self):
         # capture theta1 right after an even switch via a fresh run
