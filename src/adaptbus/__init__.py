@@ -22,7 +22,7 @@ from .harness import (
     parse_config,
     run_scenario,
 )
-from .netbus import BusConfig, BusState, Mode, SwitchLog, advance_cycle, record_switch, select_mode, transmit
+from .netbus import BusConfig, BusState, Mode, SwitchLog, advance_cycle, replay, select_mode, transmit
 from .plant import (
     DisturbanceTrain,
     PlantDivergenceError,
@@ -42,6 +42,7 @@ from .supervisor import (
     equivalent_reference,
     lyapunov,
     signal_error,
+    simulate_switching,
 )
 
 __version__ = "0.1.0"

@@ -16,11 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, netbus, reference
-from .adapt import ZeroDivisorError
 from .excitation import sr_order
 from .netbus import BusCapacityError, BusConfig, BusState, Mode
-from .plant import DisturbanceTrain, PlantDivergenceError, PlantModel, make_impulse_train
-from .supervisor import MONITOR_FIELDS, TRACE_FIELDS, AppSupervisor, DisturbanceInverseFilter, containment_check
+from .plant import DisturbanceTrain, PlantModel, make_impulse_train
+from .supervisor import (
+    MONITOR_FIELDS,
+    TRACE_FIELDS,
+    DisturbanceInverseFilter,
+    SwitchingRun,
+    containment_check,
+    simulate_switching,
+)
 
 SCHEMA_VERSION = 1
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
@@ -492,44 +498,56 @@ def _settle_sample(e: np.ndarray, level: float) -> int | None:
 
 
 def _run_switching(cfg: ScenarioConfig) -> Trace:
+    """Run each app's switching loop alone over the horizon, then replay the
+    bus over the apps' modes; an abort truncates every app to the rows that
+    the sample-by-sample interleaving (per sample: every app's transmission
+    in priority order, the bus cycle, then every app's step) would have
+    completed."""
     rng = np.random.default_rng(cfg.seed)
     buscfg = cfg.bus_config()
     T = cfg.horizon
     gen = cfg.reference()
-    sups = []
-    for i, spec in enumerate(cfg.plants):
+    inputs, runs = [], []
+    for spec in cfg.plants:
         train = _build_train(spec.disturbance if spec.disturbance is not None else cfg.disturbance, T, rng)
         yref_ext = gen.sequence(T + buscfg.d2, spec.phase_offset)
-        sups.append(AppSupervisor(
-            app_id=i, model=spec.model, d2=buscfg.d2, eth=buscfg.eth,
-            yref=yref_ext, train=train, gamma1=cfg.gamma1, gamma2=cfg.gamma2,
-            beta0_init=spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init,
-            y_init=spec.y_init, u_init=spec.u_init,
+        inputs.append((yref_ext, train))
+        runs.append(simulate_switching(
+            spec.model, buscfg.d2, buscfg.eth, yref_ext, train, cfg.gamma1, cfg.gamma2,
+            spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init, spec.y_init, spec.u_init,
         ))
-    state = BusState()
     order = buscfg.priority_order()
+    # the first app abort as (sample, priority position); the bus runs through that sample
+    k_stop, j_stop = min(((runs[app].samples, j) for j, app in enumerate(order)
+                          if runs[app].abort is not None), default=(T, 0))
+    state = BusState()
     status = "ok"
-    k = -1
+    aborting = None
     try:
-        for k in range(T):
-            for app in order:
-                state.modes[app] = sups[app].sense(k)
-            for app in order:
-                delivery = netbus.transmit(state, buscfg, app, k)
-                sups[app].set_delay(delivery, k)
-            netbus.advance_cycle(state, buscfg)
-            for app in order:
-                sups[app].supervise_step(k)
-    except (PlantDivergenceError, BusCapacityError, ZeroDivisorError) as exc:
-        status = f"aborted at sample {k}: {exc}"
+        netbus.replay(state, buscfg, [run.modes for run in runs], min(k_stop + 1, T))
+        if k_stop < T:
+            aborting = order[j_stop]
+            status = f"aborted at sample {k_stop}: {runs[aborting].abort}"
+    except BusCapacityError as exc:
+        # a bus abort at sample k precedes every app step at k
+        k_stop, j_stop = state.cycle_index, 0
+        status = f"aborted at sample {k_stop}: {exc}"
+    rows = [0] * len(runs)  # an app outside the priority order never runs
+    for j, app in enumerate(order):
+        rows[app] = k_stop + (j < j_stop)
     rank_tol = cfg.tolerances.get("rank_tol", 1e-6)
     apps = []
     summary_apps = []
-    for sup, spec in zip(sups, cfg.plants):
-        cols = _switching_columns(sup, spec.oracle, rank_tol)
-        switches = [(ev.k, ev.direction, ev.p) for ev in sup.switch_log.events]
-        apps.append(AppTrace(app_id=sup.app_id, columns=cols, switches=switches))
-        summary_apps.append(_app_summary(sup.app_id, cols, sup.theta_norm_hist, switches))
+    for i, (run, spec, (yref_ext, train)) in enumerate(zip(runs, cfg.plants, inputs)):
+        n = rows[i]
+        # the aborting app keeps a switch logged at its aborted sample (a
+        # diverging app logs it before the plant step)
+        switches = run.switches if i == aborting else [ev for ev in run.switches if ev[0] < n]
+        cols = _switching_columns(i, run, n, spec, yref_ext, train, switches, rank_tol)
+        apps.append(AppTrace(app_id=i, columns=cols, switches=switches))
+        theta_norms = np.maximum(np.linalg.norm(run.theta1_hist[:n], axis=1),
+                                 np.linalg.norm(run.theta2_hist[:n], axis=1))
+        summary_apps.append(_app_summary(i, cols, theta_norms, switches))
     bus = {
         "cycles": [
             {
@@ -542,7 +560,7 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
             }
             for r in state.cycle_log
         ],
-        "deliveries": [list(dv) for dv in state.deliveries],
+        "deliveries": list(map(list, state.deliveries)),
     }
     return Trace(
         config=cfg.raw,
@@ -553,29 +571,46 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
     )
 
 
-def _switching_columns(sup: AppSupervisor, oracle: bool, rank_tol: float) -> dict:
-    """The simulation rows one switching app recorded, and the monitor columns
-    computed from its recorded estimates and regressors (without the oracle:
-    zero, and yref_prime = yref)."""
-    n = len(sup.rows["k"])
-    cols = {name: _column_array(name, values) for name, values in sup.rows.items()}
+def _switching_columns(app_id, run: SwitchingRun, n: int, spec: PlantSpec, yref: np.ndarray,
+                       train: DisturbanceTrain, switches: list, rank_tol: float) -> dict:
+    """The first n simulation rows of one switching app, and the monitor
+    columns computed from its recorded estimates and regressors (without the
+    oracle: zero, and yref_prime = yref)."""
+    model, d2 = spec.model, run.d2
+    mode = np.array(run.modes[:n], dtype=object)
+    tt = mode == Mode.TT.value
+    switch = np.zeros(n, dtype=int)
+    for k, direction, _p in switches:
+        if k < n:
+            switch[k] = 1 if direction == "TT->ET" else 2
+    cols = {
+        "app": np.full(n, app_id, dtype=int),
+        "k": np.arange(n),
+        "mode": mode,
+        "y": np.array(run.y[:n], dtype=float),
+        "yref": yref[:n].copy(),
+        "e": np.array(run.e[:n], dtype=float),
+        "u": np.array(run.u[:n], dtype=float),
+        "delay": np.where(tt, 1, d2),
+        "eps": np.array(run.eps[:n], dtype=float),
+        "switch": switch,
+        "dist": train.dense(n),
+    }
     cols.update(_zero_monitor_columns(n), yref_prime=cols["yref"].copy())
-    if oracle and n:
-        model, d2 = sup.model, sup.d2
-        yref_prime = sup.yref[:n + d2] + _dprime_sequence(model, sup.train, n + d2)
+    if spec.oracle and n:
+        yref_prime = yref[:n + d2] + _dprime_sequence(model, train, n + d2)
         # the ideal reference models start from zero initial conditions
         star1, star2 = (_ideal_regressors(model, d, yref_prime, n) for d in (1, d2))
-        Phi1, Phi2 = sup.Phi1_hist[1: 1 + n], sup.Phi2_hist[d2: d2 + n]
-        theta2_err = model.true_theta(d2) - sup.theta2_hist[:n]
-        tt = cols["mode"] == Mode.TT.value
+        Phi1, Phi2 = run.Phi1_hist[1: 1 + n], run.Phi2_hist[d2: d2 + n]
+        theta2_err = model.true_theta(d2) - run.theta2_hist[:n]
         cols.update(_monitor_columns(
-            _by_mode(tt, model.true_theta(1) - sup.theta1_hist[:n], theta2_err),
+            _by_mode(tt, model.true_theta(1) - run.theta1_hist[:n], theta2_err),
             _by_mode(tt, Phi1[:, :-1] - star1[:, :-1], Phi2[:, :-1] - star2[:, :-1]),
             Phi2, theta2_err, rank_tol,
         ), yref_prime=yref_prime[:n])
         # a Gram window reports once it holds M2 samples
-        cols["rank"][:sup.M2 - 1] = 0
-        cols["alpha_hat"][:sup.M2 - 1] = 0.0
+        cols["rank"][:run.M2 - 1] = 0
+        cols["alpha_hat"][:run.M2 - 1] = 0.0
     return {name: cols[name] for name in TRACE_FIELDS}
 
 

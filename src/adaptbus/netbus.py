@@ -139,11 +139,6 @@ class SwitchLog:
         return ev
 
 
-def record_switch(log: SwitchLog, k: int, direction: str, p: int = 0) -> SwitchLog:
-    log.record(k, direction, p)
-    return log
-
-
 def _minislots_ahead(state: BusState, config: BusConfig, app) -> int:
     """Minislots the dynamic-segment walk spends before reaching this app's
     slot this cycle: carryovers first, then each higher-priority slot at its
@@ -158,25 +153,19 @@ def _minislots_ahead(state: BusState, config: BusConfig, app) -> int:
     return ahead
 
 
-def transmit(state: BusState, config: BusConfig, app, k: int) -> int:
-    """Enqueue app's control message at sample k; returns the actuation sample.
-
-    TT: the reserved static slot delivers at k+1.  ET: the message joins this
-    cycle's dynamic segment; if the minislot budget is exhausted before its
-    slot, it carries over whole cycles (future cycles assumed to serve the
-    carry queue first), and the arrival k + 1 + carries must stay within
-    k + d2 - 1 or the configuration is infeasible.  The returned delivery is
-    the deterministic actuator release k + d2 that the ET control law assumes.
-    """
+def _require_registered(config: BusConfig, app) -> None:
     if app not in config.dyn_priorities or app not in config.static_slots:
         raise KeyError(f"application {app!r} is not registered on the bus")
-    mode = state.modes.get(app, Mode.TT)
-    if mode == Mode.TT:
-        state.deliveries.append((app, k, Mode.TT.value, k + 1, k + 1))
-        return k + 1
+
+
+def _et_arrival(config: BusConfig, app, k: int, ahead: int) -> int:
+    """Arrival sample of app's ET message enqueued at k behind ``ahead``
+    minislots of this cycle: if the budget is exhausted before its slot, it
+    carries over whole cycles (future cycles assumed to serve the carry queue
+    first), and the arrival k + 1 + carries must stay within k + d2 - 1 or the
+    configuration is infeasible."""
     msg_len = config.message_minislots
     capacity = config.minislots_per_cycle
-    ahead = _minislots_ahead(state, config, app)
     if ahead + msg_len <= capacity:
         carries = 0
     elif capacity >= msg_len:
@@ -192,9 +181,60 @@ def transmit(state: BusState, config: BusConfig, app, k: int) -> int:
             f"app {app!r} message at sample {k} would arrive at {arrival} "
             f"(> k + d2 - 1 = {k + config.d2 - 1}); priority/d2/minislot budget infeasible"
         )
-    state.cycle_requests[app] = msg_len
+    return arrival
+
+
+def transmit(state: BusState, config: BusConfig, app, k: int) -> int:
+    """Enqueue app's control message at sample k; returns the actuation sample.
+
+    TT: the reserved static slot delivers at k+1.  ET: the message joins this
+    cycle's dynamic segment and arrives as ``_et_arrival`` predicts.  The
+    returned delivery is the deterministic actuator release k + d2 that the ET
+    control law assumes.
+    """
+    _require_registered(config, app)
+    mode = state.modes.get(app, Mode.TT)
+    if mode == Mode.TT:
+        state.deliveries.append((app, k, Mode.TT.value, k + 1, k + 1))
+        return k + 1
+    arrival = _et_arrival(config, app, k, _minislots_ahead(state, config, app))
+    state.cycle_requests[app] = config.message_minislots
     state.deliveries.append((app, k, Mode.ET.value, k + config.d2, arrival))
     return k + config.d2
+
+
+def replay(state: BusState, config: BusConfig, modes, n: int) -> None:
+    """Run samples 0..n-1 of the bus on a fresh state from the applications'
+    modes, as ``transmit`` for each app in priority order and then
+    ``advance_cycle`` would: ``modes[app][k]`` is the mode app sends in at
+    sample k.
+
+    Each fresh dynamic slot's minislots ahead are a running prefix over the
+    priority order (carryovers, then each higher-priority slot at its message
+    length or one idle minislot), so a cycle costs O(apps).  A
+    ``BusCapacityError`` leaves the deliveries made before it and
+    ``state.cycle_index`` at the failing sample.
+    """
+    order = config.priority_order()
+    if n > 0:
+        for app in order:
+            _require_registered(config, app)
+    msg_len, d2 = config.message_minislots, config.d2
+    tt, et = Mode.TT.value, Mode.ET.value
+    deliveries = state.deliveries
+    for k, row in zip(range(n), zip(*(modes[app] for app in order))):
+        state.modes.update(zip(order, row))
+        ahead = sum(l for (_a, l, _k) in state.carryover)
+        for app, mode in zip(order, row):
+            if mode == et:
+                arrival = _et_arrival(config, app, k, ahead)
+                state.cycle_requests[app] = msg_len
+                deliveries.append((app, k, et, k + d2, arrival))
+                ahead += msg_len
+            else:
+                deliveries.append((app, k, tt, k + 1, k + 1))
+                ahead += 1
+        advance_cycle(state, config)
 
 
 def advance_cycle(state: BusState, config: BusConfig, requests: dict | None = None) -> CycleReport:

@@ -1,7 +1,9 @@
 """Switching adaptive controller: dual estimates (one per bus mode), the
-switching-instant reset/hold rules, the histories the monitors read after a
-run, and the per-sample monitor definitions (common Lyapunov value,
-equivalent reference, ideal reference models, containment scan).
+switching-instant reset/hold rules, the whole-horizon switching engine
+(``simulate_switching``) whose histories the monitors read after a run, the
+per-sample reference loop (``AppSupervisor``) and the per-sample monitor
+definitions (common Lyapunov value, equivalent reference, ideal reference
+models, containment scan).
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ import numpy as np
 from . import adapt, kernels
 from .adapt import ParameterEstimate
 from .netbus import Mode, SwitchEvent, SwitchLog, select_mode
-from .plant import DisturbanceTrain, PlantModel, SignalHistory, step_difference
+from .plant import (
+    DIVERGENCE_LIMIT,
+    DisturbanceTrain,
+    PlantDivergenceError,
+    PlantModel,
+    SignalHistory,
+    step_difference,
+)
 
 
 @dataclass
@@ -238,10 +247,12 @@ def containment_check(e: np.ndarray, switches: list[SwitchEvent], eth: float,
 
 
 class AppSupervisor:
-    """One application's switching loop: mode selection feeds the bus, the
-    per-mode controller runs update-then-control, switching instants trigger
-    the reset/hold rules, and the plant is stepped with the active mode's
-    delay.  Over T = len(yref) - d2 samples it records each estimate after sample k,
+    """One application's switching loop, one sample at a time: mode selection
+    feeds the bus, the per-mode controller runs update-then-control,
+    switching instants trigger the reset/hold rules, and the plant is stepped
+    with the active mode's delay.  ``simulate_switching`` runs the same loop
+    over a whole horizon; this class is its per-sample reference.  Over
+    T = len(yref) - d2 samples it records each estimate after sample k,
     reset included, at row k of ``theta1_hist``/``theta2_hist`` and the regressor of
     time t (pre-start ones too) at row t + 1 / t + d2 of ``Phi1_hist``/``Phi2_hist``.
     """
@@ -274,7 +285,6 @@ class AppSupervisor:
         self._seed_prestart_regressors(y_init, u_init)
         self._mode_next = self.mode
         self._e_k = 0.0
-        self._delay = 1
         self.rows: dict[str, list] = {name: [] for name in SIM_FIELDS}
 
     @property
@@ -310,9 +320,6 @@ class AppSupervisor:
         self._e_k = adapt.tracking_error(y_k, self.yref[k])
         self._mode_next = select_mode(self._e_k, self.eth)
         return self.mode
-
-    def set_delay(self, delivery_sample: int, k: int) -> None:
-        self._delay = delivery_sample - k
 
     def supervise_step(self, k: int) -> dict:
         """Update-then-control in the active mode, apply any pending switch
@@ -394,6 +401,184 @@ class AppSupervisor:
             "switch": int(switch_code),
             "dist": float(self.train.value(k)),
         }
+
+
+_TT, _ET = Mode.TT.value, Mode.ET.value
+
+
+@dataclass
+class SwitchingRun:
+    """One application's switching loop over a whole horizon.
+
+    ``e``/``eps`` hold the completed samples; ``modes`` also holds the mode of
+    an aborted sample, which the bus still carries.  ``switches`` are
+    ``(k, direction, p)``, a switch logged at a diverging sample included.
+    ``abort`` is the exception that stopped the loop, if any.
+    """
+
+    d2: int
+    T: int
+    M1: int
+    M2: int
+    y: list  # y(0), y(1), ...: the output read at each sample
+    u: list
+    e: list
+    eps: list
+    modes: list
+    switches: list
+    abort: Exception | None
+    theta_rows: tuple  # flat theta1 and theta2 after each sample, reset applied
+    phi_rows: tuple  # Phi1 and Phi2 rows, pre-start rows first
+
+    @property
+    def samples(self) -> int:
+        return len(self.e)
+
+    @property
+    def theta1_hist(self) -> np.ndarray:
+        return np.array(self.theta_rows[0], dtype=float).reshape(-1, self.M1)
+
+    @property
+    def theta2_hist(self) -> np.ndarray:
+        return np.array(self.theta_rows[1], dtype=float).reshape(-1, self.M2)
+
+    @property
+    def Phi1_hist(self) -> np.ndarray:
+        """Row t + 1: the TT regressor of time t; (T + 1, M1), zero past the run."""
+        return self._padded(self.phi_rows[0], self.T + 1, self.M1)
+
+    @property
+    def Phi2_hist(self) -> np.ndarray:
+        """Row t + d2: the ET regressor of time t; (T + d2, M2), zero past the run."""
+        return self._padded(self.phi_rows[1], self.T + self.d2, self.M2)
+
+    @staticmethod
+    def _padded(rows: list, n: int, M: int) -> np.ndarray:
+        out = np.zeros((n, M))
+        out[:len(rows)] = rows
+        return out
+
+
+def simulate_switching(model: PlantModel, d2: int, eth: float, yref, train: DisturbanceTrain | None = None,
+                       gamma1: float = 0.5, gamma2: float = 0.5, beta0_init: float = 1.0,
+                       y_init=(), u_init=()) -> SwitchingRun:
+    """Run one application's switching loop over T = len(yref) - d2 samples.
+
+    Per sample, in ``AppSupervisor``'s order and arithmetic on Python floats:
+    read y(k) and pick the next mode from e(k); update the active estimate
+    from its lagged regressor (or hold it); apply the control law; on a
+    switch, log it and apply ``apply_reset``'s rules; step the plant with the
+    active mode's delay (1 in TT, d2 in ET).  The bus never feeds back into
+    this loop, so each application runs alone and the bus is replayed from
+    the modes afterwards.  A ``PlantDivergenceError`` or ``ZeroDivisorError``
+    ends the run and is returned as ``abort``.
+    """
+    if d2 < 2:
+        raise ValueError("d2 must be >= 2")
+    duals = DualEstimates.create(model.m1, model.m2, d2, gamma1, gamma2, beta0_init)
+    m1, m2, d2 = model.m1, model.m2, int(d2)
+    if len(y_init) > max(m1, 1) or len(u_init) > m2 + d2:
+        raise ValueError("initial condition vectors exceed the history depth")
+    a, b = model.a.tolist(), model.b.tolist()
+    M1, M2 = m1 + m2 + 1, m1 + m2 + d2
+    ref = np.asarray(yref, dtype=float).tolist()
+    T = max(len(ref) - d2, 0)
+    train = train if train is not None else DisturbanceTrain.empty()
+    dist = [0.0] * (T + 1 + d2)  # dist[t + d2] = D(t)
+    for t, v in zip(train.times.tolist(), train.amplitudes.tolist()):
+        if -d2 <= t <= T:
+            dist[t + d2] = v
+    # Y[oy + t] = y(t) and U[ou + t] = u(t), zero before the initial conditions
+    oy, ou = m1 + d2, m2 + 2 * d2
+    Y, U = [0.0] * (oy + 1), [0.0] * ou
+    for i, v in enumerate(y_init):
+        Y[oy - i] = float(v)
+    for i, v in enumerate(u_init):
+        U[ou - 1 - i] = float(v)
+    # Phi(t) at delay d = (y(t)..y(t-m1+1), u(t-1)..u(t-m2-d+1), u(t)); R1[t + 1], R2[t + d2]
+    R1 = [Y[oy - 1: oy - 1 - m1: -1] + U[ou - 2: ou - 2 - m2: -1] + [U[ou - 1]]]
+    R2 = [Y[oy + t: oy + t - m1: -1] + U[ou + t - 1: ou + t - m2 - d2: -1] + [U[ou + t]]
+          for t in range(-d2, 0)]
+    theta1, theta2 = duals.theta1.theta.tolist(), duals.theta2.theta.tolist()
+    memory, hold, p, et = theta2, 0, 0, False
+    zero1, zero2, hold_len = [0.0] * M1, [0.0] * M2, m2 + d2 - 1
+    TH1, TH2, E, EPS, modes, switches = [], [], [], [], [], []
+    abort = None
+    try:
+        for k in range(T):
+            y_k = Y[oy + k]
+            e_k = y_k - ref[k]
+            et_next = abs(e_k) <= eth
+            modes.append(_ET if et else _TT)
+            if et:
+                theta, lag, gamma, d = theta2, R2[k], gamma2, d2
+            else:
+                theta, lag, gamma, d = theta1, R1[k], gamma1, 1
+            s = 0.0
+            for t_i, p_i in zip(theta, lag):
+                s += t_i * p_i
+            eps = y_k - s
+            # no update on hold samples or at the switch sample itself (see
+            # AppSupervisor.supervise_step); a zeroed estimate still updates
+            held = et and hold > 0
+            if held:
+                hold -= 1
+            elif et_next == et or abs(theta[-1]) < kernels.ZERO_FLOOR:
+                nn = 0.0
+                for p_i in lag:
+                    nn += p_i * p_i
+                denom = 1.0 + nn
+                gain = gamma if abs(theta[-1] + lag[-1] * eps / denom) < kernels.ZERO_FLOOR else 1.0
+                new = [t_i + gain * p_i * eps / denom for t_i, p_i in zip(theta, lag)]
+                if abs(theta[-1]) >= kernels.ZERO_FLOOR and abs(new[-1]) < kernels.ZERO_FLOOR:
+                    raise adapt.ZeroDivisorError("update drove the divisor estimate to zero despite the guard")
+                theta = new
+                if et:
+                    theta2 = new
+                else:
+                    theta1 = new
+            ywin = Y[oy + k: oy + k - m1: -1]
+            uwin = U[ou + k - 1: ou + k - m2 - d2: -1]
+            phi1, phi2 = ywin + uwin[:m2], ywin + uwin
+            if abs(theta[-1]) < kernels.ZERO_FLOOR:
+                raise adapt.ZeroDivisorError("divisor estimate is zero at control time; guard invariant violated")
+            s = 0.0
+            for t_i, p_i in zip(theta, phi2 if et else phi1):
+                s += t_i * p_i
+            u_k = (ref[k + d] - s) / theta[-1]
+            phi1.append(u_k)
+            phi2.append(u_k)
+            R1.append(phi1)
+            R2.append(phi2)
+            if et_next != et:
+                p += 1
+                if et:
+                    switches.append((k, "ET->TT", p))
+                    memory, theta1, hold = theta2, zero1, 0
+                else:
+                    switches.append((k, "TT->ET", p))
+                    theta2, hold = (zero2, 0) if p == 1 else (memory, hold_len)
+                et = et_next
+            TH1 += theta1
+            TH2 += theta2
+            acc = 0.0
+            for l in range(m1):
+                acc -= a[l] * Y[oy + k - l]
+            for l in range(m2 + 1):
+                acc += b[l] * (u_k if d + l == 1 else U[ou + k + 1 - d - l])
+            acc += dist[d2 + k + 1 - d]
+            if not abs(acc) <= DIVERGENCE_LIMIT:  # nan included
+                # reported as the numpy scalar step_difference reports
+                raise PlantDivergenceError(k + 1, np.float64(acc))
+            Y.append(acc)
+            U.append(u_k)
+            E.append(e_k)
+            EPS.append(eps)
+    except (PlantDivergenceError, adapt.ZeroDivisorError) as exc:
+        abort = exc
+    n = len(E)
+    return SwitchingRun(d2=d2, T=T, M1=M1, M2=M2, y=Y[oy: oy + n], u=U[ou: ou + n], e=E, eps=EPS,
+                        modes=modes, switches=switches, abort=abort, theta_rows=(TH1, TH2), phi_rows=(R1, R2))
 
 
 TRACE_FIELDS = [

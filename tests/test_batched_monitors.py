@@ -2,7 +2,7 @@
 columns, against their per-sample definitions: ``ReferenceModel.step``,
 ``GramWindow.report``, ``lyapunov``, ``signal_error`` and
 ``orthogonality_residual``, applied sample by sample to the estimates and
-regressors the loop recorded.
+regressors the switching engine recorded.
 
 The tolerances were fixed before the batched code was written: the float
 columns agree within 1e-12 x (1 + max |column|), rank at >= 99.9% of the
@@ -11,6 +11,7 @@ samples and alpha_hat within a relative 1e-6 wherever rank agrees.
 
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,16 +21,18 @@ from adaptbus.adapt import ParameterEstimate
 from adaptbus.excitation import GramWindow, orthogonality_residual
 from adaptbus.harness import parse_config, run_scenario
 from adaptbus.netbus import Mode
+from adaptbus.plant import DisturbanceTrain, PlantModel
 from adaptbus.supervisor import (
     MONITOR_FIELDS,
     SIM_FIELDS,
-    AppSupervisor,
     DisturbanceInverseFilter,
     DualEstimates,
     ReferenceModel,
+    SwitchingRun,
     equivalent_reference,
     lyapunov,
     signal_error,
+    simulate_switching,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -77,23 +80,35 @@ SCENARIOS = {
 }
 
 
-def per_sample_monitors(sup, rank_tol: float) -> dict:
-    """The monitor columns as the per-sample definitions give them."""
-    n = len(sup.rows["k"])
-    model, d2, M2 = sup.model, sup.d2, sup.M2
+class Recorded(NamedTuple):
+    """One app's engine result and the inputs it ran on."""
+
+    run: SwitchingRun
+    model: PlantModel
+    yref: np.ndarray
+    train: DisturbanceTrain
+
+
+def per_sample_monitors(rec: Recorded, n: int, rank_tol: float) -> dict:
+    """The monitor columns of the first n samples as the per-sample
+    definitions give them."""
+    run, model = rec.run, rec.model
+    d2, M2 = run.d2, run.M2
     ts1, ts2 = model.true_theta(1), model.true_theta(d2)
     filt = DisturbanceInverseFilter(model)
-    yp = [equivalent_reference(sup.yref[j], sup.train.value(j), filt) for j in range(n + d2)]
+    yp = [equivalent_reference(rec.yref[j], rec.train.value(j), filt) for j in range(n + d2)]
     rm1, rm2 = ReferenceModel(model, 1), ReferenceModel(model, d2)
     gram = GramWindow(M2, window_len=8 * M2)
+    Phi1_hist, Phi2_hist = run.Phi1_hist, run.Phi2_hist
+    theta1_hist, theta2_hist = run.theta1_hist, run.theta2_hist
     out = {name: [] for name in MONITOR_FIELDS}
     v_prev = None
     for k in range(n):
-        mode = Mode(sup.rows["mode"][k])
+        mode = Mode(run.modes[k])
         star1, star2 = rm1.step(yp[k + 1]), rm2.step(yp[k + d2])
-        Phi1, Phi2 = sup.Phi1_hist[k + 1], sup.Phi2_hist[k + d2]
+        Phi1, Phi2 = Phi1_hist[k + 1], Phi2_hist[k + d2]
         Phi, star = (Phi1, star1) if mode == Mode.TT else (Phi2, star2)
-        theta1, theta2 = sup.theta1_hist[k], sup.theta2_hist[k]
+        theta1, theta2 = theta1_hist[k], theta2_hist[k]
         duals = DualEstimates(theta1=ParameterEstimate(theta1), theta2=ParameterEstimate(theta2),
                               theta2_memory=theta2.copy())
         V, dV = lyapunov(duals, ts1, ts2, mode, v_prev)
@@ -114,28 +129,28 @@ def per_sample_monitors(sup, rank_tol: float) -> dict:
 def scenario(request):
     raw = SCENARIOS[request.param]()
     cfg = parse_config(raw)
-    sups = []
+    recs = []
 
-    class KeptSupervisor(AppSupervisor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            sups.append(self)
+    def kept(model, d2, eth, yref, train, *args):
+        recs.append(Recorded(simulate_switching(model, d2, eth, yref, train, *args), model, yref, train))
+        return recs[-1].run
 
     with pytest.MonkeyPatch.context() as mp:
-        # keep the supervisors, whose recorded arrays the reference reads
-        mp.setattr(harness, "AppSupervisor", KeptSupervisor)
+        # keep the engine results, whose recorded arrays the reference reads
+        mp.setattr(harness, "simulate_switching", kept)
         trace = run_scenario(cfg)
     blind = dict(raw, plants=[dict(p, oracle=False) for p in raw["plants"]])
+    batched = [app.columns for app in trace.apps]
     return {
-        "name": request.param, "sups": sups, "trace": trace,
-        "batched": [app.columns for app in trace.apps],
-        "reference": [per_sample_monitors(sup, cfg.tolerances["rank_tol"]) for sup in sups],
+        "name": request.param, "recs": recs, "trace": trace, "batched": batched,
+        "reference": [per_sample_monitors(rec, len(cols["k"]), cfg.tolerances["rank_tol"])
+                      for rec, cols in zip(recs, batched)],
         "blind": run_scenario(parse_config(blind)),
     }
 
 
 def test_scenarios_cover_the_cases(scenario):
-    lengths = [len(sup.rows["k"]) for sup in scenario["sups"]]
+    lengths = [rec.run.samples for rec in scenario["recs"]]
     assert lengths == [len(cols["k"]) for cols in scenario["batched"]]
     if scenario["name"] == "aborted":
         assert scenario["trace"].status.startswith("aborted at sample 2")

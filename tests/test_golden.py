@@ -8,10 +8,14 @@ machine.  The fixed configs read numpy's vectorised ``sin``, which is not
 bit-stable across CPUs, so they are compared only where the numpy/CPU
 fingerprint matches the one they were recorded with.
 
+The switching configs also pin the sha256 of their bus log (the exported
+``cycles`` and ``deliveries``) and of their per-app switch lists.
+
 A change that moves a digest re-records it here and says why in CHANGES.md.
 """
 
 import hashlib
+import json
 import platform
 from pathlib import Path
 
@@ -46,6 +50,16 @@ GOLDEN = {
                              "ok", QUIET_VERDICTS),
     "switching_3app": ("d8dd5632432b68a01a304e24d0197287a41c8d65ae4bd7c5079a5bfbe4313cac",
                        "ok", SWITCHING_VERDICTS),
+}
+
+# config: (bus sha256, switch-list sha256, deliveries, switches per app)
+BUS_GOLDEN = {
+    "switching_1app": ("da45b5df18e496fce11949335d099a07613c97705a755d499520b5706de2c620",
+                       "d8020814f5acfd4bc2eb745c8960dacab3d3e616cdf957a63e95c891f8de82ed", 5000, [11]),
+    "switching_1app_quiet": ("47329c876e0256e9d944d1498e1ce383704342655b4e8787c88bfaf50b907ed9",
+                             "781dd00b86d92d54d7711e4b426ccaa8ac9a3275e177842b741cef6a3ec57e82", 5000, [1]),
+    "switching_3app": ("802013103b74d5a158602788400acdff2532bac6e7ff48aa33446c032669d0df",
+                       "80ad2233fd0af8fbd179a87f97f3dfe4fccdc102045c4cbe4797c33d8194ca9b", 15000, [11, 11, 11]),
 }
 
 
@@ -88,3 +102,17 @@ def test_bundled_config_matches_golden(name):
     assert trace.status == status
     assert [(r.name, r.passed) for r in report.results] == [(m, True) for m in monitors]
     assert sim_digest(trace) == digest
+
+
+def json_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BUS_GOLDEN))
+def test_bus_log_and_switches_match_golden(name):
+    bus_digest, switch_digest, deliveries, switches = BUS_GOLDEN[name]
+    trace = run_scenario(parse_config(CONFIG_DIR / f"{name}.json"))
+    assert len(trace.bus["deliveries"]) == deliveries
+    assert [len(app.switches) for app in trace.apps] == switches
+    assert json_digest([trace.bus["cycles"], trace.bus["deliveries"]]) == bus_digest
+    assert json_digest([app.switches for app in trace.apps]) == switch_digest

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from adaptbus.netbus import (
@@ -7,7 +8,7 @@ from adaptbus.netbus import (
     Mode,
     SwitchLog,
     advance_cycle,
-    record_switch,
+    replay,
     select_mode,
     transmit,
 )
@@ -138,28 +139,87 @@ class TestAdvanceCycle:
 class TestSwitchLog:
     def test_single_event(self):
         log = SwitchLog()
-        record_switch(log, 100, "TT->ET")
+        log.record(100, "TT->ET")
         assert len(log) == 1
         assert log.events[0].k_prime == 101
 
     def test_alternation_ok(self):
         log = SwitchLog()
-        record_switch(log, 100, "TT->ET")
-        record_switch(log, 150, "ET->TT")
+        log.record(100, "TT->ET")
+        log.record(150, "ET->TT")
         assert [e.direction for e in log.events] == ["TT->ET", "ET->TT"]
 
     def test_alternation_violated(self):
         log = SwitchLog()
-        record_switch(log, 100, "TT->ET")
+        log.record(100, "TT->ET")
         with pytest.raises(ValueError, match="alternate"):
-            record_switch(log, 150, "TT->ET")
+            log.record(150, "TT->ET")
 
     def test_monotonic_instants(self):
         log = SwitchLog()
-        record_switch(log, 100, "TT->ET")
+        log.record(100, "TT->ET")
         with pytest.raises(ValueError, match="increase"):
-            record_switch(log, 100, "ET->TT")
+            log.record(100, "ET->TT")
 
     def test_unknown_direction(self):
         with pytest.raises(ValueError, match="direction"):
             SwitchLog().record(5, "sideways")
+
+
+def per_sample_bus(cfg, modes, n):
+    """transmit for every app in priority order, then advance_cycle, per sample."""
+    state = BusState()
+    try:
+        for k in range(n):
+            for app in cfg.priority_order():
+                state.modes[app] = modes[app][k]
+            for app in cfg.priority_order():
+                transmit(state, cfg, app, k)
+            advance_cycle(state, cfg)
+    except BusCapacityError as exc:
+        return state, str(exc)
+    return state, None
+
+
+class TestReplay:
+    def test_matches_transmit_and_advance_cycle(self):
+        # random priorities, budgets, message lengths and mode matrices: some
+        # runs carry messages over, some abort part way through a sample
+        rng = np.random.default_rng(7)
+        carried = aborted = 0
+        for _ in range(60):
+            n_apps = int(rng.integers(1, 6))
+            prios = rng.permutation(n_apps) + 1
+            cfg = BusConfig(n_apps, {i: i for i in range(n_apps)}, {i: int(prios[i]) for i in range(n_apps)},
+                            minislots_per_cycle=int(rng.integers(1, 2 * n_apps + 3)),
+                            d2=int(rng.integers(2, 6)), eth=0.1, message_minislots=int(rng.integers(1, 3)))
+            modes = [[Mode.ET.value if rng.random() < 0.7 else Mode.TT.value for _ in range(40)]
+                     for _ in range(n_apps)]
+            ref, ref_error = per_sample_bus(cfg, modes, 40)
+            state = BusState()
+            error = None
+            try:
+                replay(state, cfg, modes, 40)
+            except BusCapacityError as exc:
+                error = str(exc)
+            assert error == ref_error
+            assert state.deliveries == ref.deliveries
+            assert state.cycle_log == ref.cycle_log
+            assert state.carryover == ref.carryover
+            assert state.cycle_index == ref.cycle_index
+            carried += any(r.carried for r in state.cycle_log) and error is None
+            aborted += error is not None and any(d[1] == state.cycle_index for d in state.deliveries)
+        assert carried and aborted
+
+    def test_stops_after_n_samples(self):
+        cfg = BusConfig.default(2, d2=3)
+        state = BusState()
+        replay(state, cfg, [["ET"] * 10, ["TT"] * 10], 4)
+        assert state.cycle_index == 4
+        assert [d[:3] for d in state.deliveries[:2]] == [(0, 0, "ET"), (1, 0, "TT")]
+        assert len(state.deliveries) == 8
+
+    def test_unregistered_app(self):
+        cfg = BusConfig(2, {0: 0}, {0: 1, 1: 2}, minislots_per_cycle=4, d2=2, eth=0.1)
+        with pytest.raises(KeyError):
+            replay(BusState(), cfg, [["TT"], ["TT"]], 1)
