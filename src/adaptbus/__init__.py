@@ -1,7 +1,6 @@
 """adaptbus: deterministic simulation of adaptive switching control over a
 hybrid time-triggered/event-triggered communication bus."""
 
-from ._jit import HAVE_NUMBA, JIT_ENABLED
 from .adapt import ParameterEstimate, RegressorPair, build_regressor, control_law, tracking_error, update
 from .excitation import (
     ExcitationReport,

@@ -1,41 +1,11 @@
-"""numba shim: kernels are compiled when numba is available, and fall back to
-the same code interpreted when it is not, or when ADAPTBUS_DISABLE_JIT=1.
+"""Flags for the environment record of ``perfbench/run.py``, which reads them.
 
-The fallback is the identical source executed by CPython, so both paths are
-bit-for-bit equivalent.  numba is the optional ``jit`` extra
-(``pip install -e .[jit]``); ``python3 perfbench/run.py`` measures whichever
-path is active.
+No adaptbus code is compiled: ``HAVE_NUMBA`` records whether numba is
+importable, and ``JIT_ENABLED`` is always False.  This module goes with the
+benchmark change of ROADMAP item 4, which drops that record.
 """
 
-import os
+import importlib.util
 
-
-def _disabled_by_env() -> bool:
-    return os.environ.get("ADAPTBUS_DISABLE_JIT", "").strip().lower() in ("1", "true", "yes")
-
-
-try:
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAVE_NUMBA = False
-
-JIT_ENABLED = HAVE_NUMBA and not _disabled_by_env()
-
-if JIT_ENABLED:
-
-    def njit(*args, **kwargs):
-        kwargs.setdefault("cache", True)
-        return _numba.njit(*args, **kwargs)
-
-else:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(func):
-            return func
-
-        return deco
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+JIT_ENABLED = False

@@ -22,7 +22,6 @@ from .plant import DisturbanceTrain, PlantModel, make_impulse_train
 from .supervisor import (
     MONITOR_FIELDS,
     TRACE_FIELDS,
-    DisturbanceInverseFilter,
     SwitchingRun,
     containment_check,
     simulate_switching,
@@ -381,8 +380,20 @@ def _run_fixed(cfg: ScenarioConfig) -> Trace:
 
 
 def _dprime_sequence(model: PlantModel, train: DisturbanceTrain, n: int) -> np.ndarray:
-    filt = DisturbanceInverseFilter(model)
-    return np.array([filt.step(train.value(t)) for t in range(n)])
+    """D'(0..n-1): the disturbance run through the inverse plant A/B from rest,
+    in ``DisturbanceInverseFilter.step``'s arithmetic order."""
+    a, b = model.a.tolist(), model.b.tolist()
+    m1, m2 = len(a), len(b) - 1
+    din = [0.0] * m1 + train.dense(n).tolist()  # din[m1 + t] = D(t)
+    dout = [0.0] * m2  # dout[m2 + t] = D'(t)
+    for k in range(n):
+        acc = din[m1 + k]
+        for l in range(1, m1 + 1):
+            acc += a[l - 1] * din[m1 + k - l]
+        for l in range(1, m2 + 1):
+            acc -= b[l] * dout[m2 + k - l]
+        dout.append(acc / b[0])
+    return np.array(dout[m2:], dtype=float)
 
 
 def _ideal_regressors(model: PlantModel, d: int, yref_prime: np.ndarray, n: int,
@@ -532,7 +543,7 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
         # a bus abort at sample k precedes every app step at k
         k_stop, j_stop = state.cycle_index, 0
         status = f"aborted at sample {k_stop}: {exc}"
-    rows = [0] * len(runs)  # an app outside the priority order never runs
+    rows = [0] * len(runs)
     for j, app in enumerate(order):
         rows[app] = k_stop + (j < j_stop)
     rank_tol = cfg.tolerances.get("rank_tol", 1e-6)

@@ -1,16 +1,15 @@
-"""Hot per-sample recursions, compiled with numba when enabled.
+"""Per-sample recursions of the fixed-delay adaptive loop, interpreted.
 
-Everything here is written as explicit scalar loops over float64 arrays: the
-same source runs compiled (numba) or interpreted (pure numpy fallback via
-ADAPTBUS_DISABLE_JIT=1) with bit-identical results, and no BLAS reduction
-order sneaks into the deterministic trace path.
+Everything here is an explicit scalar loop with a fixed summation order, so
+no BLAS reduction order reaches the deterministic trace path.
+``simulate_fixed_delay``, the loop behind the fixed protocol and the ideal
+reference models, runs on Python floats and lists.  The helpers index float64
+arrays one scalar at a time, in the same arithmetic order.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._jit import njit
 
 # status codes returned by the closed-loop kernel
 SIM_OK = 0
@@ -21,7 +20,6 @@ DIVERGENCE_LIMIT = 1e12
 ZERO_FLOOR = 1e-300  # below this a divisor is treated as exactly zero
 
 
-@njit
 def dot(x, y):
     """Fixed-order dot product (no BLAS) for deterministic traces."""
     s = 0.0
@@ -30,7 +28,6 @@ def dot(x, y):
     return s
 
 
-@njit
 def gradient_update(theta, Phi, y_k, gamma):
     """One normalized-gradient step with the zero-divisor guard.
 
@@ -53,7 +50,6 @@ def gradient_update(theta, Phi, y_k, gamma):
     return theta_new, eps, a
 
 
-@njit
 def control_output(theta, phi, yref_ahead):
     """Certainty-equivalence control u = (yref_ahead - theta[:-1] . phi) / theta[-1].
 
@@ -66,7 +62,6 @@ def control_output(theta, phi, yref_ahead):
     return (yref_ahead - s) / theta[n - 1]
 
 
-@njit
 def simulate_difference(a, b, d, u, dist, y_init, u_init):
     """Open-loop plant recursion y(k) = -sum a_l y(k-l) + sum b_l u(k-l-d) + D(k-d).
 
@@ -117,7 +112,6 @@ def simulate_difference(a, b, d, u, dist, y_init, u_init):
     return status, y
 
 
-@njit
 def simulate_predictor(alpha, beta, f, d, u, dist, y_init, u_init):
     """Self-consistent d-step prediction-form recursion.
 
@@ -166,13 +160,13 @@ def simulate_predictor(alpha, beta, f, d, u, dist, y_init, u_init):
     return status, y
 
 
-@njit
 def simulate_fixed_delay(a, b, d, gamma, theta0, yref_ext, dist, y_init, u_init, adapt_updates):
-    """Closed adaptive loop at a fixed delay d over T samples.
+    """Closed adaptive loop at a fixed delay d over T samples, on Python floats.
 
     Per sample k: normalized-gradient update from the regressor stored d steps
     ago (skipped when adapt_updates is False), then the certainty-equivalence
-    control using yref_ext[k+d], then one plant step.
+    control using yref_ext[k+d], then one plant step.  The arithmetic order is
+    that of ``gradient_update``, ``control_output`` and ``simulate_difference``.
 
     Args:
         theta0: (M,) initial estimate, M = m1 + m2 + d; last element divides.
@@ -184,98 +178,75 @@ def simulate_fixed_delay(a, b, d, gamma, theta0, yref_ext, dist, y_init, u_init,
         (status, k_stop, y, u, eps, theta_hist, Phi_hist) where y has length
         T+1, u/eps length T, theta_hist is (T, M) with the estimate after the
         sample-k update, and Phi_hist is (T+d, M) holding the regressor for
-        time k at row k+d (rows below d are the pre-start regressors).
+        time k at row k+d (rows below d are the pre-start regressors).  Rows
+        past k_stop stay zero; a diverging output is not stored in y.
     """
-    m1 = a.shape[0]
-    m2 = b.shape[0] - 1
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    m1, m2 = len(a), len(b) - 1
     M = m1 + m2 + d
-    T = yref_ext.shape[0] - d
-    py = m1 + 1
-    pu = m2 + 2 * d + 1
-    yb = np.zeros(py + T + 1)
-    ub = np.zeros(pu + T)
-    for i in range(y_init.shape[0]):
-        yb[py - i] = y_init[i]
-    for i in range(u_init.shape[0]):
-        if pu - 1 - i >= 0:
-            ub[pu - 1 - i] = u_init[i]
-
-    y = np.zeros(T + 1)
-    u = np.zeros(T)
-    eps = np.zeros(T)
-    theta_hist = np.zeros((T, M))
-    Phi_hist = np.zeros((T + d, M))
-    theta = theta0.copy()
-
-    # pre-start regressors Phi(-d .. -1) from the initial conditions
-    for t in range(-d, 0):
-        row = t + d
-        col = 0
-        for i in range(m1):
-            Phi_hist[row, col] = yb[py + t - i]
-            col += 1
-        for jj in range(1, m2 + d):
-            Phi_hist[row, col] = ub[pu + t - jj]
-            col += 1
-        Phi_hist[row, col] = ub[pu + t]
-
-    status = SIM_OK
-    k_stop = T
-    y[0] = yb[py]
+    ref = np.asarray(yref_ext, dtype=float).tolist()
+    D = np.asarray(dist, dtype=float).tolist()
+    T, nd = len(ref) - d, len(D)
+    # Y[oy + t] = y(t) and U[ou + t] = u(t), zero before the initial conditions
+    oy, ou = m1 + d, m2 + 2 * d + 1
+    Y, U = [0.0] * (oy + 1), [0.0] * ou
+    for i, v in enumerate(np.asarray(y_init, dtype=float).tolist()[: oy + 1]):
+        Y[oy - i] = v
+    for i, v in enumerate(np.asarray(u_init, dtype=float).tolist()[:ou]):
+        U[ou - 1 - i] = v
+    # Phi(t) = (y(t)..y(t-m1+1), u(t-1)..u(t-m2-d+1), u(t)) at R[t + d]
+    R = [Y[oy + t: oy + t - m1: -1] + U[ou + t - 1: ou + t - m2 - d: -1] + [U[ou + t]]
+         for t in range(-d, 0)]
+    theta, gamma = np.asarray(theta0, dtype=float).tolist(), float(gamma)
+    TH, EPS = [], []
+    status, k_stop = SIM_OK, T
     for k in range(T):
-        y_k = yb[py + k]
-        # update from the d-lagged regressor
-        eps_k = y_k - dot(theta, Phi_hist[k])
-        if adapt_updates:
-            denom = 1.0 + dot(Phi_hist[k], Phi_hist[k])
-            cand = theta[M - 1] + Phi_hist[k, M - 1] * eps_k / denom
-            aa = 1.0
-            if abs(cand) < ZERO_FLOOR:
-                aa = gamma
-            for i in range(M):
-                theta[i] = theta[i] + aa * Phi_hist[k, i] * eps_k / denom
-        eps[k] = eps_k
-        for i in range(M):
-            theta_hist[k, i] = theta[i]
-        # control
-        if abs(theta[M - 1]) < ZERO_FLOOR:
-            status = SIM_ZERO_DIVISOR
-            k_stop = k
-            break
+        y_k = Y[oy + k]
+        lag = R[k]
         s = 0.0
-        col = 0
-        for i in range(m1):
-            s += theta[col] * yb[py + k - i]
-            col += 1
-        for jj in range(1, m2 + d):
-            s += theta[col] * ub[pu + k - jj]
-            col += 1
-        u_k = (yref_ext[k + d] - s) / theta[M - 1]
-        u[k] = u_k
-        ub[pu + k] = u_k
-        # store Phi(k)
-        col = 0
-        for i in range(m1):
-            Phi_hist[k + d, col] = yb[py + k - i]
-            col += 1
-        for jj in range(1, m2 + d):
-            Phi_hist[k + d, col] = ub[pu + k - jj]
-            col += 1
-        Phi_hist[k + d, col] = u_k
-        # plant step with input delay d
-        acc = 0.0
-        for l in range(1, m1 + 1):
-            acc -= a[l - 1] * yb[py + k + 1 - l]
-        for l in range(0, m2 + 1):
-            acc += b[l] * ub[pu + k + 1 - d - l]
-        td = k + 1 - d
-        if 0 <= td < dist.shape[0]:
-            acc += dist[td]
-        if not np.isfinite(acc) or abs(acc) > DIVERGENCE_LIMIT:
-            status = SIM_DIVERGED
-            k_stop = k
-            yb[py + k + 1] = acc
+        for t_i, p_i in zip(theta, lag):
+            s += t_i * p_i
+        eps = y_k - s
+        if adapt_updates:
+            nn = 0.0
+            for p_i in lag:
+                nn += p_i * p_i
+            denom = 1.0 + nn
+            gain = gamma if abs(theta[-1] + lag[-1] * eps / denom) < ZERO_FLOOR else 1.0
+            theta = [t_i + gain * p_i * eps / denom for t_i, p_i in zip(theta, lag)]
+        EPS.append(eps)
+        TH += theta
+        if abs(theta[-1]) < ZERO_FLOOR:
+            status, k_stop = SIM_ZERO_DIVISOR, k
             break
-        yb[py + k + 1] = acc
-        y[k + 1] = acc
-    return status, k_stop, y, u, eps, theta_hist, Phi_hist
+        ywin = Y[oy + k: oy + k - m1: -1]
+        phi = ywin + U[ou + k - 1: ou + k - m2 - d: -1]
+        s = 0.0
+        for t_i, p_i in zip(theta, phi):
+            s += t_i * p_i
+        u_k = (ref[k + d] - s) / theta[-1]
+        phi.append(u_k)
+        R.append(phi)
+        U.append(u_k)
+        # plant step: y(k+1) from y(k)..y(k-m1+1) and u(k+1-d)..u(k+1-d-m2)
+        acc = 0.0
+        for a_l, y_l in zip(a, ywin):
+            acc -= a_l * y_l
+        for b_l, u_l in zip(b, U[ou + k + 1 - d: ou + k - d - m2: -1]):
+            acc += b_l * u_l
+        td = k + 1 - d
+        if 0 <= td < nd:
+            acc += D[td]
+        if not abs(acc) <= DIVERGENCE_LIMIT:  # nan included
+            status, k_stop = SIM_DIVERGED, k
+            break
+        Y.append(acc)
+    n = len(EPS)
+    y, u, eps_out = np.zeros(T + 1), np.zeros(T), np.zeros(T)
+    y[: len(Y) - oy] = Y[oy:]
+    u[: len(U) - ou] = U[ou:]
+    eps_out[:n] = EPS
+    theta_hist, Phi_hist = np.zeros((T, M)), np.zeros((T + d, M))
+    theta_hist[:n] = np.reshape(TH, (n, M))
+    Phi_hist[: len(R)] = R
+    return status, k_stop, y, u, eps_out, theta_hist, Phi_hist

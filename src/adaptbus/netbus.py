@@ -55,6 +55,9 @@ class BusConfig:
         if self.message_minislots < 1:
             raise ValueError("message_minislots must be >= 1")
         for name, mapping in (("static slot", self.static_slots), ("priority", self.dyn_priorities)):
+            if set(mapping) != set(range(self.n_apps)):
+                raise ValueError(f"{name} assignments must name exactly the apps 0..{self.n_apps - 1}, "
+                                 f"got {list(mapping)}")
             vals = list(mapping.values())
             if len(set(vals)) != len(vals):
                 raise ValueError(f"{name} assignments must be injective")
@@ -153,11 +156,6 @@ def _minislots_ahead(state: BusState, config: BusConfig, app) -> int:
     return ahead
 
 
-def _require_registered(config: BusConfig, app) -> None:
-    if app not in config.dyn_priorities or app not in config.static_slots:
-        raise KeyError(f"application {app!r} is not registered on the bus")
-
-
 def _et_arrival(config: BusConfig, app, k: int, ahead: int) -> int:
     """Arrival sample of app's ET message enqueued at k behind ``ahead``
     minislots of this cycle: if the budget is exhausted before its slot, it
@@ -192,7 +190,8 @@ def transmit(state: BusState, config: BusConfig, app, k: int) -> int:
     returned delivery is the deterministic actuator release k + d2 that the ET
     control law assumes.
     """
-    _require_registered(config, app)
+    if app not in config.dyn_priorities:
+        raise KeyError(f"application {app!r} is not registered on the bus")
     mode = state.modes.get(app, Mode.TT)
     if mode == Mode.TT:
         state.deliveries.append((app, k, Mode.TT.value, k + 1, k + 1))
@@ -216,9 +215,6 @@ def replay(state: BusState, config: BusConfig, modes, n: int) -> None:
     ``state.cycle_index`` at the failing sample.
     """
     order = config.priority_order()
-    if n > 0:
-        for app in order:
-            _require_registered(config, app)
     msg_len, d2 = config.message_minislots, config.d2
     tt, et = Mode.TT.value, Mode.ET.value
     deliveries = state.deliveries

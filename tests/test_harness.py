@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adaptbus
 from adaptbus.harness import (
     ConfigError,
     check_impulse_times,
@@ -267,10 +269,13 @@ class TestMonitors:
 
 class TestCLI:
     def run_cli(self, *args):
+        # the child imports the adaptbus these tests import, installed or not
+        src = str(Path(adaptbus.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "adaptbus", *args],
             capture_output=True, text=True,
-            cwd=str(CONFIG_DIR.parent),
+            cwd=str(CONFIG_DIR.parent), env=dict(os.environ, PYTHONPATH=path),
         )
 
     def test_check_ok(self):
@@ -308,6 +313,24 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert "configuration error: disturbance: impulse time 1500 lies outside" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("key,mapping", [
+        ("dyn_priorities", {"0": 1, "5": 2, "2": 3}),
+        ("dyn_priorities", {"1": 1, "2": 2}),
+        ("static_slots", {"0": 0, "1": 1, "3": 2}),
+    ], ids=["priority_for_unknown_app", "priority_missing_app", "static_slot_for_unknown_app"])
+    def test_bus_mapping_must_name_every_app(self, tmp_path, command, key, mapping):
+        cfg = json.loads((CONFIG_DIR / "switching_3app.json").read_text())
+        cfg["protocol"][key] = mapping
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "configuration error" in out.stderr
+        assert "must name exactly the apps 0..2" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_run_and_analyze(self, tmp_path):

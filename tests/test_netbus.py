@@ -50,6 +50,17 @@ class TestBusConfig:
         cfg = BusConfig.default(3)
         assert cfg.priority_order() == [0, 1, 2]
 
+    @pytest.mark.parametrize("n_apps,slots,prios", [
+        (3, {0: 0, 1: 1, 2: 2}, {0: 1, 5: 2, 2: 3}),
+        (3, {0: 0, 1: 1, 2: 2}, {1: 1, 2: 2}),
+        (2, {0: 0}, {0: 1, 1: 2}),
+        (2, {0: 0, 1: 1, 2: 2}, {0: 1, 1: 2}),
+    ], ids=["priority_for_unknown_app", "priority_missing_app", "static_slot_missing_app",
+            "static_slot_for_unknown_app"])
+    def test_mappings_name_exactly_the_apps(self, n_apps, slots, prios):
+        with pytest.raises(ValueError, match=f"must name exactly the apps 0..{n_apps - 1}"):
+            BusConfig(n_apps, slots, prios, 4, d2=2, eth=0.1)
+
 
 class TestTransmit:
     def test_tt_next_sample(self):
@@ -218,8 +229,3 @@ class TestReplay:
         assert state.cycle_index == 4
         assert [d[:3] for d in state.deliveries[:2]] == [(0, 0, "ET"), (1, 0, "TT")]
         assert len(state.deliveries) == 8
-
-    def test_unregistered_app(self):
-        cfg = BusConfig(2, {0: 0}, {0: 1, 1: 2}, minislots_per_cycle=4, d2=2, eth=0.1)
-        with pytest.raises(KeyError):
-            replay(BusState(), cfg, [["TT"], ["TT"]], 1)

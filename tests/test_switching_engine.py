@@ -143,10 +143,6 @@ CASES = {
         "reference": {"type": "constant", "level": 2.0},
         "beta0_init": 0.5,
     }, "ok", [600] * 4),
-    # app 0 has no dynamic slot, so neither loop ever runs it
-    "unscheduled_app": (
-        dict(_three_gains({}, dyn_priorities={"1": 1}), plants=[{"a": [], "b": [0.2]}, {"a": [], "b": [0.25]}]),
-        "ok", [0, 400]),
 }
 
 
