@@ -29,7 +29,6 @@ from .plant import (
     SignalHistory,
     make_impulse_train,
     step_difference,
-    step_predictor,
 )
 from .shiftpoly import ShiftPoly, poly_add, poly_mul, predictor_coeffs, solve_diophantine, zeros_strictly_inside
 from .supervisor import (

@@ -339,22 +339,33 @@ def _fixed_mode_label(d: int) -> str:
     return "TT" if d == 1 else "ET"
 
 
-def _run_fixed(cfg: ScenarioConfig) -> Trace:
+def _app_inputs(cfg: ScenarioConfig, lookahead: int) -> list:
+    """(spec, train, yref_ext, beta0_init) of each app in plant order.  Random
+    impulse trains draw from one generator seeded by cfg.seed, app by app;
+    yref_ext runs lookahead samples past the horizon."""
     rng = np.random.default_rng(cfg.seed)
+    gen = cfg.reference()
+    T = cfg.horizon
+    out = []
+    for spec in cfg.plants:
+        train = _build_train(spec.disturbance if spec.disturbance is not None else cfg.disturbance, T, rng)
+        out.append((spec, train, gen.sequence(T + lookahead, spec.phase_offset),
+                    spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init))
+    return out
+
+
+def _run_fixed(cfg: ScenarioConfig) -> Trace:
     d = int(cfg.protocol["d"])
     T = cfg.horizon
-    gen = cfg.reference()
+    gamma = cfg.gamma1 if d == 1 else cfg.gamma2
     apps = []
     summary_apps = []
     status = "ok"
-    for i, spec in enumerate(cfg.plants):
+    for i, (spec, train, yref_ext, beta0_init) in enumerate(_app_inputs(cfg, d)):
         model = spec.model
-        train = _build_train(spec.disturbance if spec.disturbance is not None else cfg.disturbance, T, rng)
-        yref_ext = gen.sequence(T + d, spec.phase_offset)
         dist = train.dense(T + 1)
-        gamma = cfg.gamma1 if d == 1 else cfg.gamma2
         theta0 = np.zeros(model.m1 + model.m2 + d)
-        theta0[-1] = spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init
+        theta0[-1] = beta0_init
         st, k_stop, y, u, eps, theta_hist, Phi_hist = kernels.simulate_fixed_delay(
             model.a, model.b, d, gamma, theta0, yref_ext, dist,
             np.asarray(spec.y_init, dtype=float), np.asarray(spec.u_init, dtype=float), True,
@@ -462,13 +473,21 @@ def _zero_monitor_columns(T: int) -> dict:
 
 def _windowed_rank(Phi: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample rank and smallest retained eigenvalue of the sliding-window
-    regressor Gram (window 8M plus an M-sample slack, as in GramWindow)."""
+    regressor Gram (window 8M plus an M-sample slack, as in GramWindow).
+
+    The running sums restart at every block of one window length, so a
+    window Gram adds up at most two blocks and its rounding does not grow
+    with the run."""
     T, M = Phi.shape
     cap = 8 * M + M
-    outer = np.einsum("ki,kj->kij", Phi, Phi)
-    csum = np.concatenate([np.zeros((1, M, M)), np.cumsum(outer, axis=0)])
-    starts = np.maximum(0, np.arange(1, T + 1) - cap)
-    grams = csum[1: T + 1] - csum[starts]
+    nb = -(-T // cap)
+    outer = np.zeros((nb * cap, M, M))
+    np.einsum("ki,kj->kij", Phi, Phi, out=outer[:T])
+    grams = np.cumsum(outer.reshape(nb, cap, M, M), axis=1).reshape(nb * cap, M, M)[:T]
+    # window k is rows k+1-cap..k: its block's sum up to k plus the rest of the block before
+    k = np.arange(cap, T)
+    head = k - k % cap
+    grams[cap:] += grams[head - 1] - grams[k - cap]
     w = np.linalg.eigvalsh(grams)  # ascending, (T, M)
     wmax = np.maximum(w[:, -1], 0.0)
     thresh = rank_tol * wmax
@@ -514,19 +533,12 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
     the sample-by-sample interleaving (per sample: every app's transmission
     in priority order, the bus cycle, then every app's step) would have
     completed."""
-    rng = np.random.default_rng(cfg.seed)
     buscfg = cfg.bus_config()
     T = cfg.horizon
-    gen = cfg.reference()
-    inputs, runs = [], []
-    for spec in cfg.plants:
-        train = _build_train(spec.disturbance if spec.disturbance is not None else cfg.disturbance, T, rng)
-        yref_ext = gen.sequence(T + buscfg.d2, spec.phase_offset)
-        inputs.append((yref_ext, train))
-        runs.append(simulate_switching(
-            spec.model, buscfg.d2, buscfg.eth, yref_ext, train, cfg.gamma1, cfg.gamma2,
-            spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init, spec.y_init, spec.u_init,
-        ))
+    inputs = _app_inputs(cfg, buscfg.d2)
+    runs = [simulate_switching(spec.model, buscfg.d2, buscfg.eth, yref_ext, train, cfg.gamma1, cfg.gamma2,
+                               beta0_init, spec.y_init, spec.u_init)
+            for spec, train, yref_ext, beta0_init in inputs]
     order = buscfg.priority_order()
     # the first app abort as (sample, priority position); the bus runs through that sample
     k_stop, j_stop = min(((runs[app].samples, j) for j, app in enumerate(order)
@@ -549,7 +561,7 @@ def _run_switching(cfg: ScenarioConfig) -> Trace:
     rank_tol = cfg.tolerances.get("rank_tol", 1e-6)
     apps = []
     summary_apps = []
-    for i, (run, spec, (yref_ext, train)) in enumerate(zip(runs, cfg.plants, inputs)):
+    for i, (run, (spec, train, yref_ext, _beta0)) in enumerate(zip(runs, inputs)):
         n = rows[i]
         # the aborting app keeps a switch logged at its aborted sample (a
         # diverging app logs it before the plant step)
@@ -610,8 +622,7 @@ def _switching_columns(app_id, run: SwitchingRun, n: int, spec: PlantSpec, yref:
     cols.update(_zero_monitor_columns(n), yref_prime=cols["yref"].copy())
     if spec.oracle and n:
         yref_prime = yref[:n + d2] + _dprime_sequence(model, train, n + d2)
-        # the ideal reference models start from zero initial conditions
-        star1, star2 = (_ideal_regressors(model, d, yref_prime, n) for d in (1, d2))
+        star1, star2 = (_ideal_regressors(model, d, yref_prime, n, spec.y_init, spec.u_init) for d in (1, d2))
         Phi1, Phi2 = run.Phi1_hist[1: 1 + n], run.Phi2_hist[d2: d2 + n]
         theta2_err = model.true_theta(d2) - run.theta2_hist[:n]
         cols.update(_monitor_columns(

@@ -2,8 +2,8 @@
 disturbances.
 
 The plant is y(k) = -sum_l a_l y(k-l) + b0 u(k-d) + sum_l b_l u(k-l-d) + D(k-d),
-simulated either directly (``step_difference``) or through its d-step
-prediction form (``step_predictor``).
+stepped one sample at a time by ``step_difference``; ``PlantModel.predictor``
+gives its d-step prediction form.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import DIVERGENCE_LIMIT
 from .shiftpoly import ShiftPoly, predictor_coeffs, solve_diophantine, unstable_zeros, zeros_strictly_inside
-
-DIVERGENCE_LIMIT = 1e12
 
 
 class PlantDivergenceError(RuntimeError):
@@ -242,35 +241,4 @@ def step_difference(model: PlantModel, history: SignalHistory, u_k: float,
     if not np.isfinite(acc) or abs(acc) > DIVERGENCE_LIMIT:
         raise PlantDivergenceError(k_next, acc)
     history.advance(u_k, acc)
-    return acc
-
-
-def step_predictor(alpha: ShiftPoly, beta: ShiftPoly, history: SignalHistory,
-                   u_k: float, d_k: float = 0.0) -> float:
-    """Predicted output d steps ahead from time-k data (no state change).
-
-    ``d_k`` is the disturbance as seen by the prediction form at time k, i.e.
-    already filtered through the prediction-identity quotient (see
-    ``predictor_disturbance``).
-    """
-    acc = 0.0
-    for i, c in enumerate(alpha.coeffs):
-        acc += c * history.y_lag(i)
-    bc = beta.coeffs
-    acc += bc[0] * u_k
-    for j in range(1, len(bc)):
-        acc += bc[j] * history.u_lag(j)
-    acc += d_k
-    if not np.isfinite(acc):
-        raise PlantDivergenceError(history.k, acc)
-    return acc
-
-
-def predictor_disturbance(F: ShiftPoly, train: DisturbanceTrain | None, k: int) -> float:
-    """Disturbance entering the prediction form at time k: F(q^-1) D(k)."""
-    if train is None:
-        return 0.0
-    acc = 0.0
-    for j, c in enumerate(F.coeffs):
-        acc += c * train.value(k - j)
     return acc

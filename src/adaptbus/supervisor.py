@@ -1,9 +1,9 @@
 """Switching adaptive controller: dual estimates (one per bus mode), the
-switching-instant reset/hold rules, the whole-horizon switching engine
-(``simulate_switching``) whose histories the monitors read after a run, the
-per-sample reference loop (``AppSupervisor``) and the per-sample monitor
-definitions (common Lyapunov value, equivalent reference, ideal reference
-models, containment scan).
+switching-instant reset/hold rules, ``simulate_switching`` (the switching
+policy of ``kernels.adaptive_loop``, whose histories the monitors read after
+a run), the per-sample reference loop (``AppSupervisor``) and the per-sample
+monitor definitions (common Lyapunov value, equivalent reference, ideal
+reference models, containment scan).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import adapt, kernels
 from .adapt import ParameterEstimate
 from .netbus import Mode, SwitchEvent, SwitchLog, select_mode
 from .plant import (
-    DIVERGENCE_LIMIT,
     DisturbanceTrain,
     PlantDivergenceError,
     PlantModel,
@@ -143,16 +142,19 @@ def equivalent_reference(yref_k: float, d_k: float, filt: DisturbanceInverseFilt
 
 class ReferenceModel:
     """Ideal closed loop at a fixed delay: the true plant, disturbance-free,
-    driven by the equivalent reference through the exact-parameter control
-    law.  Its regressor is the reference trajectory the adaptive loop should
-    converge to; the first element tracks the equivalent reference.
+    from the loop's initial conditions, driven by the equivalent reference
+    through the exact-parameter control law.  Its regressor is the reference
+    trajectory the adaptive loop should converge to; the first element
+    tracks the equivalent reference.
     """
 
-    def __init__(self, model: PlantModel, d: int):
+    def __init__(self, model: PlantModel, d: int, y_init=(), u_init=()):
         self.model = model
         self.d = int(d)
         self.theta_star = model.true_theta(self.d)
-        self.history = SignalHistory(model.m1, model.m2, d_max=self.d)
+        # inputs older than u(-m2-d) never reach this loop; the history holds m2 + d
+        self.history = SignalHistory(model.m1, model.m2, d_max=self.d, y_init=y_init,
+                                     u_init=tuple(u_init)[: max(model.m2 + self.d, 1)])
         self.M = self.theta_star.shape[0]
 
     def regressor(self) -> np.ndarray:
@@ -251,7 +253,8 @@ class AppSupervisor:
     feeds the bus, the per-mode controller runs update-then-control,
     switching instants trigger the reset/hold rules, and the plant is stepped
     with the active mode's delay.  ``simulate_switching`` runs the same loop
-    over a whole horizon; this class is its per-sample reference.  Over
+    over a whole horizon (``kernels.adaptive_loop``); this class is its
+    per-sample reference.  Over
     T = len(yref) - d2 samples it records each estimate after sample k,
     reset included, at row k of ``theta1_hist``/``theta2_hist`` and the regressor of
     time t (pre-start ones too) at row t + 1 / t + d2 of ``Phi1_hist``/``Phi2_hist``.
@@ -462,123 +465,39 @@ class SwitchingRun:
 def simulate_switching(model: PlantModel, d2: int, eth: float, yref, train: DisturbanceTrain | None = None,
                        gamma1: float = 0.5, gamma2: float = 0.5, beta0_init: float = 1.0,
                        y_init=(), u_init=()) -> SwitchingRun:
-    """Run one application's switching loop over T = len(yref) - d2 samples.
-
-    Per sample, in ``AppSupervisor``'s order and arithmetic on Python floats:
-    read y(k) and pick the next mode from e(k); update the active estimate
-    from its lagged regressor (or hold it); apply the control law; on a
-    switch, log it and apply ``apply_reset``'s rules; step the plant with the
-    active mode's delay (1 in TT, d2 in ET).  The bus never feeds back into
-    this loop, so each application runs alone and the bus is replayed from
-    the modes afterwards.  A ``PlantDivergenceError`` or ``ZeroDivisorError``
-    ends the run and is returned as ``abort``.
+    """Run one application's switching loop over T = len(yref) - d2 samples:
+    the switching policy of ``kernels.adaptive_loop``, in ``AppSupervisor``'s
+    order and arithmetic.  The bus never feeds back into this loop, so each
+    application runs alone and the bus is replayed from the modes afterwards.
+    A ``PlantDivergenceError`` or ``ZeroDivisorError`` ends the run and is
+    returned as ``abort``.
     """
     if d2 < 2:
         raise ValueError("d2 must be >= 2")
     duals = DualEstimates.create(model.m1, model.m2, d2, gamma1, gamma2, beta0_init)
-    m1, m2, d2 = model.m1, model.m2, int(d2)
-    if len(y_init) > max(m1, 1) or len(u_init) > m2 + d2:
+    if len(y_init) > max(model.m1, 1) or len(u_init) > model.m2 + d2:
         raise ValueError("initial condition vectors exceed the history depth")
-    a, b = model.a.tolist(), model.b.tolist()
-    M1, M2 = m1 + m2 + 1, m1 + m2 + d2
-    ref = np.asarray(yref, dtype=float).tolist()
-    T = max(len(ref) - d2, 0)
     train = train if train is not None else DisturbanceTrain.empty()
-    dist = [0.0] * (T + 1 + d2)  # dist[t + d2] = D(t)
-    for t, v in zip(train.times.tolist(), train.amplitudes.tolist()):
-        if -d2 <= t <= T:
-            dist[t + d2] = v
-    # Y[oy + t] = y(t) and U[ou + t] = u(t), zero before the initial conditions
-    oy, ou = m1 + d2, m2 + 2 * d2
-    Y, U = [0.0] * (oy + 1), [0.0] * ou
-    for i, v in enumerate(y_init):
-        Y[oy - i] = float(v)
-    for i, v in enumerate(u_init):
-        U[ou - 1 - i] = float(v)
-    # Phi(t) at delay d = (y(t)..y(t-m1+1), u(t-1)..u(t-m2-d+1), u(t)); R1[t + 1], R2[t + d2]
-    R1 = [Y[oy - 1: oy - 1 - m1: -1] + U[ou - 2: ou - 2 - m2: -1] + [U[ou - 1]]]
-    R2 = [Y[oy + t: oy + t - m1: -1] + U[ou + t - 1: ou + t - m2 - d2: -1] + [U[ou + t]]
-          for t in range(-d2, 0)]
-    theta1, theta2 = duals.theta1.theta.tolist(), duals.theta2.theta.tolist()
-    memory, hold, p, et = theta2, 0, 0, False
-    zero1, zero2, hold_len = [0.0] * M1, [0.0] * M2, m2 + d2 - 1
-    TH1, TH2, E, EPS, modes, switches = [], [], [], [], [], []
-    abort = None
-    try:
-        for k in range(T):
-            y_k = Y[oy + k]
-            e_k = y_k - ref[k]
-            et_next = abs(e_k) <= eth
-            modes.append(_ET if et else _TT)
-            if et:
-                theta, lag, gamma, d = theta2, R2[k], gamma2, d2
-            else:
-                theta, lag, gamma, d = theta1, R1[k], gamma1, 1
-            s = 0.0
-            for t_i, p_i in zip(theta, lag):
-                s += t_i * p_i
-            eps = y_k - s
-            # no update on hold samples or at the switch sample itself (see
-            # AppSupervisor.supervise_step); a zeroed estimate still updates
-            held = et and hold > 0
-            if held:
-                hold -= 1
-            elif et_next == et or abs(theta[-1]) < kernels.ZERO_FLOOR:
-                nn = 0.0
-                for p_i in lag:
-                    nn += p_i * p_i
-                denom = 1.0 + nn
-                gain = gamma if abs(theta[-1] + lag[-1] * eps / denom) < kernels.ZERO_FLOOR else 1.0
-                new = [t_i + gain * p_i * eps / denom for t_i, p_i in zip(theta, lag)]
-                if abs(theta[-1]) >= kernels.ZERO_FLOOR and abs(new[-1]) < kernels.ZERO_FLOOR:
-                    raise adapt.ZeroDivisorError("update drove the divisor estimate to zero despite the guard")
-                theta = new
-                if et:
-                    theta2 = new
-                else:
-                    theta1 = new
-            ywin = Y[oy + k: oy + k - m1: -1]
-            uwin = U[ou + k - 1: ou + k - m2 - d2: -1]
-            phi1, phi2 = ywin + uwin[:m2], ywin + uwin
-            if abs(theta[-1]) < kernels.ZERO_FLOOR:
-                raise adapt.ZeroDivisorError("divisor estimate is zero at control time; guard invariant violated")
-            s = 0.0
-            for t_i, p_i in zip(theta, phi2 if et else phi1):
-                s += t_i * p_i
-            u_k = (ref[k + d] - s) / theta[-1]
-            phi1.append(u_k)
-            phi2.append(u_k)
-            R1.append(phi1)
-            R2.append(phi2)
-            if et_next != et:
-                p += 1
-                if et:
-                    switches.append((k, "ET->TT", p))
-                    memory, theta1, hold = theta2, zero1, 0
-                else:
-                    switches.append((k, "TT->ET", p))
-                    theta2, hold = (zero2, 0) if p == 1 else (memory, hold_len)
-                et = et_next
-            TH1 += theta1
-            TH2 += theta2
-            acc = 0.0
-            for l in range(m1):
-                acc -= a[l] * Y[oy + k - l]
-            for l in range(m2 + 1):
-                acc += b[l] * (u_k if d + l == 1 else U[ou + k + 1 - d - l])
-            acc += dist[d2 + k + 1 - d]
-            if not abs(acc) <= DIVERGENCE_LIMIT:  # nan included
-                # reported as the numpy scalar step_difference reports
-                raise PlantDivergenceError(k + 1, np.float64(acc))
-            Y.append(acc)
-            U.append(u_k)
-            E.append(e_k)
-            EPS.append(eps)
-    except (PlantDivergenceError, adapt.ZeroDivisorError) as exc:
-        abort = exc
-    n = len(E)
-    return SwitchingRun(d2=d2, T=T, M1=M1, M2=M2, y=Y[oy: oy + n], u=U[ou: ou + n], e=E, eps=EPS,
-                        modes=modes, switches=switches, abort=abort, theta_rows=(TH1, TH2), phi_rows=(R1, R2))
+    run = kernels.adaptive_loop(
+        model.a, model.b, yref, zip(train.times.tolist(), train.amplitudes.tolist()), y_init, u_init,
+        (duals.theta1.theta, duals.theta2.theta), (gamma1, gamma2), eth,
+    )
+    n, abort = run.k_stop, None
+    if run.status == kernels.SIM_DIVERGED:
+        # reported as the numpy scalar step_difference reports
+        abort = PlantDivergenceError(n + 1, np.float64(run.value))
+    elif run.status == kernels.SIM_ZERO_DIVISOR:
+        abort = adapt.ZeroDivisorError("divisor estimate is zero at control time; guard invariant violated")
+    elif run.status == kernels.SIM_GUARD_BROKEN:
+        abort = adapt.ZeroDivisorError("update drove the divisor estimate to zero despite the guard")
+    # the estimates of a diverging sample are kept (reset applied), not those of one stopped at control
+    rows = n + (run.status == kernels.SIM_DIVERGED)
+    M1, M2 = duals.theta1.theta.shape[0], duals.theta2.theta.shape[0]
+    TH1, TH2 = run.theta_rows
+    return SwitchingRun(d2=int(d2), T=run.T, M1=M1, M2=M2, y=run.y[:n], u=run.u[:n], e=run.e[:n],
+                        eps=run.eps[:n], modes=[_ET if et else _TT for et in run.et],
+                        switches=run.switches, abort=abort,
+                        theta_rows=(TH1[:rows * M1], TH2[:rows * M2]), phi_rows=run.phi_rows)
 
 
 TRACE_FIELDS = [

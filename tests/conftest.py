@@ -36,10 +36,10 @@ def make_random_plant(rng, m1, m2, pole_radius=0.9, zero_radius=0.8):
 def predictor_identity_error(model, d, u, dist):
     """Max per-sample gap between the difference-form trajectory and the
     d-step prediction form evaluated along it (zero initial conditions)."""
-    from adaptbus import kernels
+    from tests.plant_reference import simulate_difference
 
     T = len(u)
-    _, y = kernels.simulate_difference(model.a, model.b, d, u, dist, np.zeros(0), np.zeros(0))
+    _, y = simulate_difference(model.a, model.b, d, u, dist, np.zeros(0), np.zeros(0))
     alpha, beta, F = model.predictor(d)
     al, be, f = alpha.asarray(), beta.asarray(), F.asarray()
     pad = max(len(al), len(be), len(f)) + d

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
-from adaptbus import kernels
 from adaptbus.plant import (
     DisturbanceTrain,
     PlantDivergenceError,
     PlantModel,
     SignalHistory,
     make_impulse_train,
-    predictor_disturbance,
     step_difference,
-    step_predictor,
 )
 from tests.conftest import make_random_plant, predictor_identity_error
+from tests.plant_reference import predictor_disturbance, simulate_difference, simulate_predictor, step_predictor
 
 
 class TestPlantModel:
@@ -93,7 +91,7 @@ class TestStepDifference:
         model = make_random_plant(rng, 2, 1)
         u = rng.normal(size=50)
         dist = np.zeros(51)
-        _, y_kernel = kernels.simulate_difference(model.a, model.b, 1, u, dist, np.zeros(0), np.zeros(0))
+        _, y_kernel = simulate_difference(model.a, model.b, 1, u, dist, np.zeros(0), np.zeros(0))
         h = SignalHistory(2, 1, d_max=1)
         y_loop = [0.0]
         for uk in u:
@@ -129,8 +127,8 @@ class TestStepPredictor:
         rng = np.random.default_rng(3)
         u = rng.normal(size=40)
         dist = np.zeros(41)
-        _, y_diff = kernels.simulate_difference(model.a, model.b, 2, u, dist, np.zeros(0), np.zeros(0))
-        _, y_pred = kernels.simulate_predictor(
+        _, y_diff = simulate_difference(model.a, model.b, 2, u, dist, np.zeros(0), np.zeros(0))
+        _, y_pred = simulate_predictor(
             alpha.asarray(), beta.asarray(), np.array([1.0, 0.5]), 2, u, dist, np.zeros(0), np.zeros(0)
         )
         assert np.max(np.abs(y_diff - y_pred)) < 1e-12
@@ -160,8 +158,8 @@ class TestStepPredictor:
             dist = train.dense(T + 1)
             for d in (1, 2):
                 alpha, beta, F = model.predictor(d)
-                _, y_diff = kernels.simulate_difference(model.a, model.b, d, u, dist, np.zeros(0), np.zeros(0))
-                _, y_pred = kernels.simulate_predictor(
+                _, y_diff = simulate_difference(model.a, model.b, d, u, dist, np.zeros(0), np.zeros(0))
+                _, y_pred = simulate_predictor(
                     alpha.asarray(), beta.asarray(), F.asarray(), d, u, dist, np.zeros(0), np.zeros(0)
                 )
                 assert np.max(np.abs(y_diff - y_pred)) < 1e-9
