@@ -40,7 +40,6 @@ from .supervisor import (
     equivalent_reference,
     lyapunov,
     signal_error,
-    simulate_switching,
 )
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ adaptive loop) or the switching TT/ET protocol with its bus parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,7 @@ from . import kernels, netbus, reference
 from .excitation import sr_order
 from .netbus import BusCapacityError, BusConfig, BusState, Mode
 from .plant import DisturbanceTrain, PlantModel, make_impulse_train
-from .supervisor import (
-    MONITOR_FIELDS,
-    TRACE_FIELDS,
-    SwitchingRun,
-    containment_check,
-    simulate_switching,
-)
+from .supervisor import MONITOR_FIELDS, TRACE_FIELDS, containment_check
 
 SCHEMA_VERSION = 1
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
@@ -249,20 +243,28 @@ def _validate_disturbance(spec: dict, horizon: int) -> None:
         times = list(spec["times"])
         amps = spec.get("amplitudes", 1.0)
         try:
-            make_impulse_train(t_dw, horizon, amplitudes=amps, times=times)
+            train = make_impulse_train(t_dw, horizon, amplitudes=amps, times=times)
         except ValueError as exc:
             raise ConfigError(f"disturbance: {exc}") from exc
+        early = [t for t in train.times.tolist() if t < 0]
+        if early:
+            raise ConfigError(_outside_horizon(early[0], horizon))
     elif not spec.get("random", False):
         raise ConfigError("disturbance needs explicit 'times' or 'random': true")
 
 
 def check_impulse_times(cfg: ScenarioConfig) -> None:
-    """Reject impulse times outside [0, horizon), which a run never reaches; the
-    command line calls this, parse_config does not, so a caller can shorten a run."""
+    """Reject impulse times outside [0, horizon), which a run never reaches.
+    parse_config rejects the times below 0; the command line calls this, and
+    parse_config does not, so that a caller can shorten a run."""
     for spec in [cfg.disturbance] + [plant.disturbance for plant in cfg.plants]:
         for t in (spec or {}).get("times") or ():
             if not 0 <= int(t) < cfg.horizon:
-                raise ConfigError(f"disturbance: impulse time {t} lies outside the horizon [0, {cfg.horizon})")
+                raise ConfigError(_outside_horizon(t, cfg.horizon))
+
+
+def _outside_horizon(t, horizon: int) -> str:
+    return f"disturbance: impulse time {t} lies outside the horizon [0, {horizon})"
 
 
 def _build_train(spec: dict | None, horizon: int, rng) -> DisturbanceTrain:
@@ -324,19 +326,47 @@ def _check_reference_richness(cfg: ScenarioConfig) -> None:
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Execute the scenario deterministically and return the full trace.
 
-    Per-sample order: read sensors, select the next mode, transmit on the
-    bus, update-then-control, apply pending resets/holds, step the plant,
-    evaluate monitors.  Divergence or bus infeasibility aborts with a partial
-    trace and a diagnostic in ``status``.
+    Each app's closed loop runs alone over the horizon with one estimate per
+    delay: the fixed protocol pins the delay d, the switching protocol runs
+    TT at d = 1 and ET at d = d2.  The bus never feeds back into control, so
+    it is replayed afterwards from the apps' modes.  Divergence, a zero
+    divisor or bus infeasibility aborts with a partial trace and a diagnostic
+    in ``status``.
     """
     _check_reference_richness(cfg)
     if cfg.kind == "fixed":
-        return _run_fixed(cfg)
-    return _run_switching(cfg)
-
-
-def _fixed_mode_label(d: int) -> str:
-    return "TT" if d == 1 else "ET"
+        d = int(cfg.protocol["d"])
+        delays, gammas, eth = (d,), (cfg.gamma1 if d == 1 else cfg.gamma2,), -1.0
+        summary = {"kind": "fixed", "d": d}
+    else:
+        buscfg = cfg.bus_config()
+        delays, gammas, eth = (1, buscfg.d2), (cfg.gamma1, cfg.gamma2), buscfg.eth
+        summary = {"kind": "switching", "d2": buscfg.d2, "eth": buscfg.eth}
+    inputs = _app_inputs(cfg, delays[-1])
+    runs = [_app_loop(spec, train, yref_ext, beta0_init, delays, gammas, eth)
+            for spec, train, yref_ext, beta0_init in inputs]
+    if cfg.kind == "fixed":
+        # every app runs to its own stop; the status names the last app that stopped
+        rows, aborting, status = [run.k_stop for run in runs], None, "ok"
+        bus = {"cycles": [], "deliveries": []}
+        for i, run in enumerate(runs):
+            if run.status:
+                kind = "diverged" if run.status == kernels.SIM_DIVERGED else "zero divisor"
+                status = f"{kind}: app {i} at sample {run.k_stop}"
+    else:
+        rows, aborting, status, bus = _replay_bus(buscfg, runs, cfg.horizon)
+    rank_tol = cfg.tolerances.get("rank_tol", 1e-6)
+    apps, summary["apps"] = [], []
+    for i, (n, (spec, train, yref_ext, _beta0)) in enumerate(zip(rows, inputs)):
+        # the loop's lists are freed before this app's ideal models run
+        run, runs[i] = _loop_arrays(runs[i]), None
+        # the aborting app keeps a switch logged at its aborted sample (a
+        # diverging app logs it before the plant step)
+        switches = run.switches if i == aborting else [ev for ev in run.switches if ev[0] < n]
+        app, app_summary = _app_trace(i, run, n, delays, spec, yref_ext, train, switches, rank_tol)
+        apps.append(app)
+        summary["apps"].append(app_summary)
+    return Trace(config=cfg.raw, status=status, apps=apps, bus=bus, summary=summary)
 
 
 def _app_inputs(cfg: ScenarioConfig, lookahead: int) -> list:
@@ -354,40 +384,142 @@ def _app_inputs(cfg: ScenarioConfig, lookahead: int) -> list:
     return out
 
 
-def _run_fixed(cfg: ScenarioConfig) -> Trace:
-    d = int(cfg.protocol["d"])
-    T = cfg.horizon
-    gamma = cfg.gamma1 if d == 1 else cfg.gamma2
-    apps = []
-    summary_apps = []
-    status = "ok"
-    for i, (spec, train, yref_ext, beta0_init) in enumerate(_app_inputs(cfg, d)):
-        model = spec.model
-        dist = train.dense(T + 1)
-        theta0 = np.zeros(model.m1 + model.m2 + d)
-        theta0[-1] = beta0_init
-        st, k_stop, y, u, eps, theta_hist, Phi_hist = kernels.simulate_fixed_delay(
-            model.a, model.b, d, gamma, theta0, yref_ext, dist,
-            np.asarray(spec.y_init, dtype=float), np.asarray(spec.u_init, dtype=float), True,
-        )
-        T_eff = T if st == kernels.SIM_OK else max(k_stop, 0)
-        if st == kernels.SIM_DIVERGED:
-            status = f"diverged: app {i} at sample {k_stop}"
-        elif st == kernels.SIM_ZERO_DIVISOR:
-            status = f"zero divisor: app {i} at sample {k_stop}"
-        yref_prime = yref_ext + _dprime_sequence(model, train, T + d)
-        cols = _fixed_columns(i, d, T_eff, y, u, eps, theta_hist, Phi_hist, yref_ext, yref_prime,
-                              dist, spec, cfg.tolerances)
-        apps.append(AppTrace(app_id=i, columns=cols, switches=[]))
-        theta_norms = np.linalg.norm(theta_hist[:T_eff], axis=1) if T_eff else np.zeros(0)
-        summary_apps.append(_app_summary(i, cols, theta_norms, None))
-    return Trace(
-        config=cfg.raw,
-        status=status,
-        apps=apps,
-        bus={"cycles": [], "deliveries": []},
-        summary={"kind": "fixed", "d": d, "apps": summary_apps},
+def _app_loop(spec: PlantSpec, train: DisturbanceTrain, yref_ext: np.ndarray, beta0_init: float,
+              delays: tuple, gammas: tuple, eth: float) -> kernels.LoopRun:
+    """One app's closed loop over the horizon, with one estimate per delay,
+    each zero but for its divisor element, beta0_init."""
+    model = spec.model
+    thetas = [[0.0] * (model.m1 + model.m2 + d - 1) + [beta0_init] for d in delays]
+    return kernels.adaptive_loop(model.a, model.b, yref_ext,
+                                 zip(train.times.tolist(), train.amplitudes.tolist()),
+                                 spec.y_init, spec.u_init, thetas, gammas, eth)
+
+
+def _loop_arrays(run: kernels.LoopRun) -> kernels.LoopRun:
+    """The run with its lists as arrays: ``et`` bool, and the estimate and
+    regressor rows of each estimate 2-D."""
+    widths = [len(rows[0]) for rows in run.phi_rows]  # every estimate has pre-start rows
+    return replace(
+        run, y=np.array(run.y), u=np.array(run.u), e=np.array(run.e), eps=np.array(run.eps),
+        et=np.array(run.et, dtype=bool),
+        theta_rows=tuple(np.reshape(np.array(rows, dtype=float), (-1, M))
+                         for rows, M in zip(run.theta_rows, widths)),
+        phi_rows=tuple(np.array(rows) for rows in run.phi_rows),
     )
+
+
+def _replay_bus(buscfg: BusConfig, runs: list, T: int) -> tuple[list, int | None, str, dict]:
+    """Replay the bus over the switching apps' modes, and cut the run where
+    the sample-by-sample interleaving (per sample: every app's transmission
+    in priority order, the bus cycle, then every app's step) would have
+    stopped.  Returns the rows per app, the aborting app (None when the bus
+    or nothing aborts), the status and the bus log."""
+    order = buscfg.priority_order()
+    # the first app abort as (sample, priority position); the bus runs through that sample
+    k_stop, j_stop = min(((runs[app].k_stop, j) for j, app in enumerate(order) if runs[app].status),
+                         default=(T, 0))
+    state = BusState()
+    status, aborting = "ok", None
+    try:
+        netbus.replay(state, buscfg, [_mode_labels(np.where(run.et, buscfg.d2, 1)) for run in runs],
+                      min(k_stop + 1, T))
+        if k_stop < T:
+            aborting = order[j_stop]
+            status = f"aborted at sample {k_stop}: {_abort_text(runs[aborting])}"
+    except BusCapacityError as exc:
+        # a bus abort at sample k precedes every app step at k
+        k_stop, j_stop = state.cycle_index, 0
+        status = f"aborted at sample {k_stop}: {exc}"
+    rows = [0] * len(runs)
+    for j, app in enumerate(order):
+        rows[app] = k_stop + (j < j_stop)
+    bus = {
+        "cycles": [
+            {
+                "cycle": r.cycle,
+                "consumed_minislots": r.consumed_minislots,
+                "idle_slots": r.idle_slots,
+                "transmissions": [[a, l] for a, l in r.transmissions],
+                "carried": len(r.carried),
+                "conserved": r.conserved,
+            }
+            for r in state.cycle_log
+        ],
+        "deliveries": list(map(list, state.deliveries)),
+    }
+    return rows, aborting, status, bus
+
+
+def _abort_text(run: kernels.LoopRun) -> str:
+    """Why a switching app's loop stopped, in the words of the error the
+    per-sample loop raises (``PlantDivergenceError`` shows a numpy scalar)."""
+    if run.status == kernels.SIM_DIVERGED:
+        return f"plant output diverged at sample {run.k_stop + 1}: y = {np.float64(run.value)!r}"
+    if run.status == kernels.SIM_ZERO_DIVISOR:
+        return "divisor estimate is zero at control time; guard invariant violated"
+    return "update drove the divisor estimate to zero despite the guard"
+
+
+_MODE_LABELS = np.array([Mode.TT.value, Mode.ET.value], dtype=object)
+
+
+def _mode_labels(delay: np.ndarray) -> np.ndarray:
+    """Each sample's mode from its delay, TT at 1 and ET otherwise; the rows
+    share two str objects."""
+    return _MODE_LABELS[(delay != 1).astype(np.intp)]
+
+
+def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: PlantSpec,
+               yref_ext: np.ndarray, train: DisturbanceTrain, switches: list,
+               rank_tol: float) -> tuple[AppTrace, dict]:
+    """The first n rows of one app's trace, and its summary, from its loop
+    run: the simulation columns, and the monitor columns computed from the
+    recorded estimates and regressors against the ideal model at each delay
+    (without the oracle: zero, and yref_prime = yref)."""
+    model, d = spec.model, delays[-1]
+    et = run.et[:n]
+    delay = np.where(et, d, delays[0])
+    switch = np.zeros(n, dtype=int)
+    for k, direction, _p in switches:
+        if k < n:
+            switch[k] = 1 if direction == "TT->ET" else 2
+    # copies: a view would keep the loop's arrays alive, which were made
+    # among its lists and which peak RSS then pays for (about 4 MB on the
+    # benchmark's fixed workload)
+    cols = {
+        "app": np.full(n, app_id, dtype=int),
+        "k": np.arange(n),
+        "mode": _mode_labels(delay),
+        "y": run.y[:n].copy(),
+        "yref": yref_ext[:n].copy(),
+        "e": run.e[:n].copy(),
+        "u": run.u[:n].copy(),
+        "delay": delay,
+        "eps": run.eps[:n].copy(),
+        "switch": switch,
+        "dist": train.dense(n),
+    }
+    cols.update({name: np.zeros(n, dtype=int if name == "rank" else float) for name in MONITOR_FIELDS},
+                yref_prime=cols["yref"])
+    thetas = [rows[:n] for rows in run.theta_rows]
+    if spec.oracle and n:
+        yref_prime = yref_ext[:n + d] + _dprime_sequence(model, train, n + d)
+        errs = [model.true_theta(dj) - theta for dj, theta in zip(delays, thetas)]
+        Phis = [rows[dj: dj + n] for dj, rows in zip(delays, run.phi_rows)]
+        diffs = [Phi[:, :-1] - _ideal_regressors(model, dj, yref_prime, n, spec.y_init, spec.u_init)[:, :-1]
+                 for dj, Phi in zip(delays, Phis)]
+        tt = ~et
+        cols.update(_monitor_columns(_by_mode(tt, errs[0], errs[-1]), _by_mode(tt, diffs[0], diffs[-1]),
+                                     Phis[-1], errs[-1], rank_tol), yref_prime=yref_prime[:n])
+        if len(delays) == 2:
+            # a switching app's Gram window reports once it holds M2 samples
+            M2 = Phis[-1].shape[1]
+            cols["rank"][:M2 - 1] = 0
+            cols["alpha_hat"][:M2 - 1] = 0.0
+    cols = {name: cols[name] for name in TRACE_FIELDS}
+    theta_norms = np.maximum.reduce([np.linalg.norm(theta, axis=1) for theta in thetas])
+    app = AppTrace(app_id=app_id, columns=cols, switches=switches)
+    return app, _app_summary(app_id, cols, theta_norms, switches)
 
 
 def _dprime_sequence(model: PlantModel, train: DisturbanceTrain, n: int) -> np.ndarray:
@@ -417,36 +549,14 @@ def _ideal_regressors(model: PlantModel, d: int, yref_prime: np.ndarray, n: int,
     )[-1][d: d + n]
 
 
-def _fixed_columns(app_id, d, T_eff, y, u, eps, theta_hist, Phi_hist, yref_ext, yref_prime,
-                   dist, spec, tol) -> dict:
-    T = T_eff
-    ks = np.arange(T)
-    yk = y[:T]
-    yrefk = yref_ext[:T]
-    e = yk - yrefk
-    Phi = Phi_hist[d: d + T]
-    cols = {
-        "app": np.full(T, app_id, dtype=int),
-        "k": ks,
-        "mode": np.array([_fixed_mode_label(d)] * T, dtype=object),
-        "y": yk.copy(),
-        "yref": yrefk.copy(),
-        "yref_prime": yref_prime[:T].copy(),
-        "e": e,
-        "u": u[:T].copy(),
-        "delay": np.full(T, d, dtype=int),
-        "eps": eps[:T].copy(),
-        "switch": np.zeros(T, dtype=int),
-        "dist": dist[:T].copy(),
-    }
-    if spec.oracle and T:
-        theta_err = spec.model.true_theta(d)[None, :] - theta_hist[:T]
-        Phi_star = _ideal_regressors(spec.model, d, yref_prime, T, spec.y_init, spec.u_init)
-        cols.update(_monitor_columns(theta_err, Phi[:, :-1] - Phi_star[:, :-1], Phi, theta_err,
-                                     tol.get("rank_tol", 1e-6)))
-    else:
-        cols.update(_zero_monitor_columns(T))
-    return {name: cols[name] for name in TRACE_FIELDS}
+def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.ndarray:
+    """Row k of tt_rows (zero-padded to the ET width) where tt[k] holds, else
+    of et_rows; et_rows itself when both are one array (a pinned loop)."""
+    if tt_rows is et_rows:
+        return et_rows
+    out = np.where(tt[:, None], 0.0, et_rows)
+    out[tt, : tt_rows.shape[1]] = tt_rows[tt]
+    return out
 
 
 def _monitor_columns(v_err, phi_diff, Phi, theta_err, rank_tol: float) -> dict:
@@ -463,12 +573,6 @@ def _monitor_columns(v_err, phi_diff, Phi, theta_err, rank_tol: float) -> dict:
         "alpha_hat": alpha_hat,
         "ortho_res": np.abs(np.einsum("ki,ki->k", Phi, theta_err)) / (1.0 + np.linalg.norm(Phi, axis=1)),
     }
-
-
-def _zero_monitor_columns(T: int) -> dict:
-    """The monitor columns of an app run without the oracle."""
-    return {name: np.zeros(T, dtype=int if name == "rank" else float)
-            for name in MONITOR_FIELDS if name != "yref_prime"}
 
 
 def _windowed_rank(Phi: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -527,130 +631,6 @@ def _settle_sample(e: np.ndarray, level: float) -> int | None:
     return s if s < ok.size else None
 
 
-def _run_switching(cfg: ScenarioConfig) -> Trace:
-    """Run each app's switching loop alone over the horizon, then replay the
-    bus over the apps' modes; an abort truncates every app to the rows that
-    the sample-by-sample interleaving (per sample: every app's transmission
-    in priority order, the bus cycle, then every app's step) would have
-    completed."""
-    buscfg = cfg.bus_config()
-    T = cfg.horizon
-    inputs = _app_inputs(cfg, buscfg.d2)
-    runs = [simulate_switching(spec.model, buscfg.d2, buscfg.eth, yref_ext, train, cfg.gamma1, cfg.gamma2,
-                               beta0_init, spec.y_init, spec.u_init)
-            for spec, train, yref_ext, beta0_init in inputs]
-    order = buscfg.priority_order()
-    # the first app abort as (sample, priority position); the bus runs through that sample
-    k_stop, j_stop = min(((runs[app].samples, j) for j, app in enumerate(order)
-                          if runs[app].abort is not None), default=(T, 0))
-    state = BusState()
-    status = "ok"
-    aborting = None
-    try:
-        netbus.replay(state, buscfg, [run.modes for run in runs], min(k_stop + 1, T))
-        if k_stop < T:
-            aborting = order[j_stop]
-            status = f"aborted at sample {k_stop}: {runs[aborting].abort}"
-    except BusCapacityError as exc:
-        # a bus abort at sample k precedes every app step at k
-        k_stop, j_stop = state.cycle_index, 0
-        status = f"aborted at sample {k_stop}: {exc}"
-    rows = [0] * len(runs)
-    for j, app in enumerate(order):
-        rows[app] = k_stop + (j < j_stop)
-    rank_tol = cfg.tolerances.get("rank_tol", 1e-6)
-    apps = []
-    summary_apps = []
-    for i, (run, (spec, train, yref_ext, _beta0)) in enumerate(zip(runs, inputs)):
-        n = rows[i]
-        # the aborting app keeps a switch logged at its aborted sample (a
-        # diverging app logs it before the plant step)
-        switches = run.switches if i == aborting else [ev for ev in run.switches if ev[0] < n]
-        cols = _switching_columns(i, run, n, spec, yref_ext, train, switches, rank_tol)
-        apps.append(AppTrace(app_id=i, columns=cols, switches=switches))
-        theta_norms = np.maximum(np.linalg.norm(run.theta1_hist[:n], axis=1),
-                                 np.linalg.norm(run.theta2_hist[:n], axis=1))
-        summary_apps.append(_app_summary(i, cols, theta_norms, switches))
-    bus = {
-        "cycles": [
-            {
-                "cycle": r.cycle,
-                "consumed_minislots": r.consumed_minislots,
-                "idle_slots": r.idle_slots,
-                "transmissions": [[a, l] for a, l in r.transmissions],
-                "carried": len(r.carried),
-                "conserved": r.conserved,
-            }
-            for r in state.cycle_log
-        ],
-        "deliveries": list(map(list, state.deliveries)),
-    }
-    return Trace(
-        config=cfg.raw,
-        status=status,
-        apps=apps,
-        bus=bus,
-        summary={"kind": "switching", "d2": buscfg.d2, "eth": buscfg.eth, "apps": summary_apps},
-    )
-
-
-def _switching_columns(app_id, run: SwitchingRun, n: int, spec: PlantSpec, yref: np.ndarray,
-                       train: DisturbanceTrain, switches: list, rank_tol: float) -> dict:
-    """The first n simulation rows of one switching app, and the monitor
-    columns computed from its recorded estimates and regressors (without the
-    oracle: zero, and yref_prime = yref)."""
-    model, d2 = spec.model, run.d2
-    mode = np.array(run.modes[:n], dtype=object)
-    tt = mode == Mode.TT.value
-    switch = np.zeros(n, dtype=int)
-    for k, direction, _p in switches:
-        if k < n:
-            switch[k] = 1 if direction == "TT->ET" else 2
-    cols = {
-        "app": np.full(n, app_id, dtype=int),
-        "k": np.arange(n),
-        "mode": mode,
-        "y": np.array(run.y[:n], dtype=float),
-        "yref": yref[:n].copy(),
-        "e": np.array(run.e[:n], dtype=float),
-        "u": np.array(run.u[:n], dtype=float),
-        "delay": np.where(tt, 1, d2),
-        "eps": np.array(run.eps[:n], dtype=float),
-        "switch": switch,
-        "dist": train.dense(n),
-    }
-    cols.update(_zero_monitor_columns(n), yref_prime=cols["yref"].copy())
-    if spec.oracle and n:
-        yref_prime = yref[:n + d2] + _dprime_sequence(model, train, n + d2)
-        star1, star2 = (_ideal_regressors(model, d, yref_prime, n, spec.y_init, spec.u_init) for d in (1, d2))
-        Phi1, Phi2 = run.Phi1_hist[1: 1 + n], run.Phi2_hist[d2: d2 + n]
-        theta2_err = model.true_theta(d2) - run.theta2_hist[:n]
-        cols.update(_monitor_columns(
-            _by_mode(tt, model.true_theta(1) - run.theta1_hist[:n], theta2_err),
-            _by_mode(tt, Phi1[:, :-1] - star1[:, :-1], Phi2[:, :-1] - star2[:, :-1]),
-            Phi2, theta2_err, rank_tol,
-        ), yref_prime=yref_prime[:n])
-        # a Gram window reports once it holds M2 samples
-        cols["rank"][:run.M2 - 1] = 0
-        cols["alpha_hat"][:run.M2 - 1] = 0.0
-    return {name: cols[name] for name in TRACE_FIELDS}
-
-
-def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.ndarray:
-    """Row k of tt_rows (zero-padded to the ET width) where tt[k] holds, else of et_rows."""
-    out = np.where(tt[:, None], 0.0, et_rows)
-    out[tt, : tt_rows.shape[1]] = tt_rows[tt]
-    return out
-
-
-def _column_array(name: str, values: list) -> np.ndarray:
-    if name == "mode":
-        return np.array(values, dtype=object)
-    if name in INT_FIELDS:
-        return np.asarray(values, dtype=int)
-    return np.asarray(values, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -679,7 +659,9 @@ def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
 
 def _typed_column(name: str, col) -> np.ndarray:
     """A trace column with the element type the schema gives it: str for
-    ``mode``, int for the counters and indices, float for the rest."""
+    ``mode``, int for the counters and indices, float for the rest.  Every
+    writer and reader types its columns here; the CSV reader passes the
+    cells' text."""
     if name == "mode":
         return np.array([str(v) for v in col], dtype=object)
     return np.asarray(col, dtype=np.int64 if name in INT_FIELDS else float)
@@ -807,7 +789,7 @@ def load_trace(path) -> Trace:
     apps = [
         AppTrace(
             app_id=a["app"],
-            columns={name: _column_array(name, a["columns"][name]) for name in TRACE_FIELDS},
+            columns={name: _typed_column(name, a["columns"][name]) for name in TRACE_FIELDS},
             switches=[tuple(s) for s in a["switches"]],
         )
         for a in doc["apps"]
@@ -830,15 +812,7 @@ def read_trace_csv(path) -> dict:
     for line in lines[1:]:
         for name, cell in zip(header, line.split(",")):
             cols[name].append(cell)
-    out = {}
-    for name, vals in cols.items():
-        if name == "mode":
-            out[name] = np.array(vals, dtype=object)
-        elif name in INT_FIELDS:
-            out[name] = np.array([int(v) for v in vals], dtype=int)
-        else:
-            out[name] = np.array([float(v) for v in vals])
-    return out
+    return {name: _typed_column(name, vals) for name, vals in cols.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Switching adaptive controller: dual estimates (one per bus mode), the
-switching-instant reset/hold rules, ``simulate_switching`` (the switching
-policy of ``kernels.adaptive_loop``, whose histories the monitors read after
-a run), the per-sample reference loop (``AppSupervisor``) and the per-sample
-monitor definitions (common Lyapunov value, equivalent reference, ideal
-reference models, containment scan).
+switching-instant reset/hold rules, the per-sample reference loop
+(``AppSupervisor``) of the switching policy of ``kernels.adaptive_loop``,
+the per-sample monitor definitions (common Lyapunov value, equivalent
+reference, ideal reference models, containment scan) and the trace schema.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .adapt import ParameterEstimate
 from .netbus import Mode, SwitchEvent, SwitchLog, select_mode
 from .plant import (
     DisturbanceTrain,
-    PlantDivergenceError,
     PlantModel,
     SignalHistory,
     step_difference,
@@ -252,9 +250,8 @@ class AppSupervisor:
     """One application's switching loop, one sample at a time: mode selection
     feeds the bus, the per-mode controller runs update-then-control,
     switching instants trigger the reset/hold rules, and the plant is stepped
-    with the active mode's delay.  ``simulate_switching`` runs the same loop
-    over a whole horizon (``kernels.adaptive_loop``); this class is its
-    per-sample reference.  Over
+    with the active mode's delay.  ``kernels.adaptive_loop`` runs the same
+    loop over a whole horizon; this class is its per-sample reference.  Over
     T = len(yref) - d2 samples it records each estimate after sample k,
     reset included, at row k of ``theta1_hist``/``theta2_hist`` and the regressor of
     time t (pre-start ones too) at row t + 1 / t + d2 of ``Phi1_hist``/``Phi2_hist``.
@@ -404,100 +401,6 @@ class AppSupervisor:
             "switch": int(switch_code),
             "dist": float(self.train.value(k)),
         }
-
-
-_TT, _ET = Mode.TT.value, Mode.ET.value
-
-
-@dataclass
-class SwitchingRun:
-    """One application's switching loop over a whole horizon.
-
-    ``e``/``eps`` hold the completed samples; ``modes`` also holds the mode of
-    an aborted sample, which the bus still carries.  ``switches`` are
-    ``(k, direction, p)``, a switch logged at a diverging sample included.
-    ``abort`` is the exception that stopped the loop, if any.
-    """
-
-    d2: int
-    T: int
-    M1: int
-    M2: int
-    y: list  # y(0), y(1), ...: the output read at each sample
-    u: list
-    e: list
-    eps: list
-    modes: list
-    switches: list
-    abort: Exception | None
-    theta_rows: tuple  # flat theta1 and theta2 after each sample, reset applied
-    phi_rows: tuple  # Phi1 and Phi2 rows, pre-start rows first
-
-    @property
-    def samples(self) -> int:
-        return len(self.e)
-
-    @property
-    def theta1_hist(self) -> np.ndarray:
-        return np.array(self.theta_rows[0], dtype=float).reshape(-1, self.M1)
-
-    @property
-    def theta2_hist(self) -> np.ndarray:
-        return np.array(self.theta_rows[1], dtype=float).reshape(-1, self.M2)
-
-    @property
-    def Phi1_hist(self) -> np.ndarray:
-        """Row t + 1: the TT regressor of time t; (T + 1, M1), zero past the run."""
-        return self._padded(self.phi_rows[0], self.T + 1, self.M1)
-
-    @property
-    def Phi2_hist(self) -> np.ndarray:
-        """Row t + d2: the ET regressor of time t; (T + d2, M2), zero past the run."""
-        return self._padded(self.phi_rows[1], self.T + self.d2, self.M2)
-
-    @staticmethod
-    def _padded(rows: list, n: int, M: int) -> np.ndarray:
-        out = np.zeros((n, M))
-        out[:len(rows)] = rows
-        return out
-
-
-def simulate_switching(model: PlantModel, d2: int, eth: float, yref, train: DisturbanceTrain | None = None,
-                       gamma1: float = 0.5, gamma2: float = 0.5, beta0_init: float = 1.0,
-                       y_init=(), u_init=()) -> SwitchingRun:
-    """Run one application's switching loop over T = len(yref) - d2 samples:
-    the switching policy of ``kernels.adaptive_loop``, in ``AppSupervisor``'s
-    order and arithmetic.  The bus never feeds back into this loop, so each
-    application runs alone and the bus is replayed from the modes afterwards.
-    A ``PlantDivergenceError`` or ``ZeroDivisorError`` ends the run and is
-    returned as ``abort``.
-    """
-    if d2 < 2:
-        raise ValueError("d2 must be >= 2")
-    duals = DualEstimates.create(model.m1, model.m2, d2, gamma1, gamma2, beta0_init)
-    if len(y_init) > max(model.m1, 1) or len(u_init) > model.m2 + d2:
-        raise ValueError("initial condition vectors exceed the history depth")
-    train = train if train is not None else DisturbanceTrain.empty()
-    run = kernels.adaptive_loop(
-        model.a, model.b, yref, zip(train.times.tolist(), train.amplitudes.tolist()), y_init, u_init,
-        (duals.theta1.theta, duals.theta2.theta), (gamma1, gamma2), eth,
-    )
-    n, abort = run.k_stop, None
-    if run.status == kernels.SIM_DIVERGED:
-        # reported as the numpy scalar step_difference reports
-        abort = PlantDivergenceError(n + 1, np.float64(run.value))
-    elif run.status == kernels.SIM_ZERO_DIVISOR:
-        abort = adapt.ZeroDivisorError("divisor estimate is zero at control time; guard invariant violated")
-    elif run.status == kernels.SIM_GUARD_BROKEN:
-        abort = adapt.ZeroDivisorError("update drove the divisor estimate to zero despite the guard")
-    # the estimates of a diverging sample are kept (reset applied), not those of one stopped at control
-    rows = n + (run.status == kernels.SIM_DIVERGED)
-    M1, M2 = duals.theta1.theta.shape[0], duals.theta2.theta.shape[0]
-    TH1, TH2 = run.theta_rows
-    return SwitchingRun(d2=int(d2), T=run.T, M1=M1, M2=M2, y=run.y[:n], u=run.u[:n], e=run.e[:n],
-                        eps=run.eps[:n], modes=[_ET if et else _TT for et in run.et],
-                        switches=run.switches, abort=abort,
-                        theta_rows=(TH1[:rows * M1], TH2[:rows * M2]), phi_rows=run.phi_rows)
 
 
 TRACE_FIELDS = [

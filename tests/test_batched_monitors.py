@@ -2,7 +2,8 @@
 columns, against their per-sample definitions: ``ReferenceModel.step``,
 ``GramWindow.report``, ``lyapunov``, ``signal_error`` and
 ``orthogonality_residual``, applied sample by sample to the estimates and
-regressors the switching engine recorded.
+regressors that each app's switching loop (``kernels.adaptive_loop``)
+recorded.
 
 The tolerances were fixed before the batched code was written: the float
 columns agree within 1e-12 x (1 + max |column|), rank at >= 99.9% of the
@@ -20,6 +21,7 @@ from adaptbus import harness
 from adaptbus.adapt import ParameterEstimate
 from adaptbus.excitation import GramWindow, orthogonality_residual
 from adaptbus.harness import parse_config, run_scenario
+from adaptbus.kernels import LoopRun
 from adaptbus.netbus import Mode
 from adaptbus.plant import DisturbanceTrain, PlantModel
 from adaptbus.supervisor import (
@@ -28,11 +30,9 @@ from adaptbus.supervisor import (
     DisturbanceInverseFilter,
     DualEstimates,
     ReferenceModel,
-    SwitchingRun,
     equivalent_reference,
     lyapunov,
     signal_error,
-    simulate_switching,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -81,9 +81,9 @@ SCENARIOS = {
 
 
 class Recorded(NamedTuple):
-    """One app's engine result and the inputs it ran on."""
+    """One app's loop run and the inputs it ran on."""
 
-    run: SwitchingRun
+    run: LoopRun
     model: PlantModel
     yref: np.ndarray
     train: DisturbanceTrain
@@ -95,19 +95,20 @@ def per_sample_monitors(rec: Recorded, n: int, rank_tol: float) -> dict:
     """The monitor columns of the first n samples as the per-sample
     definitions give them."""
     run, model = rec.run, rec.model
-    d2, M2 = run.d2, run.M2
+    theta1_hist, theta2_hist = run.theta_rows
+    Phi1_hist, Phi2_hist = run.phi_rows
+    M2 = theta2_hist.shape[1]
+    d2 = M2 - model.m1 - model.m2
     ts1, ts2 = model.true_theta(1), model.true_theta(d2)
     filt = DisturbanceInverseFilter(model)
     yp = [equivalent_reference(rec.yref[j], rec.train.value(j), filt) for j in range(n + d2)]
     # the ideal models start from the loop's initial conditions
     rm1, rm2 = (ReferenceModel(model, d, rec.y_init, rec.u_init) for d in (1, d2))
     gram = GramWindow(M2, window_len=8 * M2)
-    Phi1_hist, Phi2_hist = run.Phi1_hist, run.Phi2_hist
-    theta1_hist, theta2_hist = run.theta1_hist, run.theta2_hist
     out = {name: [] for name in MONITOR_FIELDS}
     v_prev = None
     for k in range(n):
-        mode = Mode(run.modes[k])
+        mode = Mode.ET if run.et[k] else Mode.TT
         star1, star2 = rm1.step(yp[k + 1]), rm2.step(yp[k + d2])
         Phi1, Phi2 = Phi1_hist[k + 1], Phi2_hist[k + d2]
         Phi, star = (Phi1, star1) if mode == Mode.TT else (Phi2, star2)
@@ -133,16 +134,16 @@ def scenario(request):
     raw = SCENARIOS[request.param]()
     cfg = parse_config(raw)
     recs = []
+    loop = harness._app_loop
 
-    def kept(model, d2, eth, yref, train, *args):
-        y_init, u_init = args[-2:]
-        recs.append(Recorded(simulate_switching(model, d2, eth, yref, train, *args), model, yref, train,
-                             y_init, u_init))
+    def kept(spec, train, yref, *args):
+        recs.append(Recorded(harness._loop_arrays(loop(spec, train, yref, *args)), spec.model, yref, train,
+                             spec.y_init, spec.u_init))
         return recs[-1].run
 
     with pytest.MonkeyPatch.context() as mp:
-        # keep the engine results, whose recorded arrays the reference reads
-        mp.setattr(harness, "simulate_switching", kept)
+        # keep the loop runs, whose recorded arrays the reference reads
+        mp.setattr(harness, "_app_loop", kept)
         trace = run_scenario(cfg)
     blind = dict(raw, plants=[dict(p, oracle=False) for p in raw["plants"]])
     batched = [app.columns for app in trace.apps]
@@ -155,7 +156,7 @@ def scenario(request):
 
 
 def test_scenarios_cover_the_cases(scenario):
-    lengths = [rec.run.samples for rec in scenario["recs"]]
+    lengths = [rec.run.k_stop for rec in scenario["recs"]]
     assert lengths == [len(cols["k"]) for cols in scenario["batched"]]
     if scenario["name"] == "aborted":
         assert scenario["trace"].status.startswith("aborted at sample 2")

@@ -4,14 +4,17 @@ replaced.
 ``reference_fixed_delay`` below is that loop as it was, indexing float64
 arrays one scalar at a time; the float-list ``kernels.simulate_fixed_delay``
 must return the same seven outputs byte for byte, on clean runs and on every
-abort path.  ``harness._dprime_sequence`` is likewise checked against the
-per-sample ``DisturbanceInverseFilter.step`` loop.
+abort path.  ``run_scenario`` runs the fixed protocol on the engine itself,
+so its trace columns, row counts, status and estimate norms are checked
+against the same loop.  ``harness._dprime_sequence`` is likewise checked
+against the per-sample ``DisturbanceInverseFilter.step`` loop.
 """
 
 import numpy as np
 import pytest
 
 from adaptbus import harness, kernels
+from adaptbus.harness import parse_config, run_scenario
 from adaptbus.kernels import DIVERGENCE_LIMIT, SIM_DIVERGED, SIM_OK, SIM_ZERO_DIVISOR, ZERO_FLOOR
 from adaptbus.plant import PlantModel, make_impulse_train
 from adaptbus.supervisor import DisturbanceInverseFilter
@@ -200,6 +203,61 @@ def test_cases_reach_every_path():
             assert outcomes[f"{name}-d{d}-frozen"][0] == SIM_OK
             assert outcomes[f"{name}-d{d}-zero_divisor_at_0"][:2] == (SIM_ZERO_DIVISOR, 0)
             assert outcomes[f"{name}-d{d}-divergence"][0] == SIM_DIVERGED
+
+
+def _fixed_scenario(d, app0, app1):
+    """Two apps under the fixed protocol at delay d, with per-app changes."""
+    return {
+        "name": "fixed engine", "horizon": T, "seed": 1, "protocol": {"kind": "fixed", "d": d},
+        "plants": [dict({"a": [-0.5], "b": [1.0, 0.3]}, **app0),
+                   dict({"a": [-1.1, 0.3], "b": [1.2, 0.36]}, **app1)],
+        "reference": {"type": "sinusoid", "components": [{"amplitude": 1.0, "omega": 0.35, "phase": 0.0}]},
+        "gammas": [0.3, 0.7],
+        "beta0_init": 0.5,
+    }
+
+
+DIVERGING = {"disturbance": {"times": [60], "amplitudes": 1e13, "t_dw": 5}}
+ZERO_DIVISOR = {"beta0_init": 1e-310}  # below ZERO_FLOOR: the run stops at sample 0
+# name: per-delay (app 0 changes, app 1 changes)
+SCENARIOS = {
+    "clean": lambda d: ({}, {"disturbance": {"times": [0, 40], "amplitudes": [0.7, -0.4], "t_dw": 5}}),
+    "divergence": lambda d: ({}, DIVERGING),
+    "zero_divisor": lambda d: ({}, ZERO_DIVISOR),
+    # both apps stop; the status names the last one
+    "divergence_then_zero_divisor": lambda d: (DIVERGING, ZERO_DIVISOR),
+    "initial_conditions": lambda d: ({"y_init": [0.4]}, {"y_init": [0.3, -0.1],
+                                                        "u_init": [0.2, -0.1, 0.05, 0.1][:1 + d]}),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_scenario_matches_the_numpy_scalar_loop(name, d):
+    cfg = parse_config(_fixed_scenario(d, *SCENARIOS[name](d)))
+    trace = run_scenario(cfg)
+    gamma = cfg.gamma1 if d == 1 else cfg.gamma2
+    status = "ok"
+    for i, (spec, app, summary) in enumerate(zip(cfg.plants, trace.apps, trace.summary["apps"])):
+        model = spec.model
+        yref = cfg.reference().sequence(T + d, spec.phase_offset)
+        dist = harness._build_train(spec.disturbance, T, None).dense(T + 1)
+        theta0 = np.zeros(model.m1 + model.m2 + d)
+        theta0[-1] = spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init
+        st, k_stop, y, u, eps, theta_hist, _Phi = reference_fixed_delay(
+            model.a, model.b, d, gamma, theta0, yref, dist, np.asarray(spec.y_init, dtype=float),
+            np.asarray(spec.u_init, dtype=float), True)
+        n = T if st == SIM_OK else k_stop
+        if st != SIM_OK:
+            status = f"{'diverged' if st == SIM_DIVERGED else 'zero divisor'}: app {i} at sample {k_stop}"
+        assert len(app.columns["k"]) == n
+        for col, want in (("y", y[:n]), ("u", u[:n]), ("eps", eps[:n]), ("e", y[:n] - yref[:n])):
+            assert app.columns[col].dtype == want.dtype and app.columns[col].tobytes() == want.tobytes(), col
+        norms = np.linalg.norm(theta_hist[:n], axis=1)
+        assert summary["max_theta_norm"] == (float(np.max(norms)) if n else 0.0)
+    assert trace.status == status
+    if name != "clean" and name != "initial_conditions":
+        assert status != "ok"
 
 
 def test_dprime_sequence_matches_the_inverse_filter():

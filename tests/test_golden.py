@@ -11,6 +11,11 @@ fingerprint matches the one they were recorded with.
 The switching configs also pin the sha256 of their bus log (the exported
 ``cycles`` and ``deliveries``) and of their per-app switch lists.
 
+Every config also pins the sha256 of its exported CSV and JSON files.  Those
+hold the monitor columns, whose ``rank`` and ``alpha_hat`` come from LAPACK,
+and the JSON summary (the estimate norms), so they too are compared only
+where the fingerprint matches.
+
 A change that moves a digest re-records it here and says why in CHANGES.md.
 """
 
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adaptbus.harness import INT_FIELDS, evaluate_monitors, parse_config, run_scenario
+from adaptbus.harness import INT_FIELDS, evaluate_monitors, export_trace, parse_config, run_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIM_COLUMNS = ("y", "u", "e", "eps", "mode", "switch", "delay", "dist")
@@ -60,6 +65,20 @@ BUS_GOLDEN = {
                              "781dd00b86d92d54d7711e4b426ccaa8ac9a3275e177842b741cef6a3ec57e82", 5000, [1]),
     "switching_3app": ("802013103b74d5a158602788400acdff2532bac6e7ff48aa33446c032669d0df",
                        "80ad2233fd0af8fbd179a87f97f3dfe4fccdc102045c4cbe4797c33d8194ca9b", 15000, [11, 11, 11]),
+}
+
+# config: (CSV sha256, JSON sha256)
+EXPORT_GOLDEN = {
+    "fixed_tt": ("f309066215010f3961a7f4ee00e63799cfefe38f782a206a6f4c38f7b8afd9b3",
+                 "b617d395689eb5e99938e2dc769333d2f45d5879deea750c2dccbbd2238a1be4"),
+    "fixed_et": ("62730fb74402eb73b2da3bd3ecbe2dbd33d9d4d6db0a630333b650bfbb804dc2",
+                 "a25f2457125a02ff0c4aaf5793f119d388cf119b98779abec6975b368ff9a27e"),
+    "switching_1app": ("4b46cb4ba6666ddef22e97363f777c5b967e19ace41ee556d995cb30b931af96",
+                       "43de4b64a186a17919909b171058ca5521d31ba1bbc5130c321ee970d2acdc0e"),
+    "switching_1app_quiet": ("1c0d045770032b9d288b8b3c5eda8d241357de0edbd188dc40ea8f63ca9e7991",
+                             "caba56f0970c3348e1d8c6204d03a499f98798c1e41e975af7b1270d15ef8e84"),
+    "switching_3app": ("02618ffe3771ce2f372836a517d2dc6883891a2168a8987e6dd6df648b9cc88b",
+                       "02ac391c1e59b479fb666306171fee366e51130e5998a3c4561ca85e92aa198e"),
 }
 
 
@@ -116,3 +135,16 @@ def test_bus_log_and_switches_match_golden(name):
     assert [len(app.switches) for app in trace.apps] == switches
     assert json_digest([trace.bus["cycles"], trace.bus["deliveries"]]) == bus_digest
     assert json_digest([app.switches for app in trace.apps]) == switch_digest
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_GOLDEN))
+def test_exported_files_match_golden(name, tmp_path):
+    if fingerprint() != FINGERPRINT:
+        pytest.skip(f"recorded with {FINGERPRINT}; LAPACK and vectorised sin differ on {fingerprint()}")
+    trace = run_scenario(parse_config(CONFIG_DIR / f"{name}.json"))
+    digests = []
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"trace.{fmt}"
+        export_trace(trace, path, fmt)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(digests) == EXPORT_GOLDEN[name]

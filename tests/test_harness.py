@@ -106,6 +106,11 @@ class TestParseConfig:
         dist = {"times": times, "amplitudes": 1.0, "t_dw": 5}
         for raw in (minimal_config(disturbance=dist),
                     minimal_config(plants=[{"a": [-0.5], "b": [1.0], "disturbance": dist}])):
+            if min(times) < 0:
+                # no horizon reaches a time below 0, so parsing rejects it
+                with pytest.raises(ConfigError, match=r"outside the horizon \[0, 50\)"):
+                    parse_config(raw)
+                continue
             cfg = parse_config(raw)  # accepted, so that a caller can shorten the horizon
             with pytest.raises(ConfigError, match=r"outside the horizon \[0, 50\)"):
                 check_impulse_times(cfg)
@@ -139,10 +144,22 @@ class TestParseConfig:
 
 class TestRunFixed:
     def test_zero_horizon(self):
-        trace = run_scenario(parse_config(minimal_config(horizon=0)))
-        assert trace.status == "ok"
-        assert len(trace.apps[0].columns["k"]) == 0
-        assert trace.summary["apps"][0]["samples"] == 0
+        for protocol in ({"kind": "fixed", "d": 1}, {"kind": "switching", "d2": 2, "eth": 0.05}):
+            trace = run_scenario(parse_config(minimal_config(horizon=0, protocol=protocol)))
+            assert trace.status == "ok"
+            assert len(trace.apps[0].columns["k"]) == 0
+            assert trace.summary["apps"][0]["samples"] == 0
+
+    def test_yref_prime_is_yref_without_the_oracle(self):
+        # the equivalent reference comes from the true plant, which an app
+        # without the oracle does not consult
+        dist = {"times": [10, 30], "amplitudes": 1.0, "t_dw": 5}
+        plants = [{"a": [-0.5], "b": [1.0], "oracle": False}, {"a": [-0.5], "b": [1.0]}]
+        trace = run_scenario(parse_config(minimal_config(protocol={"kind": "fixed", "d": 2},
+                                                         plants=plants, disturbance=dist)))
+        blind, seen = trace.apps
+        assert blind.columns["yref_prime"].tobytes() == blind.columns["yref"].tobytes()
+        assert not np.array_equal(seen.columns["yref_prime"], seen.columns["yref"])
 
     def test_columns_present_and_sized(self):
         trace = run_scenario(parse_config(minimal_config()))
@@ -313,6 +330,21 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert "configuration error: disturbance: impulse time 1500 lies outside" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("protocol", [{"kind": "fixed", "d": 2},
+                                          {"kind": "switching", "d2": 3, "eth": 0.05}],
+                             ids=["fixed", "switching"])
+    def test_negative_impulse_time_is_config_error(self, tmp_path, command, protocol):
+        dist = {"times": [-1], "amplitudes": 5.0, "t_dw": 1}
+        cfg = minimal_config(protocol=protocol, plants=[{"a": [], "b": [0.25], "disturbance": dist}])
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "configuration error: disturbance: impulse time -1 lies outside" in out.stderr
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("command", ["check", "run"])

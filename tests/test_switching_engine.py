@@ -4,10 +4,10 @@ replaces.
 ``per_sample_run`` is that loop: per sample, every app senses in priority
 order, transmits on the bus, the bus cycle advances, and every app steps
 through its ``AppSupervisor``.  ``run_scenario`` instead runs each app's loop
-alone (``simulate_switching``) and replays the bus afterwards.  The two must
-give the same bytes: simulation columns, status, switch lists, bus
-deliveries and cycles, and the recorded estimates and regressors, also when
-a run aborts part way through a sample.
+alone (``kernels.adaptive_loop``, called by ``harness._app_loop``) and
+replays the bus afterwards.  The two must give the same bytes: simulation
+columns, status, switch lists, bus deliveries and cycles, and the recorded
+estimates and regressors, also when a run aborts part way through a sample.
 """
 
 import json
@@ -19,9 +19,10 @@ import pytest
 from adaptbus import harness
 from adaptbus.adapt import ZeroDivisorError
 from adaptbus.harness import parse_config, run_scenario
+from adaptbus.kernels import SIM_OK
 from adaptbus.netbus import BusCapacityError, BusState, advance_cycle, transmit
-from adaptbus.plant import PlantDivergenceError, PlantModel
-from adaptbus.supervisor import SIM_FIELDS, AppSupervisor, simulate_switching
+from adaptbus.plant import PlantDivergenceError
+from adaptbus.supervisor import SIM_FIELDS, AppSupervisor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 INT_COLUMNS = ("app", "k", "delay", "switch")
@@ -63,15 +64,16 @@ def per_sample_run(cfg):
 
 
 def engine_run(cfg):
-    """The trace of run_scenario and the engine result of every app."""
+    """The trace of run_scenario and the loop run of every app."""
     runs = []
+    loop = harness._app_loop
 
     def kept(*args, **kwargs):
-        runs.append(simulate_switching(*args, **kwargs))
+        runs.append(harness._loop_arrays(loop(*args, **kwargs)))
         return runs[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "simulate_switching", kept)
+        mp.setattr(harness, "_app_loop", kept)
         trace = run_scenario(cfg)
     return trace, runs
 
@@ -202,22 +204,15 @@ def test_recorded_histories_match_the_supervisor(case):
     _status, sups, _state = case["reference"]
     for run, sup in zip(case["runs"], sups):
         n = len(sup.rows["k"])
-        assert run.theta1_hist[:n].tobytes() == sup.theta1_hist[:n].tobytes()
-        assert run.theta2_hist[:n].tobytes() == sup.theta2_hist[:n].tobytes()
-        assert run.Phi1_hist.shape == sup.Phi1_hist.shape
-        assert run.Phi2_hist.shape == sup.Phi2_hist.shape
-        assert run.Phi1_hist[:n + 1].tobytes() == sup.Phi1_hist[:n + 1].tobytes()
-        assert run.Phi2_hist[:n + sup.d2].tobytes() == sup.Phi2_hist[:n + sup.d2].tobytes()
+        theta1, theta2 = run.theta_rows
+        assert theta1[:n].tobytes() == sup.theta1_hist[:n].tobytes()
+        assert theta2[:n].tobytes() == sup.theta2_hist[:n].tobytes()
+        # the loop keeps the regressor rows it made; the supervisor's arrays
+        # span the horizon and are zero past the run
+        for mine, theirs, rows in ((run.phi_rows[0], sup.Phi1_hist, n + 1),
+                                   (run.phi_rows[1], sup.Phi2_hist, n + sup.d2)):
+            assert mine.shape[1] == theirs.shape[1] and rows <= len(mine) <= len(theirs)
+            if run.status == SIM_OK:
+                assert mine.shape == theirs.shape
+            assert mine[:rows].tobytes() == theirs[:rows].tobytes()
 
-
-def test_engine_validates_its_inputs():
-    model = PlantModel(a=[-0.5], b=[1.0])
-    with pytest.raises(ValueError, match="d2"):
-        simulate_switching(model, 1, 0.05, np.ones(10))
-    with pytest.raises(ValueError, match="history depth"):
-        simulate_switching(model, 2, 0.05, np.ones(10), y_init=[0.1, 0.2])
-    with pytest.raises(ValueError, match="history depth"):
-        simulate_switching(model, 2, 0.05, np.ones(10), u_init=[0.1, 0.2, 0.3])
-    run = simulate_switching(model, 2, 0.05, np.ones(2))
-    assert run.samples == 0 and run.abort is None
-    assert run.Phi1_hist.shape == (1, 2) and run.Phi2_hist.shape == (2, 3)
