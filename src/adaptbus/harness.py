@@ -77,13 +77,10 @@ class ScenarioConfig:
     def bus_config(self) -> BusConfig:
         p = self.protocol
         n = len(self.plants)
-        slots = p.get("static_slots") or {i: i for i in range(n)}
         prios = p.get("dyn_priorities") or {i: i + 1 for i in range(n)}
-        slots = {int(k): int(v) for k, v in (slots.items() if isinstance(slots, dict) else enumerate(slots))}
         prios = {int(k): int(v) for k, v in (prios.items() if isinstance(prios, dict) else enumerate(prios))}
         return BusConfig(
             n_apps=n,
-            static_slots=slots,
             dyn_priorities=prios,
             minislots_per_cycle=int(p.get("minislots_per_cycle", max(4, 2 * n))),
             d2=int(p["d2"]),
@@ -346,13 +343,12 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     runs = [_app_loop(spec, train, yref_ext, beta0_init, delays, gammas, eth)
             for spec, train, yref_ext, beta0_init in inputs]
     if cfg.kind == "fixed":
-        # every app runs to its own stop; the status names the last app that stopped
-        rows, aborting, status = [run.k_stop for run in runs], None, "ok"
+        # every app runs to its own stop; the status names each app that stopped, in app order
+        rows, aborting = [run.k_stop for run in runs], None
         bus = {"cycles": [], "deliveries": []}
-        for i, run in enumerate(runs):
-            if run.status:
-                kind = "diverged" if run.status == kernels.SIM_DIVERGED else "zero divisor"
-                status = f"{kind}: app {i} at sample {run.k_stop}"
+        status = "; ".join(
+            f"{'diverged' if run.status == kernels.SIM_DIVERGED else 'zero divisor'}: app {i} at sample {run.k_stop}"
+            for i, run in enumerate(runs) if run.status) or "ok"
     else:
         rows, aborting, status, bus = _replay_bus(buscfg, runs, cfg.horizon)
     rank_tol = cfg.tolerances.get("rank_tol", 1e-6)

@@ -3,13 +3,16 @@
 segment of minislots arbitrated by priority.
 
 Time-triggered messages ride reserved slots and actuate at k+1.  An
-event-triggered message enqueued at k arrives at the actuator node at
-k + 1 + c, where c counts the cycles it had to carry over because higher
-priority traffic exhausted the dynamic segment's minislots; the arrival must
-stay within k + d2 - 1 (tau <= (d2-1)h).  The actuator releases at the fixed
-worst case k + d2, which is the delay the event-triggered control law is
-designed for, so the closed-loop delay is deterministic per mode: exactly 1
-in TT, exactly d2 in ET.
+event-triggered message enqueued at k joins cycle k's dynamic segment, and
+``advance_cycle``'s minislot walk is the only model of when it arrives: a
+message sent in cycle c arrives at the actuator node at c + 1.  A message
+the walk cannot fit carries over; the carry queue is served first in first
+out, ahead of every fresh message, so the cycle that sends a carried message
+is fixed when it is carried.  The arrival must stay within k + d2 - 1
+(tau <= (d2-1)h).  The actuator releases at the fixed worst case k + d2,
+which is the delay the event-triggered control law is designed for, so the
+closed-loop delay is deterministic per mode: exactly 1 in TT, exactly d2 in
+ET.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ def select_mode(e_k: float, eth: float) -> Mode:
 @dataclass(frozen=True)
 class BusConfig:
     n_apps: int
-    static_slots: dict
     dyn_priorities: dict  # lower number = higher priority
     minislots_per_cycle: int
     d2: int
@@ -54,13 +56,11 @@ class BusConfig:
             raise ValueError("minislots_per_cycle must be >= 0")
         if self.message_minislots < 1:
             raise ValueError("message_minislots must be >= 1")
-        for name, mapping in (("static slot", self.static_slots), ("priority", self.dyn_priorities)):
-            if set(mapping) != set(range(self.n_apps)):
-                raise ValueError(f"{name} assignments must name exactly the apps 0..{self.n_apps - 1}, "
-                                 f"got {list(mapping)}")
-            vals = list(mapping.values())
-            if len(set(vals)) != len(vals):
-                raise ValueError(f"{name} assignments must be injective")
+        if set(self.dyn_priorities) != set(range(self.n_apps)):
+            raise ValueError(f"priority assignments must name exactly the apps 0..{self.n_apps - 1}, "
+                             f"got {list(self.dyn_priorities)}")
+        if len(set(self.dyn_priorities.values())) != len(self.dyn_priorities):
+            raise ValueError("priority assignments must be injective")
 
     @classmethod
     def default(cls, n_apps: int, d2: int = 2, eth: float = 0.05,
@@ -69,7 +69,6 @@ class BusConfig:
             minislots_per_cycle = max(4, 2 * n_apps * message_minislots)
         return cls(
             n_apps=n_apps,
-            static_slots={i: i for i in range(n_apps)},
             dyn_priorities={i: i + 1 for i in range(n_apps)},
             minislots_per_cycle=minislots_per_cycle,
             d2=d2,
@@ -88,7 +87,6 @@ class CycleReport:
     idle_slots: int
     transmissions: list  # (app, msg_len)
     carried: list  # (app, msg_len, enqueued_k)
-    tt_sends: list  # apps served in the static segment
 
     @property
     def conserved(self) -> bool:
@@ -97,12 +95,14 @@ class CycleReport:
 
 @dataclass
 class BusState:
-    """Per-cycle accounting: current modes, fresh dynamic-segment requests,
-    carryovers from exhausted cycles, and the delivery/cycle logs."""
+    """Per-cycle accounting: current modes, fresh dynamic-segment requests and
+    their delivery records, carryovers from exhausted cycles, and the
+    delivery/cycle logs."""
 
     cycle_index: int = 0
     modes: dict = field(default_factory=dict)
     cycle_requests: dict = field(default_factory=dict)  # app -> msg_len (this cycle)
+    pending: dict = field(default_factory=dict)  # app -> index of its ET delivery record (this cycle)
     carryover: list = field(default_factory=list)  # (app, msg_len, enqueued_k)
     deliveries: list = field(default_factory=list)  # (app, k, mode, delivery, arrival)
     cycle_log: list = field(default_factory=list)
@@ -142,63 +142,23 @@ class SwitchLog:
         return ev
 
 
-def _minislots_ahead(state: BusState, config: BusConfig, app) -> int:
-    """Minislots the dynamic-segment walk spends before reaching this app's
-    slot this cycle: carryovers first, then each higher-priority slot at its
-    message length if it enqueued (priority-order calling guarantees those are
-    already registered) or one idle minislot otherwise."""
-    my_prio = config.dyn_priorities[app]
-    ahead = sum(l for (_a, l, _k) in state.carryover)
-    for other, prio in config.dyn_priorities.items():
-        if other == app or prio >= my_prio:
-            continue
-        ahead += state.cycle_requests.get(other, 1)
-    return ahead
-
-
-def _et_arrival(config: BusConfig, app, k: int, ahead: int) -> int:
-    """Arrival sample of app's ET message enqueued at k behind ``ahead``
-    minislots of this cycle: if the budget is exhausted before its slot, it
-    carries over whole cycles (future cycles assumed to serve the carry queue
-    first), and the arrival k + 1 + carries must stay within k + d2 - 1 or the
-    configuration is infeasible."""
-    msg_len = config.message_minislots
-    capacity = config.minislots_per_cycle
-    if ahead + msg_len <= capacity:
-        carries = 0
-    elif capacity >= msg_len:
-        spill = ahead + msg_len - capacity
-        carries = -(-spill // capacity)
-    else:
-        raise BusCapacityError(
-            f"message length {msg_len} exceeds the whole dynamic segment ({capacity} minislots)"
-        )
-    arrival = k + 1 + carries
-    if arrival > k + config.d2 - 1:
-        raise BusCapacityError(
-            f"app {app!r} message at sample {k} would arrive at {arrival} "
-            f"(> k + d2 - 1 = {k + config.d2 - 1}); priority/d2/minislot budget infeasible"
-        )
-    return arrival
-
-
 def transmit(state: BusState, config: BusConfig, app, k: int) -> int:
     """Enqueue app's control message at sample k; returns the actuation sample.
 
     TT: the reserved static slot delivers at k+1.  ET: the message joins this
-    cycle's dynamic segment and arrives as ``_et_arrival`` predicts.  The
-    returned delivery is the deterministic actuator release k + d2 that the ET
-    control law assumes.
+    cycle's dynamic segment and is logged with arrival k + 1, the arrival if
+    this cycle's walk sends it; ``advance_cycle`` rewrites it if the walk
+    carries the message over.  The returned delivery is the deterministic
+    actuator release k + d2 that the ET control law assumes.
     """
     if app not in config.dyn_priorities:
         raise KeyError(f"application {app!r} is not registered on the bus")
-    mode = state.modes.get(app, Mode.TT)
-    if mode == Mode.TT:
+    if state.modes.get(app, Mode.TT) == Mode.TT:
         state.deliveries.append((app, k, Mode.TT.value, k + 1, k + 1))
         return k + 1
-    arrival = _et_arrival(config, app, k, _minislots_ahead(state, config, app))
     state.cycle_requests[app] = config.message_minislots
-    state.deliveries.append((app, k, Mode.ET.value, k + config.d2, arrival))
+    state.pending[app] = len(state.deliveries)
+    state.deliveries.append((app, k, Mode.ET.value, k + config.d2, k + 1))
     return k + config.d2
 
 
@@ -206,31 +166,54 @@ def replay(state: BusState, config: BusConfig, modes, n: int) -> None:
     """Run samples 0..n-1 of the bus on a fresh state from the applications'
     modes, as ``transmit`` for each app in priority order and then
     ``advance_cycle`` would: ``modes[app][k]`` is the mode app sends in at
-    sample k.
-
-    Each fresh dynamic slot's minislots ahead are a running prefix over the
-    priority order (carryovers, then each higher-priority slot at its message
-    length or one idle minislot), so a cycle costs O(apps).  A
-    ``BusCapacityError`` leaves the deliveries made before it and
-    ``state.cycle_index`` at the failing sample.
+    sample k.  A ``BusCapacityError`` leaves every delivery up to the failing
+    sample logged and ``state.cycle_index`` at that sample.
     """
     order = config.priority_order()
     msg_len, d2 = config.message_minislots, config.d2
     tt, et = Mode.TT.value, Mode.ET.value
     deliveries = state.deliveries
     for k, row in zip(range(n), zip(*(modes[app] for app in order))):
-        state.modes.update(zip(order, row))
-        ahead = sum(l for (_a, l, _k) in state.carryover)
         for app, mode in zip(order, row):
             if mode == et:
-                arrival = _et_arrival(config, app, k, ahead)
                 state.cycle_requests[app] = msg_len
-                deliveries.append((app, k, et, k + d2, arrival))
-                ahead += msg_len
+                state.pending[app] = len(deliveries)
+                deliveries.append((app, k, et, k + d2, k + 1))
             else:
                 deliveries.append((app, k, tt, k + 1, k + 1))
-                ahead += 1
         advance_cycle(state, config)
+
+
+def _schedule_carried(state: BusState, config: BusConfig, carried: list, fresh: int) -> None:
+    """Write the arrival of each message this cycle carried fresh (``carried``
+    from position ``fresh`` on) into its delivery record.  The carry queue is
+    served first in first out, ahead of every fresh message, capacity //
+    msg_len messages per cycle, so a message enqueued at k that sits at queue
+    position p is sent in cycle k + 1 + p // (capacity // msg_len) and
+    arrives one sample later.  Raises ``BusCapacityError`` if a message can
+    never be sent, or if one arrives after k + d2 - 1."""
+    capacity, deliveries = config.minislots_per_cycle, state.deliveries
+    late = None
+    for p in range(fresh, len(carried)):
+        app, msg_len, _cycle = carried[p]
+        if app not in state.pending:
+            continue  # raw ``requests`` traffic has no record and no deadline
+        if msg_len > capacity:
+            raise BusCapacityError(
+                f"message length {msg_len} exceeds the whole dynamic segment ({capacity} minislots)"
+            )
+        i = state.pending[app]
+        k = deliveries[i][1]
+        arrival = k + 2 + p // (capacity // msg_len)
+        deliveries[i] = deliveries[i][:4] + (arrival,)
+        if late is None and arrival > k + config.d2 - 1:
+            late = (app, k, arrival)
+    if late is not None:
+        app, k, arrival = late
+        raise BusCapacityError(
+            f"app {app!r} message at sample {k} would arrive at {arrival} "
+            f"(> k + d2 - 1 = {k + config.d2 - 1}); priority/d2/minislot budget infeasible"
+        )
 
 
 def advance_cycle(state: BusState, config: BusConfig, requests: dict | None = None) -> CycleReport:
@@ -240,6 +223,15 @@ def advance_cycle(state: BusState, config: BusConfig, requests: dict | None = No
     carryovers: an idle slot consumes one minislot, a transmitted message
     consumes its length, and a message that no longer fits consumes one idle
     minislot (if any budget remains) and carries over.
+
+    The walk decides every ET arrival: a message sent in cycle c arrives at
+    c + 1, as ``transmit`` logged it, and a message carried fresh gets its
+    arrival written into its delivery record now (``_schedule_carried``).
+    If one can never be sent or arrives after k + d2 - 1, this raises
+    ``BusCapacityError``: the sample's deliveries stay logged with their
+    arrivals, the cycle is not logged, and ``state.cycle_index`` stays at the
+    failing sample.  Messages given as ``requests`` are raw minislot traffic,
+    with no delivery record and no deadline.
     """
     if requests is not None:
         state.cycle_requests = dict(requests)
@@ -260,6 +252,7 @@ def advance_cycle(state: BusState, config: BusConfig, requests: dict | None = No
                 consumed += 1
                 idle += 1
             carried.append((app, msg_len, enq_k))
+    fresh = len(carried)
     # fresh dynamic slots in priority order
     for app in config.priority_order():
         if app in state.cycle_requests:
@@ -279,17 +272,18 @@ def advance_cycle(state: BusState, config: BusConfig, requests: dict | None = No
                 budget -= 1
                 consumed += 1
                 idle += 1
-    tt_sends = [a for a, m in state.modes.items() if m == Mode.TT]
+    if len(carried) > fresh:
+        _schedule_carried(state, config, carried, fresh)
     report = CycleReport(
         cycle=state.cycle_index,
         consumed_minislots=consumed,
         idle_slots=idle,
         transmissions=tx,
         carried=carried,
-        tt_sends=tt_sends,
     )
     state.carryover = carried
     state.cycle_requests = {}
+    state.pending = {}
     state.cycle_index += 1
     state.cycle_log.append(report)
     return report

@@ -351,8 +351,7 @@ class TestCLI:
     @pytest.mark.parametrize("key,mapping", [
         ("dyn_priorities", {"0": 1, "5": 2, "2": 3}),
         ("dyn_priorities", {"1": 1, "2": 2}),
-        ("static_slots", {"0": 0, "1": 1, "3": 2}),
-    ], ids=["priority_for_unknown_app", "priority_missing_app", "static_slot_for_unknown_app"])
+    ], ids=["priority_for_unknown_app", "priority_missing_app"])
     def test_bus_mapping_must_name_every_app(self, tmp_path, command, key, mapping):
         cfg = json.loads((CONFIG_DIR / "switching_3app.json").read_text())
         cfg["protocol"][key] = mapping

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,26 +42,23 @@ class TestSelectMode:
 class TestBusConfig:
     def test_d2_minimum(self):
         with pytest.raises(ValueError, match="d2"):
-            BusConfig(1, {0: 0}, {0: 1}, 4, d2=1, eth=0.1)
+            BusConfig(1, {0: 1}, 4, d2=1, eth=0.1)
 
     def test_injective_slots(self):
         with pytest.raises(ValueError, match="injective"):
-            BusConfig(2, {0: 0, 1: 0}, {0: 1, 1: 2}, 4, d2=2, eth=0.1)
+            BusConfig(2, {0: 1, 1: 1}, 4, d2=2, eth=0.1)
 
     def test_default_factory(self):
         cfg = BusConfig.default(3)
         assert cfg.priority_order() == [0, 1, 2]
 
-    @pytest.mark.parametrize("n_apps,slots,prios", [
-        (3, {0: 0, 1: 1, 2: 2}, {0: 1, 5: 2, 2: 3}),
-        (3, {0: 0, 1: 1, 2: 2}, {1: 1, 2: 2}),
-        (2, {0: 0}, {0: 1, 1: 2}),
-        (2, {0: 0, 1: 1, 2: 2}, {0: 1, 1: 2}),
-    ], ids=["priority_for_unknown_app", "priority_missing_app", "static_slot_missing_app",
-            "static_slot_for_unknown_app"])
-    def test_mappings_name_exactly_the_apps(self, n_apps, slots, prios):
+    @pytest.mark.parametrize("n_apps,prios", [
+        (3, {0: 1, 5: 2, 2: 3}),
+        (3, {1: 1, 2: 2}),
+    ], ids=["priority_for_unknown_app", "priority_missing_app"])
+    def test_mappings_name_exactly_the_apps(self, n_apps, prios):
         with pytest.raises(ValueError, match=f"must name exactly the apps 0..{n_apps - 1}"):
-            BusConfig(n_apps, slots, prios, 4, d2=2, eth=0.1)
+            BusConfig(n_apps, prios, 4, d2=2, eth=0.1)
 
 
 class TestTransmit:
@@ -74,15 +73,17 @@ class TestTransmit:
         assert transmit(state, cfg, 0, 100) == 102
 
     def test_et_three_apps_capacity_two(self):
-        # two messages fit the dynamic segment; the third must carry a cycle,
-        # blowing the d2 budget
-        cfg = BusConfig(3, {i: i for i in range(3)}, {i: i + 1 for i in range(3)},
+        # two messages fit the dynamic segment; the walk carries the third a
+        # cycle, blowing the d2 budget
+        cfg = BusConfig(3, {i: i + 1 for i in range(3)},
                         minislots_per_cycle=2, d2=2, eth=0.1)
-        state = BusState(modes={i: Mode.ET for i in range(3)})
-        assert transmit(state, cfg, 0, 50) == 52
-        assert transmit(state, cfg, 1, 50) == 52
-        with pytest.raises(BusCapacityError):
-            transmit(state, cfg, 2, 50)
+        state = BusState(cycle_index=50, modes={i: Mode.ET for i in range(3)})
+        assert [transmit(state, cfg, app, 50) for app in range(3)] == [52, 52, 52]
+        with pytest.raises(BusCapacityError,
+                           match=r"app 2 message at sample 50 would arrive at 52 \(> k \+ d2 - 1 = 51\)"):
+            advance_cycle(state, cfg)
+        assert [d[4] for d in state.deliveries] == [51, 51, 52]
+        assert state.cycle_index == 50 and not state.cycle_log
 
     def test_unregistered_app(self):
         cfg = BusConfig.default(1)
@@ -90,11 +91,13 @@ class TestTransmit:
             transmit(BusState(modes={5: Mode.TT}), cfg, 5, 0)
 
     def test_oversized_message(self):
-        cfg = BusConfig(1, {0: 0}, {0: 1}, minislots_per_cycle=2, d2=2, eth=0.1,
+        cfg = BusConfig(1, {0: 1}, minislots_per_cycle=2, d2=2, eth=0.1,
                         message_minislots=3)
         state = BusState(modes={0: Mode.ET})
-        with pytest.raises(BusCapacityError, match="dynamic segment"):
-            transmit(state, cfg, 0, 0)
+        assert transmit(state, cfg, 0, 0) == 2
+        with pytest.raises(BusCapacityError,
+                           match=r"message length 3 exceeds the whole dynamic segment \(2 minislots\)"):
+            advance_cycle(state, cfg)
 
 
 class TestAdvanceCycle:
@@ -107,7 +110,7 @@ class TestAdvanceCycle:
         assert report.conserved
 
     def test_long_message_plus_idles(self):
-        cfg = BusConfig(3, {i: i for i in range(3)}, {i: i + 1 for i in range(3)},
+        cfg = BusConfig(3, {i: i + 1 for i in range(3)},
                         minislots_per_cycle=8, d2=2, eth=0.1)
         report = advance_cycle(BusState(), cfg, requests={0: 4})
         assert report.consumed_minislots == 6  # 4 + 1 + 1
@@ -116,13 +119,13 @@ class TestAdvanceCycle:
         assert report.conserved
 
     def test_empty_dynamic_segment(self):
-        cfg = BusConfig(0, {}, {}, minislots_per_cycle=4, d2=2, eth=0.1)
+        cfg = BusConfig(0, {}, minislots_per_cycle=4, d2=2, eth=0.1)
         report = advance_cycle(BusState(), cfg, requests={})
         assert report.consumed_minislots == 0
         assert report.conserved
 
     def test_carryover_served_next_cycle(self):
-        cfg = BusConfig(2, {0: 0, 1: 1}, {0: 1, 1: 2}, minislots_per_cycle=2,
+        cfg = BusConfig(2, {0: 1, 1: 2}, minislots_per_cycle=2,
                         d2=3, eth=0.1)
         state = BusState(modes={0: Mode.ET, 1: Mode.ET})
         r1 = advance_cycle(state, cfg, requests={0: 2, 1: 2})
@@ -133,11 +136,22 @@ class TestAdvanceCycle:
         assert r2.transmissions == [(1, 2)]
         assert r2.conserved
 
+    def test_carried_arrival_past_the_deadline_aborts(self):
+        # one two-minislot message per three-minislot cycle: the walk would
+        # send the four messages of sample 0 in cycles 0-3, so app 3 arrives
+        # at 4 > k + d2 - 1 = 3
+        cfg = BusConfig.default(4, d2=4, minislots_per_cycle=3, message_minislots=2)
+        state = BusState()
+        with pytest.raises(BusCapacityError, match=r"app 3 message at sample 0 would arrive at 4 "):
+            replay(state, cfg, [["ET"]] * 4, 1)
+        assert [(d[0], d[4]) for d in state.deliveries] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert state.cycle_index == 0 and not state.cycle_log and not state.carryover
+
     def test_conservation_random(self):
         import numpy as np
 
         rng = np.random.default_rng(5)
-        cfg = BusConfig(4, {i: i for i in range(4)}, {i: i + 1 for i in range(4)},
+        cfg = BusConfig(4, {i: i + 1 for i in range(4)},
                         minislots_per_cycle=6, d2=4, eth=0.1)
         state = BusState(modes={i: Mode.ET for i in range(4)})
         for _ in range(200):
@@ -192,20 +206,26 @@ def per_sample_bus(cfg, modes, n):
     return state, None
 
 
+def random_bus(rng, n=40):
+    """A bus with random priorities, budget, d2 and message length, and a
+    random mode matrix over n samples, mostly ET."""
+    n_apps = int(rng.integers(1, 6))
+    prios = rng.permutation(n_apps) + 1
+    cfg = BusConfig(n_apps, {i: int(prios[i]) for i in range(n_apps)},
+                    minislots_per_cycle=int(rng.integers(1, 2 * n_apps + 3)),
+                    d2=int(rng.integers(2, 6)), eth=0.1, message_minislots=int(rng.integers(1, 3)))
+    modes = [[Mode.ET.value if rng.random() < 0.7 else Mode.TT.value for _ in range(n)]
+             for _ in range(n_apps)]
+    return cfg, modes
+
+
 class TestReplay:
     def test_matches_transmit_and_advance_cycle(self):
-        # random priorities, budgets, message lengths and mode matrices: some
-        # runs carry messages over, some abort part way through a sample
+        # some runs carry messages over, some abort
         rng = np.random.default_rng(7)
         carried = aborted = 0
         for _ in range(60):
-            n_apps = int(rng.integers(1, 6))
-            prios = rng.permutation(n_apps) + 1
-            cfg = BusConfig(n_apps, {i: i for i in range(n_apps)}, {i: int(prios[i]) for i in range(n_apps)},
-                            minislots_per_cycle=int(rng.integers(1, 2 * n_apps + 3)),
-                            d2=int(rng.integers(2, 6)), eth=0.1, message_minislots=int(rng.integers(1, 3)))
-            modes = [[Mode.ET.value if rng.random() < 0.7 else Mode.TT.value for _ in range(40)]
-                     for _ in range(n_apps)]
+            cfg, modes = random_bus(rng)
             ref, ref_error = per_sample_bus(cfg, modes, 40)
             state = BusState()
             error = None
@@ -219,8 +239,48 @@ class TestReplay:
             assert state.carryover == ref.carryover
             assert state.cycle_index == ref.cycle_index
             carried += any(r.carried for r in state.cycle_log) and error is None
-            aborted += error is not None and any(d[1] == state.cycle_index for d in state.deliveries)
+            aborted += error is not None
         assert carried and aborted
+
+    def test_every_et_arrival_is_one_after_the_cycle_that_sends_it(self):
+        # The walk does not read d2, so a run with the deadline out of reach
+        # shows which cycle sends each message: run it on past the last
+        # sample until the carry queue drains.  An app's messages leave in
+        # enqueue order.  The run with the real d2 logs the same arrivals up
+        # to where it aborts.
+        rng = np.random.default_rng(7)
+        carried = late = 0
+        for _ in range(300):
+            cfg, modes = random_bus(rng)
+            if cfg.message_minislots > cfg.minislots_per_cycle:
+                with pytest.raises(BusCapacityError, match="exceeds the whole dynamic segment"):
+                    replay(BusState(), cfg, modes, 40)
+                continue
+            free = BusState()
+            replay(free, replace(cfg, d2=10**6), modes, 40)
+            while free.carryover:
+                advance_cycle(free, cfg)
+            sends, arrivals = {}, {}
+            for report in free.cycle_log:
+                for app, _len in report.transmissions:
+                    sends.setdefault(app, []).append(report.cycle + 1)
+            for app, _k, mode, _delivery, arrival in free.deliveries:
+                if mode == Mode.ET.value:
+                    arrivals.setdefault(app, []).append(arrival)
+            assert arrivals == sends
+            state = BusState()
+            stop = 40
+            try:
+                replay(state, cfg, modes, 40)
+            except BusCapacityError:
+                stop = state.cycle_index
+                late += 1
+                assert any(d[4] > d[1] + cfg.d2 - 1 for d in state.deliveries if d[1] == stop)
+            n = len(state.deliveries)
+            assert [d[4] for d in state.deliveries] == [d[4] for d in free.deliveries[:n]]
+            assert all(d[4] <= d[1] + cfg.d2 - 1 for d in state.deliveries if d[1] < stop)
+            carried += any(d[4] > d[1] + 1 for d in state.deliveries if d[1] < stop)
+        assert carried and late
 
     def test_stops_after_n_samples(self):
         cfg = BusConfig.default(2, d2=3)

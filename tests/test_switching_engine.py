@@ -18,7 +18,7 @@ import pytest
 
 from adaptbus import harness
 from adaptbus.adapt import ZeroDivisorError
-from adaptbus.harness import parse_config, run_scenario
+from adaptbus.harness import evaluate_monitors, parse_config, run_scenario
 from adaptbus.kernels import SIM_OK
 from adaptbus.netbus import BusCapacityError, BusState, advance_cycle, transmit
 from adaptbus.plant import PlantDivergenceError
@@ -162,14 +162,27 @@ def test_case_reaches_its_abort(case):
     assert trace.status.startswith(case["status"])
     assert [len(app.columns["k"]) for app in trace.apps] == case["rows"]
     if case["name"] == "bus_capacity":
-        # the sends at sample 2 made before the failing app are kept
-        assert [d[0] for d in trace.bus["deliveries"] if d[1] == 2] == [0]
+        # every send at sample 2 stays logged with the arrival the walk gives
+        # it; app 1's is past k + d2 - 1 = 3
+        assert [(d[0], d[4]) for d in trace.bus["deliveries"] if d[1] == 2] == [(0, 3), (1, 4), (2, 5)]
+        assert len(trace.bus["cycles"]) == 2
     if case["name"] == "divergence_at_switch":
         assert trace.apps[1].switches[-1][0] == 302
     if case["name"] == "zero_divisor_pending_switch":
         assert [ev[0] for ev in trace.apps[1].switches] == [1]
     if case["name"] == "carried_messages":
         assert any(cycle["carried"] for cycle in trace.bus["cycles"])
+
+
+def test_carried_messages_arrive_by_their_deadline():
+    cfg = parse_config(CASES["carried_messages"][0])
+    trace = run_scenario(cfg)
+    assert trace.status == "ok"
+    assert any(cycle["carried"] for cycle in trace.bus["cycles"])
+    et = [(k, arrival) for _app, k, mode, _delivery, arrival in trace.bus["deliveries"] if mode == "ET"]
+    assert max(arrival - k for k, arrival in et) == cfg.bus_config().d2 - 1
+    report = evaluate_monitors(trace, cfg)
+    assert [r.passed for r in report.results if r.name == "bus_delay_dichotomy"] == [True]
 
 
 def test_status_and_bus_match_the_per_sample_loop(case):
