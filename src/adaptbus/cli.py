@@ -15,8 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .harness import (ConfigError, check_impulse_times, evaluate_monitors, export_trace, load_trace,
-                      parse_config, run_scenario)
+from .harness import (ConfigError, check_impulse_times, evaluate_monitors, export_trace, load_document,
+                      load_trace, parse_config, run_scenario)
 
 EXIT_OK = 0
 EXIT_MONITOR_FAIL = 1
@@ -43,12 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    check_impulse_times(cfg)
+    raw = load_document(args.config)
     if args.seed is not None:
-        raw = dict(cfg.raw)
         raw["seed"] = args.seed
-        cfg = parse_config(raw)
+    cfg = parse_config(raw)
+    check_impulse_times(cfg)
     trace = run_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

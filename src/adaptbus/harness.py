@@ -9,8 +9,9 @@ adaptive loop) or the switching TT/ET protocol with its bus parameters.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +44,17 @@ class ConfigError(ValueError):
 
 @dataclass
 class PlantSpec:
+    """One application as it runs.  ``disturbance`` and ``beta0_init`` are the
+    app's own, else the scenario's shared ones, and ``train`` is the impulse
+    train drawn from that disturbance."""
     model: PlantModel
     y_init: tuple = ()
     u_init: tuple = ()
     oracle: bool = True
     phase_offset: float = 0.0
     disturbance: dict | None = None
-    beta0_init: float | None = None  # per-app override of the shared default
+    train: DisturbanceTrain = field(default_factory=DisturbanceTrain.empty)
+    beta0_init: float = 1.0
 
 
 @dataclass
@@ -59,20 +64,16 @@ class ScenarioConfig:
     seed: int
     protocol: dict
     plants: list
-    reference_spec: dict
-    disturbance: dict | None
-    gamma1: float
-    gamma2: float
-    beta0_init: float
+    reference: reference.ReferenceGenerator
+    delays: tuple  # of the loop: (d,) on the fixed protocol, (1, d2) switching
+    gammas: tuple  # the update-guard gain of each delay
+    eth: float  # the switching threshold; -1 on the fixed protocol
     tolerances: dict
     raw: dict
 
     @property
     def kind(self) -> str:
         return self.protocol["kind"]
-
-    def reference(self) -> reference.ReferenceGenerator:
-        return reference.from_spec(self.reference_spec)
 
     def bus_config(self) -> BusConfig:
         p = self.protocol
@@ -89,7 +90,8 @@ class ScenarioConfig:
         )
 
 
-def _load_raw(source) -> dict:
+def load_document(source) -> dict:
+    """The scenario document of a path, a JSON text or a dict (copied)."""
     if isinstance(source, dict):
         return json.loads(json.dumps(source))
     text = None
@@ -115,9 +117,15 @@ def _check_gamma(value: float, name: str) -> float:
 
 
 def parse_config(source) -> ScenarioConfig:
-    """Load and validate a scenario; all plant/gain/protocol rules are
-    enforced here so a scenario that parses will run."""
-    raw = _load_raw(source)
+    """Load, validate and resolve a scenario, so that a scenario that parses
+    will run.  Every plant/gain/protocol/reference rule is enforced here but
+    one: impulse times at or past the horizon are accepted, so that a caller
+    can shorten a run, and rejected by ``check_impulse_times``.
+
+    Each app takes its own ``disturbance`` and ``beta0_init``, else the shared
+    ones; random impulse trains are drawn from one generator seeded by
+    ``seed``, app by app."""
+    raw = load_document(source)
     try:
         horizon = int(raw.get("horizon", 0))
         if horizon < 0:
@@ -130,15 +138,28 @@ def parse_config(source) -> ScenarioConfig:
         if kind == "fixed":
             if int(protocol.get("d", 0)) < 1:
                 raise ConfigError("fixed protocol needs a delay d >= 1")
+            delays, eth = (int(protocol["d"]),), -1.0
         else:
             if int(protocol.get("d2", 0)) < 2:
                 raise ConfigError("switching protocol needs d2 >= 2")
             if float(protocol.get("eth", 0.0)) <= 0:
                 raise ConfigError("switching protocol needs eth > 0")
-        delay = int(protocol["d" if kind == "fixed" else "d2"])  # the longest delay a loop uses
+            delays, eth = (1, int(protocol["d2"])), float(protocol["eth"])
+        delay = delays[-1]  # the longest delay a loop uses
         plants_raw = raw.get("plants", [])
         if not plants_raw:
             raise ConfigError("at least one plant is required")
+        shared_beta0 = float(raw.get("beta0_init", 1.0))
+        if shared_beta0 == 0.0:
+            raise ConfigError("beta0_init must be nonzero: the divisor estimate cannot start at zero")
+        shared_dist = raw.get("disturbance")
+        if shared_dist is not None:
+            # checked even where every plant has its own; these draws are unused
+            _impulse_train(shared_dist, horizon, lambda: np.random.default_rng(seed))
+        # one generator for every random train, made when the first is
+        # drawn: numpy imports numpy.random on first use, which costs several
+        # times a whole parse
+        rng = functools.cache(lambda: np.random.default_rng(seed))
         plants = []
         for i, p in enumerate(plants_raw):
             try:
@@ -156,26 +177,25 @@ def parse_config(source) -> ScenarioConfig:
             for name, depth in (("y_init", max(model.m1, 1)), ("u_init", max(model.m2 + delay, 1))):
                 if len(p.get(name, ())) > depth:
                     raise ConfigError(f"plant[{i}]: {name} has {len(p[name])} values; the history holds {depth}")
+            # the app's own disturbance and divisor prior, else the shared ones
+            dist = shared_dist if p.get("disturbance") is None else p["disturbance"]
             plants.append(PlantSpec(
                 model=model,
                 y_init=tuple(p.get("y_init", ())),
                 u_init=tuple(p.get("u_init", ())),
                 oracle=bool(p.get("oracle", True)),
                 phase_offset=float(p.get("phase_offset", 0.0)),
-                disturbance=p.get("disturbance"),
-                beta0_init=None if b0i is None else float(b0i),
+                disturbance=dist,
+                train=DisturbanceTrain.empty() if dist is None else _impulse_train(dist, horizon, rng),
+                beta0_init=shared_beta0 if b0i is None else float(b0i),
             ))
-        ref_spec = raw.get("reference", {"type": "constant", "level": 1.0})
         try:
-            gen = reference.from_spec(ref_spec)
+            gen = reference.from_spec(raw.get("reference", {"type": "constant", "level": 1.0}))
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"reference: {exc}") from exc
         gammas = raw.get("gammas", [0.5, 0.5])
         gamma1 = _check_gamma(gammas[0], "gamma1")
         gamma2 = _check_gamma(gammas[1] if len(gammas) > 1 else gammas[0], "gamma2")
-        beta0_init = float(raw.get("beta0_init", 1.0))
-        if beta0_init == 0.0:
-            raise ConfigError("beta0_init must be nonzero: the divisor estimate cannot start at zero")
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(raw.get("tolerances", {}))
         if isinstance(gen, reference.Tabulated):
@@ -183,28 +203,22 @@ def parse_config(source) -> ScenarioConfig:
             if shifted:
                 raise ConfigError(f"plant[{shifted[0]}]: phase_offset needs a periodic reference, not a file")
             _check_table_length(gen, horizon, delay, tol)
-        dist = raw.get("disturbance")
-        if dist is not None:
-            _validate_disturbance(dist, horizon)
-        for spec in plants:
-            if spec.disturbance is not None:
-                _validate_disturbance(spec.disturbance, horizon)
         cfg = ScenarioConfig(
             name=str(raw.get("name", "scenario")),
             horizon=horizon,
             seed=seed,
             protocol=protocol,
             plants=plants,
-            reference_spec=ref_spec,
-            disturbance=dist,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            beta0_init=beta0_init,
+            reference=gen,
+            delays=delays,
+            gammas=tuple(gamma1 if d == 1 else gamma2 for d in delays),
+            eth=eth,
             tolerances=tol,
             raw=raw,
         )
         if kind == "switching":
             cfg.bus_config()  # validates slot/priority/d2/eth consistency
+        _check_reference_richness(gen, tol)
         return cfg
     except ConfigError:
         raise
@@ -232,48 +246,67 @@ def _check_table_length(gen: reference.Tabulated, horizon: int, lookahead: int, 
             )
 
 
-def _validate_disturbance(spec: dict, horizon: int) -> None:
+def _richness_window(declared: int) -> tuple[int, int, int]:
+    """(largest order tested, window length, samples read) of the richness
+    check of a reference that declares the order ``declared``."""
+    m_max = declared + 1
+    N = 8 * m_max + 16
+    return m_max, N, N + m_max + 64
+
+
+def _check_reference_richness(gen: reference.ReferenceGenerator, tol: dict) -> None:
+    declared = gen.declared_sr_order
+    if declared is None or not tol.get("check_sr", True) or declared == 0:
+        return
+    m_max, N, T = _richness_window(declared)
+    seq = gen.sequence(T)
+    peak = float(np.max(np.abs(seq))) if seq.size else 0.0
+    if peak == 0.0:
+        measured = 0
+    else:
+        measured = sr_order(seq, m_max=m_max, N=N, tol=1e-8 * N * peak * peak)
+    if measured != declared:
+        raise ConfigError(
+            f"reference declares richness order {declared} but measures {measured}"
+        )
+
+
+def _impulse_train(spec: dict, horizon: int, rng) -> DisturbanceTrain:
+    """The impulse train of a disturbance spec: its explicit times, or times
+    drawn from the generator ``rng()`` returns.  Times below 0 are rejected;
+    times at or past the horizon are left to check_impulse_times."""
     t_dw = int(spec.get("t_dw", 0))
     if t_dw < 1:
         raise ConfigError("disturbance t_dw must be >= 1")
-    if spec.get("times") is not None:
-        times = list(spec["times"])
-        amps = spec.get("amplitudes", 1.0)
-        try:
-            train = make_impulse_train(t_dw, horizon, amplitudes=amps, times=times)
-        except ValueError as exc:
-            raise ConfigError(f"disturbance: {exc}") from exc
-        early = [t for t in train.times.tolist() if t < 0]
-        if early:
-            raise ConfigError(_outside_horizon(early[0], horizon))
-    elif not spec.get("random", False):
+    times = spec.get("times")
+    if times is None and not spec.get("random", False):
         raise ConfigError("disturbance needs explicit 'times' or 'random': true")
+    amplitudes = spec.get("amplitudes", 1.0)
+    try:
+        if times is None:
+            train = make_impulse_train(t_dw, horizon, amplitudes=amplitudes, rng=rng())
+        else:
+            train = make_impulse_train(t_dw, horizon, amplitudes=amplitudes, times=list(times))
+    except ValueError as exc:
+        raise ConfigError(f"disturbance: {exc}") from exc
+    early = [t for t in train.times.tolist() if t < 0]
+    if early:
+        raise ConfigError(_outside_horizon(early[0], horizon))
+    return train
 
 
 def check_impulse_times(cfg: ScenarioConfig) -> None:
-    """Reject impulse times outside [0, horizon), which a run never reaches.
-    parse_config rejects the times below 0; the command line calls this, and
-    parse_config does not, so that a caller can shorten a run."""
-    for spec in [cfg.disturbance] + [plant.disturbance for plant in cfg.plants]:
-        for t in (spec or {}).get("times") or ():
-            if not 0 <= int(t) < cfg.horizon:
+    """Reject impulse times at or past the horizon, which a run never
+    reaches.  parse_config rejects the times below 0; the command line calls
+    this, and parse_config does not, so that a caller can shorten a run."""
+    for spec in cfg.plants:
+        for t in spec.train.times.tolist():
+            if t >= cfg.horizon:
                 raise ConfigError(_outside_horizon(t, cfg.horizon))
 
 
 def _outside_horizon(t, horizon: int) -> str:
     return f"disturbance: impulse time {t} lies outside the horizon [0, {horizon})"
-
-
-def _build_train(spec: dict | None, horizon: int, rng) -> DisturbanceTrain:
-    if spec is None:
-        return DisturbanceTrain.empty()
-    if spec.get("times") is not None:
-        return make_impulse_train(
-            int(spec["t_dw"]), horizon, amplitudes=spec.get("amplitudes", 1.0), times=list(spec["times"])
-        )
-    return make_impulse_train(
-        int(spec["t_dw"]), horizon, amplitudes=spec.get("amplitudes", 1.0), rng=rng
-    )
 
 
 @dataclass
@@ -293,33 +326,6 @@ class Trace:
     schema_version: int = SCHEMA_VERSION
 
 
-def _richness_window(declared: int) -> tuple[int, int, int]:
-    """(largest order tested, window length, samples read) of the richness
-    check of a reference that declares the order ``declared``."""
-    m_max = declared + 1
-    N = 8 * m_max + 16
-    return m_max, N, N + m_max + 64
-
-
-def _check_reference_richness(cfg: ScenarioConfig) -> None:
-    gen = cfg.reference()
-    declared = gen.declared_sr_order
-    if declared is None or not cfg.tolerances.get("check_sr", True) or declared == 0:
-        return
-    m_max, N, T = _richness_window(declared)
-    seq = gen.sequence(T)
-    peak = float(np.max(np.abs(seq))) if seq.size else 0.0
-    if peak == 0.0:
-        measured = 0
-    else:
-        tol = 1e-8 * N * peak * peak
-        measured = sr_order(seq, m_max=m_max, N=N, tol=tol)
-    if measured != declared:
-        raise ConfigError(
-            f"reference declares richness order {declared} but measures {measured}"
-        )
-
-
 def run_scenario(cfg: ScenarioConfig) -> Trace:
     """Execute the scenario deterministically and return the full trace.
 
@@ -330,19 +336,11 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     divisor or bus infeasibility aborts with a partial trace and a diagnostic
     in ``status``.
     """
-    _check_reference_richness(cfg)
+    # each app's reference runs the longest delay's lookahead past the horizon
+    yrefs = [cfg.reference.sequence(cfg.horizon + cfg.delays[-1], spec.phase_offset) for spec in cfg.plants]
+    runs = [_app_loop(spec, yref_ext, cfg) for spec, yref_ext in zip(cfg.plants, yrefs)]
     if cfg.kind == "fixed":
-        d = int(cfg.protocol["d"])
-        delays, gammas, eth = (d,), (cfg.gamma1 if d == 1 else cfg.gamma2,), -1.0
-        summary = {"kind": "fixed", "d": d}
-    else:
-        buscfg = cfg.bus_config()
-        delays, gammas, eth = (1, buscfg.d2), (cfg.gamma1, cfg.gamma2), buscfg.eth
-        summary = {"kind": "switching", "d2": buscfg.d2, "eth": buscfg.eth}
-    inputs = _app_inputs(cfg, delays[-1])
-    runs = [_app_loop(spec, train, yref_ext, beta0_init, delays, gammas, eth)
-            for spec, train, yref_ext, beta0_init in inputs]
-    if cfg.kind == "fixed":
+        summary = {"kind": "fixed", "d": cfg.delays[0]}
         # every app runs to its own stop; the status names each app that stopped, in app order
         rows, aborting = [run.k_stop for run in runs], None
         bus = {"cycles": [], "deliveries": []}
@@ -350,45 +348,30 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
             f"{'diverged' if run.status == kernels.SIM_DIVERGED else 'zero divisor'}: app {i} at sample {run.k_stop}"
             for i, run in enumerate(runs) if run.status) or "ok"
     else:
-        rows, aborting, status, bus = _replay_bus(buscfg, runs, cfg.horizon)
+        summary = {"kind": "switching", "d2": cfg.delays[-1], "eth": cfg.eth}
+        rows, aborting, status, bus = _replay_bus(cfg.bus_config(), runs, cfg.horizon)
     rank_tol = cfg.tolerances.get("rank_tol", 1e-6)
     apps, summary["apps"] = [], []
-    for i, (n, (spec, train, yref_ext, _beta0)) in enumerate(zip(rows, inputs)):
+    for i, (n, spec, yref_ext) in enumerate(zip(rows, cfg.plants, yrefs)):
         # the loop's lists are freed before this app's ideal models run
         run, runs[i] = _loop_arrays(runs[i]), None
         # the aborting app keeps a switch logged at its aborted sample (a
         # diverging app logs it before the plant step)
         switches = run.switches if i == aborting else [ev for ev in run.switches if ev[0] < n]
-        app, app_summary = _app_trace(i, run, n, delays, spec, yref_ext, train, switches, rank_tol)
+        app, app_summary = _app_trace(i, run, n, cfg.delays, spec, yref_ext, switches, rank_tol)
         apps.append(app)
         summary["apps"].append(app_summary)
     return Trace(config=cfg.raw, status=status, apps=apps, bus=bus, summary=summary)
 
 
-def _app_inputs(cfg: ScenarioConfig, lookahead: int) -> list:
-    """(spec, train, yref_ext, beta0_init) of each app in plant order.  Random
-    impulse trains draw from one generator seeded by cfg.seed, app by app;
-    yref_ext runs lookahead samples past the horizon."""
-    rng = np.random.default_rng(cfg.seed)
-    gen = cfg.reference()
-    T = cfg.horizon
-    out = []
-    for spec in cfg.plants:
-        train = _build_train(spec.disturbance if spec.disturbance is not None else cfg.disturbance, T, rng)
-        out.append((spec, train, gen.sequence(T + lookahead, spec.phase_offset),
-                    spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init))
-    return out
-
-
-def _app_loop(spec: PlantSpec, train: DisturbanceTrain, yref_ext: np.ndarray, beta0_init: float,
-              delays: tuple, gammas: tuple, eth: float) -> kernels.LoopRun:
+def _app_loop(spec: PlantSpec, yref_ext: np.ndarray, cfg: ScenarioConfig) -> kernels.LoopRun:
     """One app's closed loop over the horizon, with one estimate per delay,
-    each zero but for its divisor element, beta0_init."""
-    model = spec.model
-    thetas = [[0.0] * (model.m1 + model.m2 + d - 1) + [beta0_init] for d in delays]
+    each zero but for its divisor element, the app's beta0_init."""
+    model, train = spec.model, spec.train
+    thetas = [[0.0] * (model.m1 + model.m2 + d - 1) + [spec.beta0_init] for d in cfg.delays]
     return kernels.adaptive_loop(model.a, model.b, yref_ext,
                                  zip(train.times.tolist(), train.amplitudes.tolist()),
-                                 spec.y_init, spec.u_init, thetas, gammas, eth)
+                                 spec.y_init, spec.u_init, thetas, cfg.gammas, cfg.eth)
 
 
 def _loop_arrays(run: kernels.LoopRun) -> kernels.LoopRun:
@@ -466,8 +449,7 @@ def _mode_labels(delay: np.ndarray) -> np.ndarray:
 
 
 def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: PlantSpec,
-               yref_ext: np.ndarray, train: DisturbanceTrain, switches: list,
-               rank_tol: float) -> tuple[AppTrace, dict]:
+               yref_ext: np.ndarray, switches: list, rank_tol: float) -> tuple[AppTrace, dict]:
     """The first n rows of one app's trace, and its summary, from its loop
     run: the simulation columns, and the monitor columns computed from the
     recorded estimates and regressors against the ideal model at each delay
@@ -493,13 +475,13 @@ def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: P
         "delay": delay,
         "eps": run.eps[:n].copy(),
         "switch": switch,
-        "dist": train.dense(n),
+        "dist": spec.train.dense(n),
     }
     cols.update({name: np.zeros(n, dtype=int if name == "rank" else float) for name in MONITOR_FIELDS},
                 yref_prime=cols["yref"])
     thetas = [rows[:n] for rows in run.theta_rows]
     if spec.oracle and n:
-        yref_prime = yref_ext[:n + d] + _dprime_sequence(model, train, n + d)
+        yref_prime = yref_ext[:n + d] + _dprime_sequence(model, spec.train, n + d)
         errs = [model.true_theta(dj) - theta for dj, theta in zip(delays, thetas)]
         Phis = [rows[dj: dj + n] for dj, rows in zip(delays, run.phi_rows)]
         diffs = [Phi[:, :-1] - _ideal_regressors(model, dj, yref_prime, n, spec.y_init, spec.u_init)[:, :-1]
@@ -875,7 +857,7 @@ def _fixed_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
             worst_tail = max(worst_tail, float(np.max(np.abs(e[settle:]))))
     results.append(MonitorResult("tracking_tail", worst_tail < track, worst_tail, track,
                                  detail=f"|e| for k >= {settle}"))
-    declared = cfg.reference().declared_sr_order
+    declared = cfg.reference.declared_sr_order
     oracle = all(spec.oracle for spec in cfg.plants)
     if oracle and declared:
         ranks = [int(app.columns["rank"][-1]) for app in trace.apps if len(app.columns["rank"])]
@@ -896,7 +878,7 @@ def _fixed_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
             results.append(MonitorResult("orthogonality_residual", worst_o < float(tol["ortho_tol"]),
                                          worst_o, float(tol["ortho_tol"]),
                                          detail=f"max over final {window} settled samples"))
-    if cfg.disturbance is None and oracle:
+    if oracle and all(spec.disturbance is None for spec in cfg.plants):
         worst_dv = 0.0
         for app in trace.apps:
             dv = app.columns["dV"]
@@ -908,20 +890,18 @@ def _fixed_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
 
 def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
     tol = cfg.tolerances
-    buscfg = cfg.bus_config()
-    d2, eth = buscfg.d2, buscfg.eth
+    d2, eth = cfg.delays[-1], cfg.eth
     # impulse response: each impulse must push |e| past eth within d2 samples
     # and put the app in TT right after
     worst_margin = np.inf
     all_triggered = True
     any_impulse = False
     for app, spec in zip(trace.apps, cfg.plants):
-        dspec = spec.disturbance if spec.disturbance is not None else cfg.disturbance
-        if dspec is None or dspec.get("times") is None:
+        if spec.disturbance is None or spec.disturbance.get("times") is None:
             continue
         e = app.columns["e"]
         mode = app.columns["mode"]
-        for t in dspec["times"]:
+        for t in spec.disturbance["times"]:
             any_impulse = True
             w = [abs(float(e[j])) for j in range(t + 1, min(t + d2 + 1, len(e)))]
             peak = max(w) if w else 0.0
@@ -935,15 +915,14 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
         results.append(MonitorResult("impulse_triggers_tt", bool(all_triggered),
                                      float(worst_margin), eth,
                                      detail=f"min post-impulse |e| peak within d2={d2} samples"))
-    # containment and phase lengths
-    m2 = max(spec.model.m2 for spec in cfg.plants)
+    # containment, each app over its own window, and phase lengths
     contain_ok = True
     phase_ok = True
     worst_contain = 0.0
     min_phase_len = np.inf
-    for app in trace.apps:
+    for app, spec in zip(trace.apps, cfg.plants):
         events = [netbus.SwitchEvent(k=s[0], direction=s[1], p=s[2]) for s in app.switches]
-        rep = containment_check(app.columns["e"], events, eth, m2, d2)
+        rep = containment_check(app.columns["e"], events, eth, spec.model.m2, d2)
         for entry in rep.entries:
             worst_contain = max(worst_contain, max((abs(v) for v in entry.errors), default=0.0))
             contain_ok = contain_ok and entry.ok
@@ -951,8 +930,9 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
             if ph.terminated:
                 min_phase_len = min(min_phase_len, ph.length)
             phase_ok = phase_ok and ph.ok
+    windows = "/".join(str(w) for w in sorted({spec.model.m2 + d2 for spec in cfg.plants}))
     results.append(MonitorResult("re_entry_containment", contain_ok, worst_contain, eth,
-                                 detail=f"|e| over the first m2+d2={m2 + d2} re-entry samples"))
+                                 detail=f"|e| over the first m2+d2={windows} re-entry samples"))
     results.append(MonitorResult("et_phase_length", phase_ok,
                                  float(min_phase_len if np.isfinite(min_phase_len) else -1.0), 2.0,
                                  detail="every terminated ET phase must exceed 2 samples"))
@@ -975,8 +955,7 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
                                      worst_dv, float(tol["dv_tol"]),
                                      detail="max dV at non-switch samples"))
     # quiescence under no disturbance
-    no_dist = cfg.disturbance is None and all(spec.disturbance is None for spec in cfg.plants)
-    if no_dist:
+    if all(spec.disturbance is None for spec in cfg.plants):
         late_switches = 0
         for app in trace.apps:
             e = app.columns["e"]

@@ -136,8 +136,8 @@ def scenario(request):
     recs = []
     loop = harness._app_loop
 
-    def kept(spec, train, yref, *args):
-        recs.append(Recorded(harness._loop_arrays(loop(spec, train, yref, *args)), spec.model, yref, train,
+    def kept(spec, yref, *args):
+        recs.append(Recorded(harness._loop_arrays(loop(spec, yref, *args)), spec.model, yref, spec.train,
                              spec.y_init, spec.u_init))
         return recs[-1].run
 

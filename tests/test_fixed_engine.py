@@ -236,14 +236,14 @@ SCENARIOS = {
 def test_run_scenario_matches_the_numpy_scalar_loop(name, d):
     cfg = parse_config(_fixed_scenario(d, *SCENARIOS[name](d)))
     trace = run_scenario(cfg)
-    gamma = cfg.gamma1 if d == 1 else cfg.gamma2
+    (gamma,) = cfg.gammas
     stops = []
     for i, (spec, app, summary) in enumerate(zip(cfg.plants, trace.apps, trace.summary["apps"])):
         model = spec.model
-        yref = cfg.reference().sequence(T + d, spec.phase_offset)
-        dist = harness._build_train(spec.disturbance, T, None).dense(T + 1)
+        yref = cfg.reference.sequence(T + d, spec.phase_offset)
+        dist = spec.train.dense(T + 1)
         theta0 = np.zeros(model.m1 + model.m2 + d)
-        theta0[-1] = spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init
+        theta0[-1] = spec.beta0_init
         st, k_stop, y, u, eps, theta_hist, _Phi = reference_fixed_delay(
             model.a, model.b, d, gamma, theta0, yref, dist, np.asarray(spec.y_init, dtype=float),
             np.asarray(spec.u_init, dtype=float), True)

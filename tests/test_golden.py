@@ -16,6 +16,13 @@ hold the monitor columns, whose ``rank`` and ``alpha_hat`` come from LAPACK,
 and the JSON summary (the estimate norms), so they too are compared only
 where the fingerprint matches.
 
+One scenario with random impulse trains pins its sha256 and the impulses of
+each app's ``dist`` column: two apps share the scenario's random disturbance
+and one has its own, so the pin holds the order in which the apps draw from
+the seeded generator.  It is compared where numpy's version matches the one
+it was recorded with, since the generator's streams may change between
+versions.
+
 A change that moves a digest re-records it here and says why in CHANGES.md.
 """
 
@@ -80,6 +87,23 @@ EXPORT_GOLDEN = {
     "switching_3app": ("02618ffe3771ce2f372836a517d2dc6883891a2168a8987e6dd6df648b9cc88b",
                        "02ac391c1e59b479fb666306171fee366e51130e5998a3c4561ca85e92aa198e"),
 }
+
+# apps 0 and 2 take the shared random train, app 1 its own; recorded before
+# the trains were drawn in parse_config
+RANDOM_TRAINS = {
+    "name": "random trains", "horizon": 3000, "seed": 21,
+    "protocol": {"kind": "switching", "d2": 2, "eth": 0.05, "minislots_per_cycle": 8},
+    "plants": [{"a": [], "b": [0.25]},
+               {"a": [], "b": [0.25], "disturbance": {"random": True, "t_dw": 400, "amplitudes": 0.8}},
+               {"a": [], "b": [0.25]}],
+    "reference": {"type": "constant", "level": 2.0},
+    "disturbance": {"random": True, "t_dw": 500, "amplitudes": 1.0},
+    "beta0_init": 0.25,
+}
+# (sim sha256, impulse samples and amplitude of each app's dist column)
+RANDOM_GOLDEN = ("767bd921c9fdbf36114058401f8f280bf089665502832b1fb0eda1b8f696452e",
+                 [([150, 1040, 1733, 2535], 1.0), ([283, 820, 1255, 1772, 2424], 0.8),
+                  ([490, 1111, 1822, 2795], 1.0)])
 
 
 def cpu_model() -> str:
@@ -148,3 +172,16 @@ def test_exported_files_match_golden(name, tmp_path):
         export_trace(trace, path, fmt)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert tuple(digests) == EXPORT_GOLDEN[name]
+
+
+def test_random_trains_match_golden():
+    if np.__version__ != FINGERPRINT["numpy"]:
+        pytest.skip(f"recorded with numpy {FINGERPRINT['numpy']}; its random streams may differ in {np.__version__}")
+    digest, impulses = RANDOM_GOLDEN
+    trace = run_scenario(parse_config(RANDOM_TRAINS))
+    assert trace.status == "ok"
+    for app, (times, amplitude) in zip(trace.apps, impulses):
+        dist = app.columns["dist"]
+        assert np.flatnonzero(dist).tolist() == times
+        assert dist[times].tolist() == [amplitude] * len(times)
+    assert sim_digest(trace) == digest

@@ -18,6 +18,7 @@ from adaptbus.harness import (
     read_trace_csv,
     run_scenario,
 )
+from adaptbus.plant import make_impulse_train
 from adaptbus.supervisor import TRACE_FIELDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -73,13 +74,62 @@ class TestParseConfig:
             parse_config(minimal_config(disturbance=bad))
 
     def test_richness_declaration_checked(self):
-        cfg = parse_config(minimal_config(reference={
-            "type": "sinusoid",
-            "components": [{"amplitude": 1.0, "omega": 0.4}],
-            "sr_order": 3,
-        }))
         with pytest.raises(ConfigError, match="richness"):
-            run_scenario(cfg)
+            parse_config(minimal_config(reference={
+                "type": "sinusoid",
+                "components": [{"amplitude": 1.0, "omega": 0.4}],
+                "sr_order": 3,
+            }))
+
+    @pytest.mark.parametrize("shared", [
+        {"random": True, "t_dw": 20, "amplitudes": 0.5},
+        {"times": [5, 30], "amplitudes": 0.5, "t_dw": 20},
+    ], ids=["shared_random", "shared_explicit"])
+    def test_disturbance_and_prior_resolve_per_app(self, shared):
+        # each app takes its own disturbance and beta0_init, else the shared
+        # ones; random trains draw from one generator seeded by `seed`, app
+        # by app, and explicit trains draw nothing
+        own_random = {"random": True, "t_dw": 15, "amplitudes": -0.2}
+        own_times = {"times": [3, 40], "amplitudes": [1.5, 2.0], "t_dw": 10}
+        plants = [{"a": [], "b": [0.25]},
+                  {"a": [], "b": [0.25], "disturbance": own_random, "beta0_init": 0.4},
+                  {"a": [], "b": [0.25], "disturbance": own_times},
+                  {"a": [], "b": [0.25], "beta0_init": -0.3}]
+        cfg = parse_config(minimal_config(plants=plants, disturbance=shared, beta0_init=0.7))
+        assert [spec.disturbance for spec in cfg.plants] == [shared, own_random, own_times, shared]
+        assert [spec.beta0_init for spec in cfg.plants] == [0.7, 0.4, 0.7, -0.3]
+        rng = np.random.default_rng(3)
+
+        def shared_train():
+            if "times" in shared:
+                return make_impulse_train(20, 50, 0.5, times=[5, 30])
+            return make_impulse_train(20, 50, 0.5, rng=rng)
+
+        want = [shared_train(), make_impulse_train(15, 50, -0.2, rng=rng),
+                make_impulse_train(10, 50, [1.5, 2.0], times=[3, 40]), shared_train()]
+        for spec, train in zip(cfg.plants, want):
+            assert spec.train.times.tolist() == train.times.tolist()
+            assert spec.train.amplitudes.tolist() == train.amplitudes.tolist()
+        assert cfg.plants[0].train.times.size > 1 and cfg.plants[1].train.times.size > 1
+        if "random" in shared:
+            # the last app draws after the others, so its train is not the first app's
+            assert cfg.plants[3].train.times.tolist() != cfg.plants[0].train.times.tolist()
+        trace = run_scenario(cfg)
+        for app, spec in zip(trace.apps, cfg.plants):
+            assert app.columns["dist"].tobytes() == spec.train.dense(50).tobytes()
+        bare = parse_config(minimal_config(plants=plants[:1]))
+        assert bare.plants[0].disturbance is None and bare.plants[0].train.times.size == 0
+        assert bare.plants[0].beta0_init == 1.0
+
+    @pytest.mark.parametrize("protocol, delays, gammas, eth", [
+        ({"kind": "fixed", "d": 1}, (1,), (0.3,), -1.0),
+        ({"kind": "fixed", "d": 2}, (2,), (0.7,), -1.0),
+        ({"kind": "switching", "d2": 3, "eth": 0.05}, (1, 3), (0.3, 0.7), 0.05),
+    ])
+    def test_loop_delays_and_gains_resolved(self, protocol, delays, gammas, eth):
+        # gamma1 guards the estimate at delay 1, gamma2 any longer delay
+        cfg = parse_config(minimal_config(protocol=protocol, gammas=[0.3, 0.7]))
+        assert (cfg.delays, cfg.gammas, cfg.eth) == (delays, gammas, eth)
 
     @pytest.mark.parametrize("protocol, n_values", [
         ({"kind": "fixed", "d": 2}, 51),
@@ -274,6 +324,40 @@ class TestMonitors:
         report = evaluate_monitors(trace, cfg)
         assert report.all_passed, [r.name for r in report.results if not r.passed]
 
+    @pytest.mark.parametrize("where", ["plant", "shared"])
+    def test_parameter_error_monotone_skipped_under_any_disturbance(self, where):
+        # the ideal model has no disturbance, so V may rise at an impulse
+        dist = {"times": [100], "t_dw": 50}
+        plant = {"a": [-0.5], "b": [1.0]}
+        raw = (minimal_config(horizon=300, plants=[dict(plant, disturbance=dist)]) if where == "plant"
+               else minimal_config(horizon=300, plants=[plant], disturbance=dist))
+        cfg = parse_config(raw)
+        names = [r.name for r in evaluate_monitors(run_scenario(cfg), cfg).results]
+        assert "tracking_tail" in names and "parameter_error_monotone" not in names
+        cfg = parse_config(minimal_config(horizon=300, plants=[plant]))
+        names = [r.name for r in evaluate_monitors(run_scenario(cfg), cfg).results]
+        assert "parameter_error_monotone" in names
+
+    @pytest.mark.parametrize("app, passed", [(0, True), (1, False)])
+    def test_re_entry_containment_window_is_each_apps_own(self, app, passed):
+        # app 0 (m2 = 0) is held for m2 + d2 = 2 samples after an ET
+        # re-entry, app 1 (m2 = 1) for 3; the trace is rewritten so that only
+        # one app re-enters, at k' = 6, and leaves eth at k' + 2
+        plants = [{"a": [], "b": [0.25]}, {"a": [-0.5], "b": [0.5, 0.2]}]
+        cfg = parse_config(minimal_config(horizon=20, plants=plants,
+                                          protocol={"kind": "switching", "d2": 2, "eth": 0.05},
+                                          reference={"type": "constant", "level": 1.0}))
+        trace = run_scenario(cfg)
+        for a in trace.apps:
+            a.columns["e"] = np.zeros(20)
+            a.switches = []
+        trace.apps[app].switches = [(5, "TT->ET", 3)]
+        trace.apps[app].columns["e"][8] = 0.1
+        result = {r.name: r for r in evaluate_monitors(trace, cfg).results}["re_entry_containment"]
+        assert result.passed is passed
+        assert result.measured == (0.0 if passed else 0.1)
+        assert result.detail == "|e| over the first m2+d2=2/3 re-entry samples"
+
     def test_monitor_failure_reported(self):
         cfg = parse_config(minimal_config(
             horizon=300,
@@ -363,6 +447,30 @@ class TestCLI:
         assert "configuration error" in out.stderr
         assert "must name exactly the apps 0..2" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_unmet_richness_declaration_is_config_error(self, tmp_path, command):
+        ref = {"type": "sinusoid", "components": [{"amplitude": 1.0, "omega": 0.4}], "sr_order": 3}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(reference=ref)))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert "configuration error: reference declares richness order 3 but measures 2" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_seed_override_reaches_the_trace(self, tmp_path):
+        cfg = minimal_config(horizon=300, disturbance={"random": True, "t_dw": 40},
+                             tolerances={"settle_sample": 300})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out = self.run_cli("run", "--config", str(p), "--out", str(tmp_path / "out"), "--seed", "8")
+        assert out.returncode in (0, 1), out.stdout + out.stderr
+        trace = load_trace(tmp_path / "out" / "trace.json")
+        assert trace.config["seed"] == 8
+        want = run_scenario(parse_config(dict(cfg, seed=8))).apps[0].columns["dist"]
+        assert trace.apps[0].columns["dist"].tobytes() == want.tobytes()
+        assert not np.array_equal(want, run_scenario(parse_config(cfg)).apps[0].columns["dist"])
 
     def test_run_and_analyze(self, tmp_path):
         cfg = minimal_config(horizon=400, tolerances={"settle_sample": 300, "tracking_tol": 0.05})

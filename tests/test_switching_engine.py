@@ -30,21 +30,14 @@ INT_COLUMNS = ("app", "k", "delay", "switch")
 
 def per_sample_run(cfg):
     """(status, supervisors, bus state) of the sample-by-sample loop."""
-    rng = np.random.default_rng(cfg.seed)
     buscfg = cfg.bus_config()
     T = cfg.horizon
-    gen = cfg.reference()
-    sups = []
-    for i, spec in enumerate(cfg.plants):
-        train = harness._build_train(spec.disturbance if spec.disturbance is not None else cfg.disturbance,
-                                     T, rng)
-        sups.append(AppSupervisor(
-            app_id=i, model=spec.model, d2=buscfg.d2, eth=buscfg.eth,
-            yref=gen.sequence(T + buscfg.d2, spec.phase_offset), train=train,
-            gamma1=cfg.gamma1, gamma2=cfg.gamma2,
-            beta0_init=spec.beta0_init if spec.beta0_init is not None else cfg.beta0_init,
-            y_init=spec.y_init, u_init=spec.u_init,
-        ))
+    sups = [AppSupervisor(
+        app_id=i, model=spec.model, d2=buscfg.d2, eth=buscfg.eth,
+        yref=cfg.reference.sequence(T + buscfg.d2, spec.phase_offset), train=spec.train,
+        gamma1=cfg.gammas[0], gamma2=cfg.gammas[1], beta0_init=spec.beta0_init,
+        y_init=spec.y_init, u_init=spec.u_init,
+    ) for i, spec in enumerate(cfg.plants)]
     state = BusState()
     order = buscfg.priority_order()
     status = "ok"
