@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -102,9 +103,17 @@ def load_document(source) -> dict:
         text = str(source)
         where = "<inline>"
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    return _object(doc, f"{where}: the scenario")
+
+
+def _object(value, name: str) -> dict:
+    """The value of a field that must hold a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _check_gamma(value: float, name: str) -> float:
@@ -155,13 +164,15 @@ def parse_config(source) -> ScenarioConfig:
         shared_dist = raw.get("disturbance")
         if shared_dist is not None:
             # checked even where every plant has its own; these draws are unused
-            _impulse_train(shared_dist, horizon, lambda: np.random.default_rng(seed))
+            _impulse_train(_object(shared_dist, "disturbance"), horizon,
+                           lambda: np.random.default_rng(seed))
         # one generator for every random train, made when the first is
         # drawn: numpy imports numpy.random on first use, which costs several
         # times a whole parse
         rng = functools.cache(lambda: np.random.default_rng(seed))
         plants = []
         for i, p in enumerate(plants_raw):
+            p = _object(p, f"plant[{i}]")
             try:
                 model = PlantModel(
                     a=np.asarray(p.get("a", []), dtype=float),
@@ -178,7 +189,8 @@ def parse_config(source) -> ScenarioConfig:
                 if len(p.get(name, ())) > depth:
                     raise ConfigError(f"plant[{i}]: {name} has {len(p[name])} values; the history holds {depth}")
             # the app's own disturbance and divisor prior, else the shared ones
-            dist = shared_dist if p.get("disturbance") is None else p["disturbance"]
+            own = p.get("disturbance")
+            dist = shared_dist if own is None else _object(own, f"plant[{i}].disturbance")
             plants.append(PlantSpec(
                 model=model,
                 y_init=tuple(p.get("y_init", ())),
@@ -189,8 +201,9 @@ def parse_config(source) -> ScenarioConfig:
                 train=DisturbanceTrain.empty() if dist is None else _impulse_train(dist, horizon, rng),
                 beta0_init=shared_beta0 if b0i is None else float(b0i),
             ))
+        ref_spec = _object(raw.get("reference", {"type": "constant", "level": 1.0}), "reference")
         try:
-            gen = reference.from_spec(raw.get("reference", {"type": "constant", "level": 1.0}))
+            gen = reference.from_spec(ref_spec)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"reference: {exc}") from exc
         gammas = raw.get("gammas", [0.5, 0.5])
@@ -616,23 +629,83 @@ def _settle_sample(e: np.ndarray, level: float) -> int | None:
 _BLOCK = 4096  # rows (or list items) formatted and written at a time
 
 
+@dataclass
+class _ColumnText:
+    """A trace column as text: the CSV cell of each row, _BLOCK rows a piece
+    joined by newlines, and the values whose JSON text differs from it."""
+    pieces: list
+    json_spelling: dict
+
+
+@dataclass
+class _HeldTexts:
+    """The column texts of the last trace exported, for its next export."""
+    trace: weakref.ref
+    columns: dict  # (app index, name) -> (digest of the typed column, _ColumnText)
+    written: set  # formats exported from these texts
+
+
+_held: _HeldTexts | None = None
+
+
 def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
     """Write the trace; CSV holds the per-sample rows (header pinned to the
     trace schema), JSON the full structure including config and summary, in
     the layout of ``json.dumps(doc, indent=1)``.  Floats are serialized at
-    round-trip precision.  Both formats are streamed to the file a block of
-    rows at a time."""
+    round-trip precision.  Both formats are written from one text of each
+    column, kept until the same trace has been exported to both, and streamed
+    to the file a block of rows at a time."""
+    global _held
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
+    texts = _trace_texts(trace)
     path = Path(path)
     try:
         with path.open("w") as f:
             if fmt == "csv":
-                _write_csv(trace, f)
+                _write_csv(texts, f)
             else:
-                f.writelines(_json_chunks(_json_doc(trace), "\n"))
+                f.writelines(_json_chunks(_json_doc(trace, texts), "\n"))
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    _held.written.add(fmt)
+    if len(_held.written) == 2:
+        _held = None
+
+
+def _trace_texts(trace: Trace) -> list:
+    """Each app's column texts, by name.  A column is formatted again unless
+    it was formatted for this same trace object and its bytes are unchanged."""
+    global _held
+    import hashlib  # here, not at the top: loading it is a few percent of a parse's set-up time
+    if _held is None or _held.trace() is not trace:
+        _held = _HeldTexts(weakref.ref(trace), {}, set())
+    texts = []
+    for i, app in enumerate(trace.apps):
+        app_texts = {}
+        for name in TRACE_FIELDS:
+            col = _typed_column(name, app.columns[name])
+            data = json.dumps(col.tolist()).encode() if col.dtype == object else col.tobytes()
+            digest = hashlib.blake2b(data, digest_size=16).digest()
+            held = _held.columns.get((i, name))
+            if held is None or held[0] != digest:
+                held = _held.columns[(i, name)] = (digest, _column_text(col))
+            app_texts[name] = held[1]
+        texts.append(app_texts)
+    return texts
+
+
+def _column_text(col: np.ndarray) -> _ColumnText:
+    """Spell each distinct value of a typed column once, with ``str`` (for a
+    float the ``repr`` text).  Numbers are told apart by their 64-bit pattern,
+    so -0.0 and every NaN payload keep their own text."""
+    keys = col if col.dtype == object else col.view(np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    values = col[first]
+    cells = np.array(list(map(str, values.tolist())), dtype=object)[inverse]
+    pieces = ["\n".join(cells[i:i + _BLOCK].tolist()) for i in range(0, len(cells), _BLOCK)]
+    odd = values.tolist() if col.dtype == object else values[~np.isfinite(values)].tolist()
+    return _ColumnText(pieces, {str(v): json.dumps(v) for v in odd})
 
 
 def _typed_column(name: str, col) -> np.ndarray:
@@ -645,32 +718,23 @@ def _typed_column(name: str, col) -> np.ndarray:
     return np.asarray(col, dtype=np.int64 if name in INT_FIELDS else float)
 
 
-def _write_csv(trace: Trace, f) -> None:
+def _write_csv(texts: list, f) -> None:
     f.write(",".join(TRACE_FIELDS) + "\n")
-    for app in trace.apps:
-        n = len(app.columns["k"])
-        cols = [_typed_column(name, app.columns[name]) for name in TRACE_FIELDS]
-        for i in range(0, n, _BLOCK):
-            # rows are counted by the k column; zip stops at the shortest slice
-            block = [c[i:i + _BLOCK].tolist() for c in cols]
-            # repr of a Python int/float is the text str(int(v))/repr(float(v))
-            cells = [b if c.dtype == object else map(repr, b) for b, c in zip(block, cols)]
-            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    for app in texts:
+        # rows are counted by the k column; zip stops at the shortest piece
+        for pieces in zip(*(app[name].pieces for name in TRACE_FIELDS)):
+            f.write("\n".join(map(",".join, zip(*(p.split("\n") for p in pieces)))) + "\n")
 
 
-def _json_doc(trace: Trace) -> dict:
+def _json_doc(trace: Trace, texts: list) -> dict:
     return {
         "schema_version": trace.schema_version,
         "status": trace.status,
         "config": trace.config,
         "summary": trace.summary,
         "apps": [
-            {
-                "app": app.app_id,
-                "switches": [list(s) for s in app.switches],
-                "columns": {name: _typed_column(name, app.columns[name]) for name in TRACE_FIELDS},
-            }
-            for app in trace.apps
+            {"app": app.app_id, "switches": [list(s) for s in app.switches], "columns": columns}
+            for app, columns in zip(trace.apps, texts)
         ],
         "bus": trace.bus,
     }
@@ -679,9 +743,16 @@ def _json_doc(trace: Trace) -> dict:
 def _json_chunks(obj, pad: str):
     """The text ``json.dumps(obj, indent=1)`` gives, for a value that starts a
     line indented by ``pad`` (a newline and the spaces), in pieces: dicts key
-    by key, lists and arrays _BLOCK items at a time."""
+    by key, lists _BLOCK items at a time and trace columns a piece at a time."""
     inner = pad + " "
-    if isinstance(obj, dict):
+    if isinstance(obj, _ColumnText):
+        start, sep, spell = "[" + inner, "," + inner, obj.json_spelling
+        for piece in obj.pieces:
+            yield start + (sep.join([spell.get(c, c) for c in piece.split("\n")]) if spell
+                           else piece.replace("\n", sep))
+            start = sep
+        yield pad + "]" if obj.pieces else "[]"
+    elif isinstance(obj, dict):
         if not obj:
             yield "{}"
             return
@@ -691,17 +762,13 @@ def _json_chunks(obj, pad: str):
             yield from _json_chunks(value, inner)
             sep = "," + inner
         yield pad + "}"
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        if not len(obj):
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             yield "[]"
             return
         sep = "[" + inner
         for i in range(0, len(obj), _BLOCK):
-            block = obj[i:i + _BLOCK]
-            if isinstance(block, np.ndarray):  # a typed trace column: scalars only
-                yield sep + _json_scalars(block.tolist(), inner)
-            else:
-                yield sep + _json_items(block, inner)
+            yield sep + _json_items(obj[i:i + _BLOCK], inner)
             sep = "," + inner
         yield pad + "]"
     else:
@@ -744,15 +811,9 @@ def _json_items(items, pad: str) -> str:
 def _json_values(values: list, pad: str) -> list:
     """The text of each value for a line indented by ``pad``: one call of
     the C encoder when all of them are scalars."""
-    if any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in values):
+    if any(isinstance(v, (dict, list, tuple)) for v in values):
         return ["".join(_json_chunks(v, pad)) for v in values]
-    return _json_scalars(values, "\n").split(",\n")
-
-
-def _json_scalars(items, pad: str) -> str:
-    """The items of a non-empty list of scalars, one per line indented by
-    ``pad``, in one call of the C encoder."""
-    return json.dumps(items, separators=("," + pad, ": "))[1:-1]
+    return json.dumps(values, separators=(",\n", ": "))[1:-1].split(",\n")
 
 
 def _json_key(key) -> str:
@@ -939,17 +1000,12 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
     # Lyapunov non-increase inside modes, switch samples excluded
     worst_dv = -np.inf
     for app in trace.apps:
-        dv = app.columns["dV"]
-        if not len(dv):
-            continue
-        excluded = set()
-        for (kp, _dir, _p) in app.switches:
-            excluded.add(kp)
-            excluded.add(kp + 1)
-        for k in range(1, len(dv)):
-            if k in excluded:
-                continue
-            worst_dv = max(worst_dv, float(dv[k]))
+        dv = np.asarray(app.columns["dV"], dtype=float)
+        kept = np.arange(len(dv)) >= 1
+        excluded = np.array([s[0] + j for s in app.switches for j in (0, 1)], dtype=np.int64)
+        kept[excluded[(excluded >= 0) & (excluded < len(dv))]] = False
+        # fmax skips a NaN sample; all NaN (or none) leaves -inf
+        worst_dv = max(worst_dv, float(np.fmax.reduce(dv[kept], initial=-np.inf)))
     if np.isfinite(worst_dv):
         results.append(MonitorResult("lyapunov_in_mode", worst_dv <= float(tol["dv_tol"]),
                                      worst_dv, float(tol["dv_tol"]),

@@ -1,12 +1,18 @@
 """Byte layout of the exported traces.
 
-The writer formats whole columns and streams blocks of rows; these tests pin
-its output to the per-value encoders it replaced: ``repr`` of every CSV cell,
-and ``json.dumps(doc, indent=1)`` of the whole JSON document.
+The writer spells each distinct value of a column once and writes both
+formats from that text; these tests pin its output to the per-value encoders
+it replaced: ``repr`` of every CSV cell, and ``json.dumps(doc, indent=1)`` of
+the whole JSON document.  They also pin when a column's text is reused: only
+for the next export of the same trace object, while the column's bytes are
+unchanged, and until both formats are written.
 """
 
+import copy
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -200,3 +206,79 @@ def test_unknown_format_writes_nothing(tmp_path):
     with pytest.raises(ValueError, match="unknown export format"):
         export_trace(_odd_values(), p, "xml")
     assert not p.exists()
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The columns the writer formats, one entry per call."""
+    calls = []
+    real = harness._column_text
+
+    def counting(col):
+        calls.append(col)
+        return real(col)
+
+    monkeypatch.setattr(harness, "_column_text", counting)
+    return calls
+
+
+def _export_bytes(trace, tmp_path, fmt) -> bytes:
+    p = tmp_path / f"t.{fmt}"
+    export_trace(trace, p, fmt)
+    return p.read_bytes()
+
+
+def _columns(trace) -> int:
+    return len(trace.apps) * len(TRACE_FIELDS)
+
+
+def test_csv_then_json_formats_each_column_once(formatted, tmp_path):
+    trace = TRACES["multi_app"]()
+    assert _export_bytes(trace, tmp_path, "csv") == _oracle_bytes(tmp_path, oracle_csv(trace))
+    assert len(formatted) == _columns(trace)
+    assert _export_bytes(trace, tmp_path, "json") == _oracle_bytes(tmp_path, oracle_json(trace))
+    assert len(formatted) == _columns(trace)
+
+
+def test_equal_trace_is_formatted_again(formatted, tmp_path):
+    first = TRACES["multi_app"]()
+    second = copy.deepcopy(first)
+    _export_bytes(first, tmp_path, "csv")
+    assert _export_bytes(second, tmp_path, "json") == _oracle_bytes(tmp_path, oracle_json(second))
+    assert len(formatted) == 2 * _columns(first)
+
+
+def test_column_changed_in_place_reaches_json(formatted, tmp_path):
+    trace = _odd_values()
+    _export_bytes(trace, tmp_path, "csv")
+    y = trace.apps[0].columns["y"]
+    y[2] = 0.25
+    y[3] = -y[3]  # the sign bit alone: -0.0 and 0.0 have other texts
+    assert _export_bytes(trace, tmp_path, "json") == _oracle_bytes(tmp_path, oracle_json(trace))
+    assert len(formatted) == _columns(trace) + 2  # the ragged app shares this y array
+
+
+@pytest.mark.parametrize("first_block", [3, harness._BLOCK], ids=["block_3_first", "default_first"])
+@pytest.mark.parametrize("first_fmt", ["csv", "json"])
+def test_block_change_between_exports(monkeypatch, tmp_path, first_block, first_fmt):
+    trace = TRACES["switching_3app"]()
+    oracles = {"csv": oracle_csv(trace), "json": oracle_json(trace)}
+    second_fmt = "json" if first_fmt == "csv" else "csv"
+    monkeypatch.setattr(harness, "_BLOCK", first_block)
+    assert _export_bytes(trace, tmp_path, first_fmt) == _oracle_bytes(tmp_path, oracles[first_fmt])
+    monkeypatch.setattr(harness, "_BLOCK", 7 if first_block == 3 else 3)
+    assert _export_bytes(trace, tmp_path, second_fmt) == _oracle_bytes(tmp_path, oracles[second_fmt])
+
+
+def test_nothing_held_once_both_formats_are_written(formatted, tmp_path):
+    trace = TRACES["multi_app"]()
+    _export_bytes(trace, tmp_path, "csv")
+    _export_bytes(trace, tmp_path, "json")
+    assert len(formatted) == _columns(trace)
+    _export_bytes(trace, tmp_path, "csv")  # no text was kept: all formatted again
+    assert len(formatted) == 2 * _columns(trace)
+    ref = weakref.ref(trace)
+    del trace
+    formatted.clear()  # the recorded columns belong to the trace
+    gc.collect()
+    assert ref() is None

@@ -358,6 +358,41 @@ class TestMonitors:
         assert result.measured == (0.0 if passed else 0.1)
         assert result.detail == "|e| over the first m2+d2=2/3 re-entry samples"
 
+    @pytest.mark.parametrize("case", ["nan_samples", "all_nan", "edge_switches"])
+    def test_lyapunov_in_mode_matches_the_per_sample_loop(self, case):
+        cfg = parse_config(minimal_config(horizon=40, protocol={"kind": "switching", "d2": 2, "eth": 0.05},
+                                          plants=[{"a": [], "b": [0.25]}, {"a": [], "b": [0.3]}]))
+        trace = run_scenario(cfg)
+        rng = np.random.default_rng(5)
+        for a in trace.apps:
+            a.columns["dV"] = rng.normal(size=40)
+            a.switches = [(3, "TT->ET", 1), (10, "ET->TT", 0)]
+        if case == "nan_samples":
+            # the largest sample of app 0 becomes NaN, so the next largest counts
+            trace.apps[0].columns["dV"][np.argmax(trace.apps[0].columns["dV"])] = np.nan
+            trace.apps[1].columns["dV"][::3] = np.nan
+        elif case == "all_nan":
+            for a in trace.apps:
+                a.columns["dV"][1:] = np.nan
+                a.columns["dV"][[3, 4, 10, 11]] = 9.0  # switch samples are excluded
+        else:
+            trace.apps[0].switches = [(0, "TT->ET", 1), (39, "ET->TT", 0), (45, "TT->ET", 1)]
+            trace.apps[1].columns["dV"][[0, 39]] = 7.0
+        # the per-sample definition: max over non-switch samples k >= 1, where
+        # max() keeps its running value against a NaN sample
+        worst = -np.inf
+        for a in trace.apps:
+            excluded = {kp + j for kp, _d, _p in a.switches for j in (0, 1)}
+            for k in range(1, len(a.columns["dV"])):
+                if k not in excluded:
+                    worst = max(worst, float(a.columns["dV"][k]))
+        results = {r.name: r for r in evaluate_monitors(trace, cfg).results}
+        if case == "all_nan":
+            assert "lyapunov_in_mode" not in results
+        else:
+            assert results["lyapunov_in_mode"].measured == worst
+            assert results["lyapunov_in_mode"].passed is (worst <= 1e-9)
+
     def test_monitor_failure_reported(self):
         cfg = parse_config(minimal_config(
             horizon=300,
@@ -457,6 +492,21 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert "configuration error: reference declares richness order 3 but measures 2" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("field,overrides", [
+        ("disturbance", {"disturbance": [1, 2]}),
+        ("plant[0]", {"plants": [3]}),
+        ("reference", {"reference": "const"}),
+    ], ids=["disturbance_list", "plant_number", "reference_string"])
+    def test_non_object_field_is_config_error(self, tmp_path, command, field, overrides):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(**overrides)))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert f"configuration error: {field} must be a JSON object" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_seed_override_reaches_the_trace(self, tmp_path):
