@@ -86,22 +86,21 @@ class ScenarioConfig:
             dyn_priorities=prios,
             minislots_per_cycle=int(p.get("minislots_per_cycle", max(4, 2 * n))),
             d2=int(p["d2"]),
-            eth=float(p["eth"]),
             message_minislots=int(p.get("message_minislots", 1)),
         )
 
 
 def load_document(source) -> dict:
-    """The scenario document of a path, a JSON text or a dict (copied)."""
+    """The scenario document of a path, a JSON text or a dict (copied).  A
+    string is JSON text when it holds a newline or starts with ``{`` or ``[``;
+    any other string is a path."""
     if isinstance(source, dict):
         return json.loads(json.dumps(source))
-    text = None
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).exists()):
-        text = Path(source).read_text()
-        where = str(source)
+    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source
+                                    and source.lstrip()[:1] not in ("{", "[")):
+        text, where = Path(source).read_text(), str(source)
     else:
-        text = str(source)
-        where = "<inline>"
+        text, where = str(source), "<inline>"
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -230,7 +229,7 @@ def parse_config(source) -> ScenarioConfig:
             raw=raw,
         )
         if kind == "switching":
-            cfg.bus_config()  # validates slot/priority/d2/eth consistency
+            cfg.bus_config()  # validates slot/priority/d2 consistency
         _check_reference_richness(gen, tol)
         return cfg
     except ConfigError:
@@ -626,7 +625,7 @@ def _settle_sample(e: np.ndarray, level: float) -> int | None:
 # persistence
 
 
-_BLOCK = 4096  # rows (or list items) formatted and written at a time
+_BLOCK = 4096  # rows formatted and written at a time
 
 
 @dataclass
@@ -650,11 +649,11 @@ _held: _HeldTexts | None = None
 
 def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
     """Write the trace; CSV holds the per-sample rows (header pinned to the
-    trace schema), JSON the full structure including config and summary, in
-    the layout of ``json.dumps(doc, indent=1)``.  Floats are serialized at
-    round-trip precision.  Both formats are written from one text of each
-    column, kept until the same trace has been exported to both, and streamed
-    to the file a block of rows at a time."""
+    trace schema), JSON the full structure including config and summary, as
+    ``json.dumps(doc)`` writes it.  Floats are serialized at round-trip
+    precision.  Both formats are written from one text of each column, kept
+    until the same trace has been exported to both, and streamed to the file
+    a block of rows at a time."""
     global _held
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
@@ -665,7 +664,7 @@ def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
             if fmt == "csv":
                 _write_csv(texts, f)
             else:
-                f.writelines(_json_chunks(_json_doc(trace, texts), "\n"))
+                _write_json(trace, texts, f)
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
     _held.written.add(fmt)
@@ -726,105 +725,35 @@ def _write_csv(texts: list, f) -> None:
             f.write("\n".join(map(",".join, zip(*(p.split("\n") for p in pieces)))) + "\n")
 
 
-def _json_doc(trace: Trace, texts: list) -> dict:
-    return {
-        "schema_version": trace.schema_version,
-        "status": trace.status,
-        "config": trace.config,
-        "summary": trace.summary,
-        "apps": [
-            {"app": app.app_id, "switches": [list(s) for s in app.switches], "columns": columns}
-            for app, columns in zip(trace.apps, texts)
-        ],
-        "bus": trace.bus,
-    }
-
-
-def _json_chunks(obj, pad: str):
-    """The text ``json.dumps(obj, indent=1)`` gives, for a value that starts a
-    line indented by ``pad`` (a newline and the spaces), in pieces: dicts key
-    by key, lists _BLOCK items at a time and trace columns a piece at a time."""
-    inner = pad + " "
-    if isinstance(obj, _ColumnText):
-        start, sep, spell = "[" + inner, "," + inner, obj.json_spelling
-        for piece in obj.pieces:
-            yield start + (sep.join([spell.get(c, c) for c in piece.split("\n")]) if spell
-                           else piece.replace("\n", sep))
-            start = sep
-        yield pad + "]" if obj.pieces else "[]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for key, value in obj.items():
-            yield sep + _json_key(key) + ": "
-            yield from _json_chunks(value, inner)
-            sep = "," + inner
-        yield pad + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        sep = "[" + inner
-        for i in range(0, len(obj), _BLOCK):
-            yield sep + _json_items(obj[i:i + _BLOCK], inner)
-            sep = "," + inner
-        yield pad + "]"
-    else:
-        yield json.dumps(obj)
-
-
-def _json_items(items, pad: str) -> str:
-    """The items of a non-empty list, one per line indented by ``pad``.
-
-    Scalars, a list of flat rows (the bus deliveries) and each key's scalar
-    values in a list of dicts with the same keys (the bus cycles) take one
-    call of the C encoder, with a line break in its separator.  This is exact
-    because ``ensure_ascii`` escapes every newline inside a string, so only a
-    separator holds one, and the characters next to it show where a list
-    starts or ends."""
-    sep = "," + pad
-    if all(isinstance(row, (list, tuple)) and row for row in items):
-        # all rows in one call; every ",\n" in its text is a separator, and
-        # one between "]" and "[" separates rows
-        text = json.dumps(items, separators=(",\n", ": "))
-        if (text.count(",\n[") == len(items) - 1 and text[2] not in "[{"
-                and ",\n{" not in text and ",\n[[" not in text and ",\n[{" not in text):
-            cell_pad = pad + " "
-            body = text[2:-2].replace(",\n", "," + cell_pad)
-            body = body.replace("]," + cell_pad + "[", pad + "]," + pad + "[" + cell_pad)
-            return "[" + cell_pad + body + pad + "]"
-    elif isinstance(items[0], dict) and items[0] and not any(isinstance(v, dict) for v in items[0].values()):
-        # nested dicts (the apps' column dicts) stay whole, so memory holds one copy
-        keys = list(items[0])
-        if all(isinstance(d, dict) and list(d) == keys for d in items):
-            inner = pad + " "
-            heads = ["{" + inner + _json_key(keys[0]) + ": "]
-            heads += ["," + inner + _json_key(key) + ": " for key in keys[1:]]
-            columns = [_json_values([d[key] for d in items], inner) for key in keys]
-            return sep.join("".join(h + v for h, v in zip(heads, values)) + pad + "}"
-                            for values in zip(*columns))
-    return sep.join(_json_values(items, pad))
-
-
-def _json_values(values: list, pad: str) -> list:
-    """The text of each value for a line indented by ``pad``: one call of
-    the C encoder when all of them are scalars."""
-    if any(isinstance(v, (dict, list, tuple)) for v in values):
-        return ["".join(_json_chunks(v, pad)) for v in values]
-    return json.dumps(values, separators=(",\n", ": "))[1:-1].split(",\n")
-
-
-def _json_key(key) -> str:
-    # as the json module writes keys: a non-str key as the text of its value
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+def _write_json(trace: Trace, texts: list, f) -> None:
+    """Write the text ``json.dumps(doc)`` gives for the trace's document: the
+    columns are spliced in from their texts, the rest is ``json.dumps``'s."""
+    head = json.dumps({"schema_version": trace.schema_version, "status": trace.status,
+                       "config": trace.config, "summary": trace.summary})
+    f.write(head[:-1] + ', "apps": [')
+    for i, (app, columns) in enumerate(zip(trace.apps, texts)):
+        f.write((", " if i else "") + '{"app": ' + json.dumps(app.app_id) + ', "switches": '
+                + json.dumps(app.switches) + ', "columns": {')
+        for j, name in enumerate(TRACE_FIELDS):
+            spell = columns[name].json_spelling
+            cells = [", ".join([spell.get(c, c) for c in p.split("\n")]) if spell else p.replace("\n", ", ")
+                     for p in columns[name].pieces]
+            f.write((", " if j else "") + json.dumps(name) + ": [" + ", ".join(cells) + "]")
+        f.write("}}")
+    f.write('], "bus": ' + json.dumps(trace.bus) + "}")
 
 
 def load_trace(path) -> Trace:
     """Read a JSON trace back into memory (the analyze entry point)."""
     path = Path(path)
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a trace: the document must be a JSON object, got {type(doc).__name__}")
+    for key in ("apps", "bus", "config", "status", "summary"):
+        if key not in doc:
+            raise ValueError(f"{path}: not a trace: it has no {key!r} key")
+    if not isinstance(doc["apps"], list):
+        raise ValueError(f"{path}: not a trace: 'apps' must be a list, got {type(doc['apps']).__name__}")
     apps = [
         AppTrace(
             app_id=a["app"],

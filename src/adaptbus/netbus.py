@@ -44,14 +44,11 @@ class BusConfig:
     dyn_priorities: dict  # lower number = higher priority
     minislots_per_cycle: int
     d2: int
-    eth: float
     message_minislots: int = 1
 
     def __post_init__(self):
         if self.d2 < 2:
             raise ValueError(f"d2 must be >= 2, got {self.d2}")
-        if self.eth <= 0:
-            raise ValueError("eth must be positive")
         if self.minislots_per_cycle < 0:
             raise ValueError("minislots_per_cycle must be >= 0")
         if self.message_minislots < 1:
@@ -63,8 +60,8 @@ class BusConfig:
             raise ValueError("priority assignments must be injective")
 
     @classmethod
-    def default(cls, n_apps: int, d2: int = 2, eth: float = 0.05,
-                minislots_per_cycle: int | None = None, message_minislots: int = 1):
+    def default(cls, n_apps: int, d2: int = 2, minislots_per_cycle: int | None = None,
+                message_minislots: int = 1):
         if minislots_per_cycle is None:
             minislots_per_cycle = max(4, 2 * n_apps * message_minislots)
         return cls(
@@ -72,7 +69,6 @@ class BusConfig:
             dyn_priorities={i: i + 1 for i in range(n_apps)},
             minislots_per_cycle=minislots_per_cycle,
             d2=d2,
-            eth=eth,
             message_minislots=message_minislots,
         )
 

@@ -1,11 +1,13 @@
 """Byte layout of the exported traces.
 
 The writer spells each distinct value of a column once and writes both
-formats from that text; these tests pin its output to the per-value encoders
-it replaced: ``repr`` of every CSV cell, and ``json.dumps(doc, indent=1)`` of
-the whole JSON document.  They also pin when a column's text is reused: only
-for the next export of the same trace object, while the column's bytes are
-unchanged, and until both formats are written.
+formats from that text; these tests pin its output to the standard encoders:
+``repr`` of every CSV cell, and ``json.dumps(doc)``, one line with the default
+separators, of the whole JSON document.  Traces written in the earlier
+``json.dumps(doc, indent=1)`` layout still load (``tests/test_harness.py``).
+These tests also pin when a column's text is reused: only for the next export
+of the same trace object, while the column's bytes are unchanged, and until
+both formats are written.
 """
 
 import copy
@@ -67,7 +69,7 @@ def oracle_json(trace: Trace) -> str:
         ],
         "bus": trace.bus,
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def _bundled(name: str, horizon: int) -> dict:
@@ -187,7 +189,7 @@ def test_csv_bytes_match_per_cell_repr(trace, block, tmp_path):
     assert p.read_bytes() == _oracle_bytes(tmp_path, oracle_csv(trace))
 
 
-def test_json_bytes_match_indent_1_dump(trace, block, tmp_path):
+def test_json_bytes_match_plain_dump(trace, block, tmp_path):
     p = tmp_path / "t.json"
     export_trace(trace, p, "json")
     assert p.read_bytes() == _oracle_bytes(tmp_path, oracle_json(trace))

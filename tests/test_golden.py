@@ -77,15 +77,15 @@ BUS_GOLDEN = {
 # config: (CSV sha256, JSON sha256)
 EXPORT_GOLDEN = {
     "fixed_tt": ("f309066215010f3961a7f4ee00e63799cfefe38f782a206a6f4c38f7b8afd9b3",
-                 "b617d395689eb5e99938e2dc769333d2f45d5879deea750c2dccbbd2238a1be4"),
+                 "bb863e0e4dfd5d3183b169d698eb9318e9064edc16908505e9bfb3d555ab3966"),
     "fixed_et": ("62730fb74402eb73b2da3bd3ecbe2dbd33d9d4d6db0a630333b650bfbb804dc2",
-                 "a25f2457125a02ff0c4aaf5793f119d388cf119b98779abec6975b368ff9a27e"),
+                 "f2e05b9cdd4ea92f698ce30dad8c0b59364a1f08c01cc4258960ba859e8c8d17"),
     "switching_1app": ("4b46cb4ba6666ddef22e97363f777c5b967e19ace41ee556d995cb30b931af96",
-                       "43de4b64a186a17919909b171058ca5521d31ba1bbc5130c321ee970d2acdc0e"),
+                       "9a5fce23262c63fa5037e0dd51f41cf98b72121c92b71becca5644c72bfdb88f"),
     "switching_1app_quiet": ("1c0d045770032b9d288b8b3c5eda8d241357de0edbd188dc40ea8f63ca9e7991",
-                             "caba56f0970c3348e1d8c6204d03a499f98798c1e41e975af7b1270d15ef8e84"),
+                             "123c531aa76b56cda1662d89733f71fc71092c7cb838f8d41a013dcedc58472b"),
     "switching_3app": ("02618ffe3771ce2f372836a517d2dc6883891a2168a8987e6dd6df648b9cc88b",
-                       "02ac391c1e59b479fb666306171fee366e51130e5998a3c4561ca85e92aa198e"),
+                       "457630dfdea59a8b91f72e41a3ce493785b59be3b2b79cb4e813cae55a0f03d1"),
 }
 
 # apps 0 and 2 take the shared random train, app 1 its own; recorded before

@@ -68,6 +68,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="d2"):
             parse_config(minimal_config(protocol={"kind": "switching", "d2": 1, "eth": 0.1}))
 
+    @pytest.mark.parametrize("eth", [0.0, -0.1])
+    def test_switching_requires_positive_eth(self, eth):
+        with pytest.raises(ConfigError, match="eth > 0"):
+            parse_config(minimal_config(protocol={"kind": "switching", "d2": 2, "eth": eth}))
+
+    def test_long_one_line_json_text_parses(self):
+        # longer than a file name may be, so it must not be looked up as one
+        text = json.dumps({"name": "x" * 300, "horizon": 10, "plants": [{"a": [], "b": [1.0]}]})
+        assert "\n" not in text
+        assert parse_config(text).name == "x" * 300
+
+    def test_long_one_line_json_list_is_config_error(self):
+        with pytest.raises(ConfigError, match="must be a JSON object, got list"):
+            parse_config(" " + json.dumps(list(range(100))))
+
     def test_disturbance_gap_checked(self):
         bad = {"times": [0, 5], "amplitudes": 1.0, "t_dw": 10}
         with pytest.raises(ConfigError, match="dwell"):
@@ -301,6 +316,30 @@ class TestExportRoundTrip:
         doc = json.loads(p.read_text())
         assert len(doc["apps"]) == 2
         assert "bus" in doc and "summary" in doc
+
+    @pytest.mark.parametrize("name,horizon", [("fixed_tt", 300), ("switching_3app", 1600)])
+    def test_trace_in_the_indent_1_layout_loads(self, tmp_path, name, horizon):
+        # traces were once written as json.dumps(doc, indent=1)
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        raw["horizon"] = horizon
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        export_trace(run_scenario(parse_config(raw)), new, "json")
+        old.write_text(json.dumps(json.loads(new.read_text()), indent=1))
+        a, b = load_trace(new), load_trace(old)
+        assert (b.status, b.summary, b.bus, b.config) == (a.status, a.summary, a.bus, a.config)
+        assert [app.switches for app in b.apps] == [app.switches for app in a.apps]
+        assert any(app.switches for app in a.apps) == (name == "switching_3app")
+        for app_a, app_b in zip(a.apps, b.apps, strict=True):
+            for col in TRACE_FIELDS:
+                x, y = app_a.columns[col], app_b.columns[col]
+                assert x.dtype == y.dtype
+                assert (list(x) == list(y)) if x.dtype == object else x.tobytes() == y.tobytes()
+
+        def verdicts(trace):
+            return [(r.name, r.passed, repr(r.measured), repr(r.threshold))
+                    for r in evaluate_monitors(trace).results]
+
+        assert verdicts(b) == verdicts(a)
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = minimal_config(horizon=200, disturbance={"random": True, "t_dw": 30})
@@ -541,6 +580,20 @@ class TestCLI:
         out = self.run_cli("run", "--config", str(p), "--out", str(tmp_path / "out"))
         assert out.returncode == 1
         assert "[FAIL]" in out.stdout
+
+    @pytest.mark.parametrize("text,message", [
+        (None, "it has no 'apps' key"),
+        ("[1, 2]", "the document must be a JSON object, got list"),
+    ], ids=["config_file", "json_list"])
+    def test_analyze_rejects_a_document_that_is_not_a_trace(self, tmp_path, text, message):
+        p = CONFIG_DIR / "fixed_tt.json"
+        if text is not None:
+            p = tmp_path / "t.json"
+            p.write_text(text)
+        out = self.run_cli("analyze", "--trace", str(p))
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert f"error: {p}: not a trace: {message}" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_missing_trace_errors(self):
         out = self.run_cli("analyze", "--trace", "/nonexistent/trace.json")

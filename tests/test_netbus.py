@@ -42,11 +42,11 @@ class TestSelectMode:
 class TestBusConfig:
     def test_d2_minimum(self):
         with pytest.raises(ValueError, match="d2"):
-            BusConfig(1, {0: 1}, 4, d2=1, eth=0.1)
+            BusConfig(1, {0: 1}, 4, d2=1)
 
     def test_injective_slots(self):
         with pytest.raises(ValueError, match="injective"):
-            BusConfig(2, {0: 1, 1: 1}, 4, d2=2, eth=0.1)
+            BusConfig(2, {0: 1, 1: 1}, 4, d2=2)
 
     def test_default_factory(self):
         cfg = BusConfig.default(3)
@@ -58,7 +58,7 @@ class TestBusConfig:
     ], ids=["priority_for_unknown_app", "priority_missing_app"])
     def test_mappings_name_exactly_the_apps(self, n_apps, prios):
         with pytest.raises(ValueError, match=f"must name exactly the apps 0..{n_apps - 1}"):
-            BusConfig(n_apps, prios, 4, d2=2, eth=0.1)
+            BusConfig(n_apps, prios, 4, d2=2)
 
 
 class TestTransmit:
@@ -76,7 +76,7 @@ class TestTransmit:
         # two messages fit the dynamic segment; the walk carries the third a
         # cycle, blowing the d2 budget
         cfg = BusConfig(3, {i: i + 1 for i in range(3)},
-                        minislots_per_cycle=2, d2=2, eth=0.1)
+                        minislots_per_cycle=2, d2=2)
         state = BusState(cycle_index=50, modes={i: Mode.ET for i in range(3)})
         assert [transmit(state, cfg, app, 50) for app in range(3)] == [52, 52, 52]
         with pytest.raises(BusCapacityError,
@@ -91,7 +91,7 @@ class TestTransmit:
             transmit(BusState(modes={5: Mode.TT}), cfg, 5, 0)
 
     def test_oversized_message(self):
-        cfg = BusConfig(1, {0: 1}, minislots_per_cycle=2, d2=2, eth=0.1,
+        cfg = BusConfig(1, {0: 1}, minislots_per_cycle=2, d2=2,
                         message_minislots=3)
         state = BusState(modes={0: Mode.ET})
         assert transmit(state, cfg, 0, 0) == 2
@@ -111,7 +111,7 @@ class TestAdvanceCycle:
 
     def test_long_message_plus_idles(self):
         cfg = BusConfig(3, {i: i + 1 for i in range(3)},
-                        minislots_per_cycle=8, d2=2, eth=0.1)
+                        minislots_per_cycle=8, d2=2)
         report = advance_cycle(BusState(), cfg, requests={0: 4})
         assert report.consumed_minislots == 6  # 4 + 1 + 1
         assert report.idle_slots == 2
@@ -119,14 +119,14 @@ class TestAdvanceCycle:
         assert report.conserved
 
     def test_empty_dynamic_segment(self):
-        cfg = BusConfig(0, {}, minislots_per_cycle=4, d2=2, eth=0.1)
+        cfg = BusConfig(0, {}, minislots_per_cycle=4, d2=2)
         report = advance_cycle(BusState(), cfg, requests={})
         assert report.consumed_minislots == 0
         assert report.conserved
 
     def test_carryover_served_next_cycle(self):
         cfg = BusConfig(2, {0: 1, 1: 2}, minislots_per_cycle=2,
-                        d2=3, eth=0.1)
+                        d2=3)
         state = BusState(modes={0: Mode.ET, 1: Mode.ET})
         r1 = advance_cycle(state, cfg, requests={0: 2, 1: 2})
         assert r1.transmissions == [(0, 2)]
@@ -152,7 +152,7 @@ class TestAdvanceCycle:
 
         rng = np.random.default_rng(5)
         cfg = BusConfig(4, {i: i + 1 for i in range(4)},
-                        minislots_per_cycle=6, d2=4, eth=0.1)
+                        minislots_per_cycle=6, d2=4)
         state = BusState(modes={i: Mode.ET for i in range(4)})
         for _ in range(200):
             requests = {i: int(rng.integers(1, 4)) for i in range(4) if rng.random() < 0.5}
@@ -213,7 +213,7 @@ def random_bus(rng, n=40):
     prios = rng.permutation(n_apps) + 1
     cfg = BusConfig(n_apps, {i: int(prios[i]) for i in range(n_apps)},
                     minislots_per_cycle=int(rng.integers(1, 2 * n_apps + 3)),
-                    d2=int(rng.integers(2, 6)), eth=0.1, message_minislots=int(rng.integers(1, 3)))
+                    d2=int(rng.integers(2, 6)), message_minislots=int(rng.integers(1, 3)))
     modes = [[Mode.ET.value if rng.random() < 0.7 else Mode.TT.value for _ in range(n)]
              for _ in range(n_apps)]
     return cfg, modes

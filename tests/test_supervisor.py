@@ -234,7 +234,7 @@ def run_switching(model_kwargs, horizon=5000, times=(1500, 2200, 2900, 3600, 430
     yref = np.full(horizon + 2, level)
     train = make_impulse_train(500, horizon, 1.0, times=list(times)) if times else None
     sup = AppSupervisor(0, model, 2, eth, yref, train, beta0_init=beta0_init)
-    cfg = BusConfig.default(1, d2=2, eth=eth, minislots_per_cycle=8)
+    cfg = BusConfig.default(1, d2=2, minislots_per_cycle=8)
     state = BusState()
     for k in range(horizon):
         state.modes[0] = sup.sense(k)
@@ -279,7 +279,7 @@ class TestSupervisorLoop:
         yref = np.full(horizon + 2, 2.0)
         train = make_impulse_train(500, horizon, 1.0, times=[1500])
         sup = AppSupervisor(0, model, 2, 0.05, yref, train, beta0_init=0.25)
-        cfg = BusConfig.default(1, d2=2, eth=0.05, minislots_per_cycle=8)
+        cfg = BusConfig.default(1, d2=2, minislots_per_cycle=8)
         state = BusState()
         snapshots = {}
         for k in range(horizon):
@@ -306,7 +306,7 @@ class TestSupervisorLoop:
         train = DisturbanceTrain(times=np.arange(1000, 1040, 2),
                                  amplitudes=np.ones(20), t_dw=2)
         sup = AppSupervisor(0, model, 2, 0.05, yref, train, beta0_init=0.25)
-        cfg = BusConfig.default(1, d2=2, eth=0.05, minislots_per_cycle=8)
+        cfg = BusConfig.default(1, d2=2, minislots_per_cycle=8)
         state = BusState()
         for k in range(2000):
             state.modes[0] = sup.sense(k)
@@ -352,7 +352,7 @@ class TestSupervisorLoop:
                 model.a, model.b, d, 0.5, model.true_theta(d), yref[:10 + d], np.zeros(11),
                 y_init, u_init, False)[-1]
             assert np.array_equal(hist[:d], kernel_rows[:d])
-        cfg = BusConfig.default(1, d2=d2, eth=0.05, minislots_per_cycle=8)
+        cfg = BusConfig.default(1, d2=d2, minislots_per_cycle=8)
         state = BusState()
         for k in range(horizon):
             state.modes[0] = sup.sense(k)
@@ -374,7 +374,7 @@ class TestSupervisorLoop:
         yref = np.full(horizon + 2, 2.0)
         train = make_impulse_train(500, horizon, 1.0, times=[1500])
         sup = AppSupervisor(0, model, 2, 0.05, yref, train, beta0_init=0.25)
-        cfg = BusConfig.default(1, d2=2, eth=0.05, minislots_per_cycle=8)
+        cfg = BusConfig.default(1, d2=2, minislots_per_cycle=8)
         state = BusState()
         seen_zero = False
         for k in range(horizon):

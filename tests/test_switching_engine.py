@@ -33,7 +33,7 @@ def per_sample_run(cfg):
     buscfg = cfg.bus_config()
     T = cfg.horizon
     sups = [AppSupervisor(
-        app_id=i, model=spec.model, d2=buscfg.d2, eth=buscfg.eth,
+        app_id=i, model=spec.model, d2=buscfg.d2, eth=cfg.eth,
         yref=cfg.reference.sequence(T + buscfg.d2, spec.phase_offset), train=spec.train,
         gamma1=cfg.gammas[0], gamma2=cfg.gammas[1], beta0_init=spec.beta0_init,
         y_init=spec.y_init, u_init=spec.u_init,
