@@ -496,8 +496,9 @@ def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: P
         yref_prime = yref_ext[:n + d] + _dprime_sequence(model, spec.train, n + d)
         errs = [model.true_theta(dj) - theta for dj, theta in zip(delays, thetas)]
         Phis = [rows[dj: dj + n] for dj, rows in zip(delays, run.phi_rows)]
+        # a one-element regressor compares nothing with its ideal model, which does not run
         diffs = [Phi[:, :-1] - _ideal_regressors(model, dj, yref_prime, n, spec.y_init, spec.u_init)[:, :-1]
-                 for dj, Phi in zip(delays, Phis)]
+                 if Phi.shape[1] > 1 else np.zeros((n, 0)) for dj, Phi in zip(delays, Phis)]
         tt = ~et
         cols.update(_monitor_columns(_by_mode(tt, errs[0], errs[-1]), _by_mode(tt, diffs[0], diffs[-1]),
                                      Phis[-1], errs[-1], rank_tol), yref_prime=yref_prime[:n])
@@ -516,6 +517,8 @@ def _dprime_sequence(model: PlantModel, train: DisturbanceTrain, n: int) -> np.n
     """D'(0..n-1): the disturbance run through the inverse plant A/B from rest,
     in ``DisturbanceInverseFilter.step``'s arithmetic order."""
     a, b = model.a.tolist(), model.b.tolist()
+    if not len(train.times):
+        return np.full(n, 0.0 / b[0])  # the filter's output from rest, with its sign of zero
     m1, m2 = len(a), len(b) - 1
     din = [0.0] * m1 + train.dense(n).tolist()  # din[m1 + t] = D(t)
     dout = [0.0] * m2  # dout[m2 + t] = D'(t)
@@ -754,6 +757,13 @@ def load_trace(path) -> Trace:
             raise ValueError(f"{path}: not a trace: it has no {key!r} key")
     if not isinstance(doc["apps"], list):
         raise ValueError(f"{path}: not a trace: 'apps' must be a list, got {type(doc['apps']).__name__}")
+    for i, a in enumerate(doc["apps"]):
+        if not isinstance(a, dict) or not isinstance(a.get("columns", {}), dict):
+            raise ValueError(f"{path}: not a trace: app entry {i} and its 'columns' must be objects")
+        missing = [key for key in ("app", "switches", "columns") if key not in a]
+        missing = missing or [f"columns.{name}" for name in TRACE_FIELDS if name not in a["columns"]]
+        if missing:
+            raise ValueError(f"{path}: not a trace: app entry {i} has no {missing[0]!r} key")
     apps = [
         AppTrace(
             app_id=a["app"],

@@ -1,17 +1,22 @@
 """The closed adaptive loop, and its formulas one sample at a time.
 
-``adaptive_loop`` is the one whole-horizon engine.  It runs on Python floats
-and lists, under one of two policies: pinned (one estimate at one delay: the
-fixed protocol, and with updates off the ideal reference models) or
-switching (one application's TT/ET loop).  ``simulate_fixed_delay`` returns
-its pinned runs as float64 arrays.  ``dot``, ``gradient_update`` and
-``control_output`` compute the same formulas on float64 arrays for the
-per-sample reference loop.  Every sum runs in a fixed order, with no BLAS
-reduction, so (config, seed) gives the same bytes on every run.
+``adaptive_loop`` is the one whole-horizon engine, on Python floats and
+lists, with two policies: pinned (one estimate at one delay: the fixed
+protocol, and with updates off the ideal reference models) and switching
+(one application's TT/ET loop).  Its samples run in straight-line code that
+``_loop_source`` writes from one template per shape (m1, m2, the delays, the
+policy, updates on or off) and ``_loop_kernel`` compiles at the shape's
+first run and caches.  ``simulate_fixed_delay`` returns pinned runs as
+float64 arrays.  ``dot``, ``gradient_update`` and ``control_output`` compute
+the same formulas on float64 arrays for the per-sample reference loop.
+Every sum runs in a fixed order, with no BLAS reduction, so (config, seed)
+gives the same bytes on every run.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,108 +141,162 @@ def adaptive_loop(a, b, ref, impulses, y_init, u_init, thetas, gammas, eth=-1.0,
     """
     a, b, ref = _floats(a), _floats(b), _floats(ref)
     m1, m2 = len(a), len(b) - 1
-    switching = len(thetas) == 2
     theta1, theta2 = _floats(thetas[0]), _floats(thetas[-1])
-    gamma1, gamma2 = float(gammas[0]), float(gammas[-1])
-    M1, M2 = len(theta1), len(theta2)
-    d1, d2 = M1 - m1 - m2, M2 - m1 - m2
-    if not switching:
-        eth = -1.0  # |e| <= eth never holds, nan included
+    d1, d2 = len(theta1) - m1 - m2, len(theta2) - m1 - m2
     T = max(len(ref) - d2, 0)
     D = [0.0] * (T + 1 + d2)  # D[t + d2] = D(t)
     for t, v in impulses:
         if -d2 <= t <= T:
             D[t + d2] = float(v)
-    # Y[oy + t] = y(t) and U[ou + t] = u(t), zero before the initial conditions
-    oy, ou = m1 + d2, m2 + 2 * d2
-    Y, U = [0.0] * (oy + 1), [0.0] * ou
-    for i, v in enumerate(_floats(y_init)[: oy + 1]):
-        Y[oy - i] = v
-    for i, v in enumerate(_floats(u_init)[:ou]):
-        U[ou - 1 - i] = v
+    # ys[i] = y(-i) and us[j] = u(-1-j), zero before the initial conditions
+    ys = (_floats(y_init) + [0.0] * (m1 + d2))[: m1 + d2]
+    us = (_floats(u_init) + [0.0] * (m2 + 2 * d2))[: m2 + 2 * d2]
     # Phi(t) at delay d = (y(t)..y(t-m1+1), u(t-1)..u(t-m2-d+1), u(t)), at R[t + d]
-    R1, R2 = ([Y[oy + t: oy + t - m1: -1] + U[ou + t - 1: ou + t - m2 - d: -1] + [U[ou + t]]
-               for t in range(-d, 0)] for d in (d1, d2))
-    if not switching:
-        R2 = R1  # one regressor list, appended once per sample
-    n1 = m1 + m2 + d1 - 1  # width of theta1's phi
-    memory, hold, p, et = theta2, 0, 0, False
-    zero1, zero2, hold_len = [0.0] * M1, [0.0] * M2, m2 + d2 - 1
-    E, EPS, ET, TH1, TH2, switches = [], [], [], [], [], []
-    status, value = SIM_OK, None
+    R1, R2 = ([ys[-t: -t + m1] + us[-t: -t + m2 + d - 1] + [us[-t - 1]] for t in range(-d, 0)]
+              for d in (d1, d2))
+    return _loop_kernel(m1, m2, d1, d2, len(thetas) == 2, bool(updates))(
+        a, b, ref, D, ys, us, R1, R2, theta1, theta2, float(gammas[0]), float(gammas[-1]), eth, T)
+
+
+# The template of every loop kernel.  Per sample the regressor entries are
+# locals, rolled forward after the plant step: y0 = y(k), y1 = y(k-1), ...,
+# u1 = u(k-1), ..., and uk = u(k); so are the estimates t1_j and t2_j and
+# theta2's memory mem_j.  Every sum is written out term by term from 0.0.
+# _SAMPLE is one sample of estimate i at delay d; the switching kernel runs
+# it for theta2 under ``if et`` and for theta1 under ``else``, and each ends
+# in the reset rule of its direction.
+_LOOP = """\
+def loop(a, b, ref, D, ys, us, R1, R2, theta1, theta2, gamma1, gamma2, eth, T):
+{unpack}
+    Y, U, E, EPS, ET, TH1, TH2, switches = [y0], [], [], [], [], [], [], []
+    status, k_stop, value, hold, p, et = SIM_OK, T, None, 0, 0, False
     for k in range(T):
-        y_k = Y[oy + k]
-        e_k = y_k - ref[k]
-        et_next = abs(e_k) <= eth
-        ET.append(et)
+        e_k = y0 - ref[k]
         E.append(e_k)
-        if et:
-            theta, lag, gamma, d = theta2, R2[k], gamma2, d2
-        else:
-            theta, lag, gamma, d = theta1, R1[k], gamma1, d1
-        s = 0.0
-        for t_i, p_i in zip(theta, lag):
-            s += t_i * p_i
-        eps = y_k - s
-        EPS.append(eps)
-        before = theta  # the active estimate before its update
-        if et and hold > 0:
-            hold -= 1
-        elif updates and (et_next == et or abs(theta[-1]) < ZERO_FLOOR):
-            nn = 0.0
-            for p_i in lag:
-                nn += p_i * p_i
-            denom = 1.0 + nn
-            gain = gamma if abs(theta[-1] + lag[-1] * eps / denom) < ZERO_FLOOR else 1.0
-            theta = [t_i + gain * p_i * eps / denom for t_i, p_i in zip(theta, lag)]
-            if et:
-                theta2 = theta
-            else:
-                theta1 = theta
-        TH1 += theta1
-        if switching:
-            TH2 += theta2
-        if abs(theta[-1]) < ZERO_FLOOR:
-            status = SIM_ZERO_DIVISOR if abs(before[-1]) < ZERO_FLOOR else SIM_GUARD_BROKEN
-            break
-        phi = Y[oy + k: oy + k - m1: -1] + U[ou + k - 1: ou + k - m2 - d2: -1]
-        phi1 = phi[:n1] if switching else phi
-        s = 0.0
-        for t_i, p_i in zip(theta, phi if et else phi1):
-            s += t_i * p_i
-        u_k = (ref[k + d] - s) / theta[-1]
-        phi.append(u_k)
-        R2.append(phi)
-        if switching:
-            phi1.append(u_k)
-            R1.append(phi1)
-        if et_next != et:
-            p += 1
-            if et:
-                switches.append((k, "ET->TT", p))
-                memory, theta1, hold = theta2, zero1, 0
-                TH1[-M1:] = theta1
-            else:
-                switches.append((k, "TT->ET", p))
-                theta2, hold = (zero2, 0) if p == 1 else (memory, hold_len)
-                TH2[-M2:] = theta2
-            et = et_next
-        U.append(u_k)
-        acc = 0.0
-        for a_l, y_l in zip(a, phi):
-            acc -= a_l * y_l
-        for b_l, u_l in zip(b, U[ou + k + 1 - d: ou + k - d - m2: -1]):
-            acc += b_l * u_l
-        acc += D[d2 + k + 1 - d]
+{sample}
+{record}
+        U.append(uk)
         if not abs(acc) <= DIVERGENCE_LIMIT:  # nan included
-            status, value = SIM_DIVERGED, acc
+            status, k_stop, value = SIM_DIVERGED, k, acc
             break
         Y.append(acc)
-    return LoopRun(
-        status=status, k_stop=k if status else T, T=T, y=Y[oy:], u=U[ou:], e=E, eps=EPS, et=ET,
-        switches=switches, theta_rows=(TH1, TH2) if switching else (TH1,),
-        phi_rows=(R1, R2) if switching else (R1,), value=value,
-    )
+{roll}
+    return LoopRun(status, k_stop, T, Y, U, E, EPS, {et}, switches, {rows}, value)
+"""
+_SWITCHING = """\
+ET.append(et)
+et_next = abs(e_k) <= eth
+if et:
+{et}
+else:
+{tt}"""
+_SAMPLE = """\
+{lag} = R{i}[k]
+eps = y0 - ({lag_dot})
+EPS.append(eps)
+{update}
+if abs({last}) < ZERO_FLOOR:
+{record}
+    status, k_stop = {stop}, k
+    break
+uk = (ref[k + {d}] - ({phi_dot})) / {last}
+acc = 0.0{plant} + D[k + {dk}]
+{rows}
+{reset}"""
+_UPDATE = """\
+before = {last}
+{when}:
+    denom = 1.0 + ({lag_norm})
+    gain = gamma{i} if abs({last} + {lag_last} * eps / denom) < ZERO_FLOOR else 1.0
+{step}"""
+# the reset rules: entering TT zeroes theta1 and keeps theta2 as its memory;
+# the first entry into ET zeroes theta2, a later one restores the memory and
+# holds theta2's updates for the next m2 + d2 - 1 ET samples
+_TO_TT = """\
+if not et_next:
+    p += 1
+    switches.append((k, "ET->TT", p))
+    {mem} = {t2}
+    {t1}, hold, et = {zeros1}, 0, False"""
+_TO_ET = """\
+if et_next:
+    p += 1
+    switches.append((k, "TT->ET", p))
+    if p == 1:
+        {t2}, hold, et = {zeros2}, 0, True
+    else:
+        {t2}, hold, et = {mem}, {hold}, True"""
+
+
+def _indent(text: str, spaces: int) -> str:
+    return "".join(" " * spaces + line for line in text.splitlines(True))
+
+
+def _tuple(names: list) -> str:
+    return ", ".join(names) + ("," if len(names) == 1 else "")
+
+
+def _sum(terms) -> str:
+    return " + ".join(["0.0"] + [f"{x} * {y}" for x, y in terms])
+
+
+def _loop_source(m1: int, m2: int, d1: int, d2: int, switching: bool, updates: bool) -> str:
+    """The source of one shape's kernel; only these ints enter it."""
+    ys = [f"y{i}" for i in range(max(m1, 1))]
+    us = [f"u{j}" for j in range(1, m2 + d2)]  # u(k-1), ..., u(k-m2-d2+1)
+    est = {i: [f"t{i}_{j}" for j in range(m1 + m2 + d)] for i, d in ((1, d1), (2, d2))}
+    mem = [f"mem_{j}" for j in range(len(est[2]))]
+    estimates = [(1, d1), (2, d2)][: 1 + switching]
+    record = "\n".join(f"TH{i} += ({_tuple(est[i])})" for i, _d in estimates)
+    names = dict(t1=", ".join(est[1]), t2=", ".join(est[2]), mem=", ".join(mem), hold=m2 + d2 - 1,
+                 zeros1=", ".join(["0.0"] * len(est[1])), zeros2=", ".join(["0.0"] * len(est[2])))
+
+    def sample(i, d, when, reset):
+        t, lag = est[i], [f"l{j}" for j in range(len(est[i]))]
+        phi = ys[:m1] + us[: m2 + d - 1]  # Phi(k) without u(k)
+        plant = [f" - a{l} * {y}" for l, y in enumerate(ys[:m1])]
+        plant += [f" + b{l} * {u}" for l, u in enumerate((["uk"] + us)[d - 1: d + m2])]
+        fields = dict(i=i, d=d, dk=d2 + 1 - d, last=t[-1], lag=_tuple(lag), lag_last=lag[-1], when=when,
+                      lag_dot=_sum(zip(t, lag)), lag_norm=_sum(zip(lag, lag)), phi_dot=_sum(zip(t, phi)),
+                      plant="".join(plant), record=_indent(record, 4), reset=reset.format(**names),
+                      stop="SIM_ZERO_DIVISOR if abs(before) < ZERO_FLOOR else SIM_GUARD_BROKEN"
+                      if updates else "SIM_ZERO_DIVISOR",
+                      step="\n".join(f"    {x} = {x} + gain * {l} * eps / denom" for x, l in zip(t, lag)),
+                      rows="\n".join(f"R{j}.append([{', '.join(ys[:m1] + us[: m2 + dj - 1] + ['uk'])}])"
+                                     for j, dj in estimates[::-1]))
+        fields["update"] = _UPDATE.format(**fields) if updates else ""
+        return _SAMPLE.format(**fields)
+
+    if switching:
+        body = _SWITCHING.format(
+            et=_indent(sample(2, d2, f"if hold > 0:\n    hold -= 1\nelif et_next or abs({est[2][-1]}) < ZERO_FLOOR",
+                              _TO_TT), 4),
+            tt=_indent(sample(1, d1, f"if not et_next or abs({est[1][-1]}) < ZERO_FLOOR", _TO_ET), 4))
+    else:
+        body = sample(1, d1, "if True", "")
+    unpack = [f"{_tuple(targets)} = {source}" for targets, source in (
+        ([f"a{l}" for l in range(m1)], "a"), ([f"b{l}" for l in range(m2 + 1)], "b"),
+        (ys, f"ys[:{len(ys)}]"), (us, f"us[:{len(us)}]"), (est[1], "theta1"),
+        (est[2] if switching else [], "theta2"), (mem if switching else [], "theta2")) if targets]
+    roll = [f"{', '.join(x[::-1])} = {', '.join(x[-2::-1] + [new])}" for x, new in ((ys, "acc"), (us, "uk")) if x]
+    source = _LOOP.format(unpack=_indent("\n".join(unpack), 4), sample=_indent(body, 8),
+                          record=_indent(record, 8), roll=_indent("\n".join(roll), 8),
+                          et="ET" if switching else "[False] * len(E)",
+                          rows="(TH1, TH2), (R1, R2)" if switching else "(TH1,), (R1,)")
+    return "".join(line for line in source.splitlines(True) if line.strip())
+
+
+@functools.cache
+def _loop_kernel(m1: int, m2: int, d1: int, d2: int, switching: bool, updates: bool):
+    """The kernel of one shape, compiled at its first run and kept.  Its
+    source is registered with ``linecache``, so tracebacks show its lines."""
+    source = _loop_source(m1, m2, d1, d2, switching, updates)
+    name = (f"<adaptive_loop m1={m1} m2={m2} d1={d1} d2={d2}"
+            f" {'switching' if switching else 'pinned'}{'' if updates else ' frozen'}>")
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    namespace = dict(globals())  # the constants and LoopRun
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["loop"]
 
 
 def simulate_fixed_delay(a, b, d, gamma, theta0, yref_ext, dist, y_init, u_init, adapt_updates):

@@ -1,6 +1,6 @@
 """Switching adaptive controller: dual estimates (one per bus mode), the
 switching-instant reset/hold rules, the per-sample reference loop
-(``AppSupervisor``) of the switching policy of ``kernels.adaptive_loop``,
+(``AppSupervisor``) of the switching kernels ``kernels.adaptive_loop`` runs,
 the per-sample monitor definitions (common Lyapunov value, equivalent
 reference, ideal reference models, containment scan) and the trace schema.
 """
@@ -250,11 +250,11 @@ class AppSupervisor:
     """One application's switching loop, one sample at a time: mode selection
     feeds the bus, the per-mode controller runs update-then-control,
     switching instants trigger the reset/hold rules, and the plant is stepped
-    with the active mode's delay.  ``kernels.adaptive_loop`` runs the same
-    loop over a whole horizon; this class is its per-sample reference.  Over
-    T = len(yref) - d2 samples it records each estimate after sample k,
-    reset included, at row k of ``theta1_hist``/``theta2_hist`` and the regressor of
-    time t (pre-start ones too) at row t + 1 / t + d2 of ``Phi1_hist``/``Phi2_hist``.
+    with the active mode's delay: the per-sample reference of the switching
+    kernels that ``kernels.adaptive_loop`` generates.  Over T = len(yref) - d2
+    samples it records each estimate after sample k, reset included, at row k
+    of ``theta1_hist``/``theta2_hist`` and the regressor of time t (pre-start
+    ones too) at row t + 1 / t + d2 of ``Phi1_hist``/``Phi2_hist``.
     """
 
     def __init__(self, app_id, model: PlantModel, d2: int, eth: float, yref: np.ndarray,

@@ -261,10 +261,12 @@ def test_run_scenario_matches_the_numpy_scalar_loop(name, d):
 
 
 def test_dprime_sequence_matches_the_inverse_filter():
-    model = PlantModel(a=np.array([-1.1, 0.3]), b=np.array([1.2, 0.36]))
-    train = make_impulse_train(40, 500, amplitudes=[1.0, -0.6, 2.5], times=[0, 170, 333])
-    filt = DisturbanceInverseFilter(model)
-    want = np.array([filt.step(train.value(t)) for t in range(400)])
-    got = harness._dprime_sequence(model, train, 400)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert np.count_nonzero(got) > 3
+    # without an impulse the filter gives 0.0 / b0 throughout: -0.0 for a negative b0
+    for b, times in (([1.2, 0.36], [0, 170, 333]), ([1.2, 0.36], []), ([-0.25], []), ([-2.0, -0.5], [])):
+        model = PlantModel(a=np.array([-1.1, 0.3]), b=np.array(b))
+        train = make_impulse_train(40, 500, amplitudes=[1.0, -0.6, 2.5][: len(times)], times=times)
+        filt = DisturbanceInverseFilter(model)
+        want = np.array([filt.step(train.value(t)) for t in range(400)])
+        got = harness._dprime_sequence(model, train, 400)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.count_nonzero(got) > 3 if times else np.signbit(got).all() == (b[0] < 0)

@@ -595,6 +595,23 @@ class TestCLI:
         assert f"error: {p}: not a trace: {message}" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("entry,message", [
+        (1, "app entry 0 and its 'columns' must be objects"),
+        ({"app": 0}, "app entry 0 has no 'switches' key"),
+        ({"switches": [], "columns": {}}, "app entry 0 has no 'app' key"),
+        ({"app": 0, "switches": []}, "app entry 0 has no 'columns' key"),
+        ({"app": 0, "switches": [], "columns": []}, "app entry 0 and its 'columns' must be objects"),
+        ({"app": 0, "switches": [], "columns": {name: [] for name in TRACE_FIELDS if name != "eps"}},
+         "app entry 0 has no 'columns.eps' key"),
+    ], ids=["not_an_object", "no_switches", "no_app", "no_columns", "columns_not_an_object", "no_eps_column"])
+    def test_analyze_rejects_a_malformed_app_entry(self, tmp_path, entry, message):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"apps": [entry], "bus": {}, "config": {}, "status": "ok", "summary": {}}))
+        out = self.run_cli("analyze", "--trace", str(p))
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert f"error: {p}: not a trace: {message}" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_missing_trace_errors(self):
         out = self.run_cli("analyze", "--trace", "/nonexistent/trace.json")
         assert out.returncode == 2
