@@ -19,11 +19,11 @@ import numpy as np
 
 from . import kernels, netbus, reference
 from .excitation import sr_order
-from .netbus import BusCapacityError, BusConfig, BusState, Mode
+from .netbus import BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode
 from .plant import DisturbanceTrain, PlantModel, make_impulse_train
 from .supervisor import MONITOR_FIELDS, TRACE_FIELDS, containment_check
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
 
 DEFAULT_TOLERANCES = {
@@ -328,12 +328,30 @@ class AppTrace:
     switches: list  # (k, direction, p)
 
 
+class BusLog(dict):
+    """The bus log as ``netbus.BUS_COLUMNS`` int64 arrays.  ``bus["cycles"]``
+    and ``bus["deliveries"]`` answer with the version-1 lists, built from
+    the columns on each read by ``_v1_bus`` and never stored."""
+
+    def __missing__(self, key):
+        if key in ("cycles", "deliveries"):
+            return _v1_bus(self, key)
+        raise KeyError(key)
+
+    def __eq__(self, other):
+        return (isinstance(other, dict) and self.keys() == other.keys()
+                and all(np.array_equal(self[name], other[name]) for name in self))
+
+    def __ne__(self, other):
+        return not self == other
+
+
 @dataclass
 class Trace:
     config: dict
     status: str
     apps: list
-    bus: dict
+    bus: BusLog
     summary: dict
     schema_version: int = SCHEMA_VERSION
 
@@ -355,7 +373,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
         summary = {"kind": "fixed", "d": cfg.delays[0]}
         # every app runs to its own stop; the status names each app that stopped, in app order
         rows, aborting = [run.k_stop for run in runs], None
-        bus = {"cycles": [], "deliveries": []}
+        bus = BusLog({name: np.zeros(0, dtype=np.int64) for name in BUS_COLUMNS})
         status = "; ".join(
             f"{'diverged' if run.status == kernels.SIM_DIVERGED else 'zero divisor'}: app {i} at sample {run.k_stop}"
             for i, run in enumerate(runs) if run.status) or "ok"
@@ -399,7 +417,7 @@ def _loop_arrays(run: kernels.LoopRun) -> kernels.LoopRun:
     )
 
 
-def _replay_bus(buscfg: BusConfig, runs: list, T: int) -> tuple[list, int | None, str, dict]:
+def _replay_bus(buscfg: BusConfig, runs: list, T: int) -> tuple[list, int | None, str, BusLog]:
     """Replay the bus over the switching apps' modes, and cut the run where
     the sample-by-sample interleaving (per sample: every app's transmission
     in priority order, the bus cycle, then every app's step) would have
@@ -409,36 +427,45 @@ def _replay_bus(buscfg: BusConfig, runs: list, T: int) -> tuple[list, int | None
     # the first app abort as (sample, priority position); the bus runs through that sample
     k_stop, j_stop = min(((runs[app].k_stop, j) for j, app in enumerate(order) if runs[app].status),
                          default=(T, 0))
-    state = BusState()
+    n = min(k_stop + 1, T)
+    bus = BusLog()
     status, aborting = "ok", None
     try:
-        netbus.replay(state, buscfg, [_mode_labels(np.where(run.et, buscfg.d2, 1)) for run in runs],
-                      min(k_stop + 1, T))
+        netbus.replay(buscfg, [run.et[:n] for run in runs], n, bus)
         if k_stop < T:
             aborting = order[j_stop]
             status = f"aborted at sample {k_stop}: {_abort_text(runs[aborting])}"
     except BusCapacityError as exc:
         # a bus abort at sample k precedes every app step at k
-        k_stop, j_stop = state.cycle_index, 0
+        k_stop, j_stop = len(bus["consumed"]), 0
         status = f"aborted at sample {k_stop}: {exc}"
     rows = [0] * len(runs)
     for j, app in enumerate(order):
         rows[app] = k_stop + (j < j_stop)
-    bus = {
-        "cycles": [
-            {
-                "cycle": r.cycle,
-                "consumed_minislots": r.consumed_minislots,
-                "idle_slots": r.idle_slots,
-                "transmissions": [[a, l] for a, l in r.transmissions],
-                "carried": len(r.carried),
-                "conserved": r.conserved,
-            }
-            for r in state.cycle_log
-        ],
-        "deliveries": list(map(list, state.deliveries)),
-    }
     return rows, aborting, status, bus
+
+
+def _minislots_sent(bus: dict) -> np.ndarray:
+    """The minislots each logged cycle's transmissions took."""
+    sent = np.bincount(bus["tx_cycle"], weights=bus["tx_len"], minlength=len(bus["consumed"]))
+    return sent.astype(np.int64)
+
+
+def _v1_bus(bus: dict, key: str) -> list:
+    """The version-1 form of a part of the bus log: ``cycles``, one dict per
+    cycle, or ``deliveries``, one [app, k, mode, delivery, arrival] list per
+    delivery."""
+    if key == "deliveries":
+        return list(map(list, zip(bus["app"].tolist(), bus["k"].tolist(), _MODE_LABELS[bus["et"]].tolist(),
+                                  bus["delivery"].tolist(), bus["arrival"].tolist())))
+    consumed, idle = bus["consumed"].tolist(), bus["idle"].tolist()
+    transmissions = [[] for _ in consumed]
+    for c, app, length in zip(bus["tx_cycle"].tolist(), bus["tx_app"].tolist(), bus["tx_len"].tolist()):
+        transmissions[c].append([app, length])
+    conserved = (bus["consumed"] == bus["idle"] + _minislots_sent(bus)).tolist()
+    return [{"cycle": c, "consumed_minislots": consumed[c], "idle_slots": idle[c],
+             "transmissions": transmissions[c], "carried": carried, "conserved": conserved[c]}
+            for c, carried in enumerate(bus["carried"].tolist())]
 
 
 def _abort_text(run: kernels.LoopRun) -> str:
@@ -536,10 +563,13 @@ def _ideal_regressors(model: PlantModel, d: int, yref_prime: np.ndarray, n: int,
                       y_init=(), u_init=()) -> np.ndarray:
     """Phi*(k), k < n, of the ideal closed loop at delay d: the true plant and
     parameters, no disturbance, driven by the equivalent reference."""
-    return kernels.simulate_fixed_delay(
-        model.a, model.b, d, 0.5, model.true_theta(d), yref_prime[:n + d], np.zeros(n + 1),
-        np.asarray(y_init, dtype=float), np.asarray(u_init, dtype=float), False,
-    )[-1][d: d + n]
+    run = kernels.adaptive_loop(model.a, model.b, yref_prime[:n + d], (), y_init, u_init,
+                                (model.true_theta(d),), (0.5,), updates=False)
+    rows = run.phi_rows[0]
+    Phi = np.array(rows[d: d + n], dtype=float).reshape(-1, len(rows[0]))
+    if len(Phi) < n:  # a stopped run has no regressor past its stop
+        Phi = np.concatenate([Phi, np.zeros((n - len(Phi), Phi.shape[1]))])
+    return Phi
 
 
 def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.ndarray:
@@ -743,11 +773,13 @@ def _write_json(trace: Trace, texts: list, f) -> None:
                      for p in columns[name].pieces]
             f.write((", " if j else "") + json.dumps(name) + ": [" + ", ".join(cells) + "]")
         f.write("}}")
-    f.write('], "bus": ' + json.dumps(trace.bus) + "}")
+    f.write('], "bus": ' + json.dumps({name: trace.bus[name].tolist() for name in BUS_COLUMNS}) + "}")
 
 
 def load_trace(path) -> Trace:
-    """Read a JSON trace back into memory (the analyze entry point)."""
+    """Read a JSON trace back into memory (the analyze entry point).  A
+    version-1 trace's bus (``cycles`` and ``deliveries`` lists) is read
+    into the bus columns."""
     path = Path(path)
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
@@ -772,14 +804,55 @@ def load_trace(path) -> Trace:
         )
         for a in doc["apps"]
     ]
-    return Trace(
-        config=doc["config"],
-        status=doc["status"],
-        apps=apps,
-        bus=doc["bus"],
-        summary=doc["summary"],
-        schema_version=doc.get("schema_version", SCHEMA_VERSION),
-    )
+    bus = doc["bus"]
+    if not isinstance(bus, dict):
+        raise ValueError(f"{path}: not a trace: 'bus' must be an object, got {type(bus).__name__}")
+    if doc.get("schema_version", 1) == 1:
+        bus = _v1_columns(bus, path)
+    return Trace(config=doc["config"], status=doc["status"], apps=apps, bus=_bus_columns(bus, path),
+                 summary=doc["summary"])
+
+
+def _bus_columns(bus: dict, path) -> BusLog:
+    """The bus log of a trace document as int64 columns; a column that is
+    missing, holds a cell that is not an integer, or differs in length from
+    the others of its group raises ``ValueError``."""
+    cols = BusLog()
+    for name in BUS_COLUMNS:
+        if name not in bus:
+            raise ValueError(f"{path}: not a trace: the bus has no {name!r} column")
+        try:
+            col = np.array(bus[name])
+        except ValueError:  # ragged
+            col = None
+        if col is None or col.ndim != 1 or (col.size and col.dtype.kind not in "iu"):
+            raise ValueError(f"{path}: not a trace: bus column {name!r} must be a list of integers")
+        cols[name] = col.astype(np.int64, copy=False)
+    for group in (CYCLE_COLUMNS, TX_COLUMNS, DELIVERY_COLUMNS):
+        lengths = {len(cols[name]) for name in group}
+        if len(lengths) > 1:
+            raise ValueError(f"{path}: not a trace: bus columns {', '.join(group)} differ in length")
+    tx_cycle = cols["tx_cycle"]
+    if tx_cycle.size and not (0 <= tx_cycle.min() and tx_cycle.max() < len(cols["consumed"])):
+        raise ValueError(f"{path}: not a trace: a transmission names a cycle the bus does not log")
+    return cols
+
+
+def _v1_columns(bus: dict, path) -> dict:
+    """The bus columns of a version-1 bus: ``cycles`` dicts with their
+    transmissions as [app, length], and [app, k, mode, delivery, arrival]
+    deliveries; the stored ``conserved`` flags are recomputed, not read."""
+    try:
+        cycles, deliveries = bus.get("cycles", []), bus.get("deliveries", [])
+        tx = [(c["cycle"], app, length) for c in cycles for app, length in c["transmissions"]]
+        rows = {"consumed": [c["consumed_minislots"] for c in cycles], "idle": [c["idle_slots"] for c in cycles],
+                "carried": [c["carried"] for c in cycles]}
+        rows.update(zip(TX_COLUMNS, zip(*tx) if tx else ((), (), ())))
+        rows.update(zip(DELIVERY_COLUMNS, zip(*deliveries) if deliveries else ((),) * 5))
+        rows["et"] = [int(mode != Mode.TT.value) for mode in rows["et"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a trace: malformed version-1 bus: {exc!r}") from exc
+    return {name: list(col) for name, col in rows.items()}
 
 
 def read_trace_csv(path) -> dict:
@@ -963,14 +1036,14 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
                                      float(late_switches), 0.0,
                                      detail="switches after the error settles inside eth"))
     # bus delays and minislot conservation
-    bad_delay = 0
-    for (app, k, mode, delivery, arrival) in trace.bus.get("deliveries", []):
-        delay = delivery - k
-        if mode == "TT":
-            bad_delay += 0 if delay == 1 else 1
-        else:
-            bad_delay += 0 if (1 <= delay <= d2 and arrival <= k + d2 - 1) else 1
+    bus = trace.bus
+    k, delay = bus["k"], bus["delivery"] - bus["k"]
+    bad = np.where(bus["et"] != 0, (delay < 1) | (delay > d2) | (bus["arrival"] > k + d2 - 1), delay != 1)
+    bad_delay = int(np.count_nonzero(bad))
     results.append(MonitorResult("bus_delay_dichotomy", bad_delay == 0, float(bad_delay), 0.0,
                                  detail="TT delay == 1, ET delay <= d2"))
-    unconserved = sum(0 if c["conserved"] else 1 for c in trace.bus.get("cycles", []))
-    results.append(MonitorResult("minislot_conservation", unconserved == 0, float(unconserved), 0.0))
+    consumed = bus["consumed"]
+    broken = (consumed != bus["idle"] + _minislots_sent(bus)) | (consumed > cfg.bus_config().minislots_per_cycle)
+    unconserved = int(np.count_nonzero(broken))
+    results.append(MonitorResult("minislot_conservation", unconserved == 0, float(unconserved), 0.0,
+                                 detail="cycles where consumed != idle + transmitted or > minislots_per_cycle"))

@@ -19,11 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from typing import NamedTuple
+
+import numpy as np
 
 
 class Mode(str, Enum):
     TT = "TT"
     ET = "ET"
+
+
+_TT, _ET = Mode.TT.value, Mode.ET.value  # an enum member's value is a property lookup: hoisted
 
 
 class BusCapacityError(RuntimeError):
@@ -149,35 +156,115 @@ def transmit(state: BusState, config: BusConfig, app, k: int) -> int:
     """
     if app not in config.dyn_priorities:
         raise KeyError(f"application {app!r} is not registered on the bus")
-    if state.modes.get(app, Mode.TT) == Mode.TT:
-        state.deliveries.append((app, k, Mode.TT.value, k + 1, k + 1))
+    if state.modes.get(app, _TT) == _TT:
+        state.deliveries.append((app, k, _TT, k + 1, k + 1))
         return k + 1
     state.cycle_requests[app] = config.message_minislots
     state.pending[app] = len(state.deliveries)
-    state.deliveries.append((app, k, Mode.ET.value, k + config.d2, k + 1))
+    state.deliveries.append((app, k, _ET, k + config.d2, k + 1))
     return k + config.d2
 
 
-def replay(state: BusState, config: BusConfig, modes, n: int) -> None:
-    """Run samples 0..n-1 of the bus on a fresh state from the applications'
-    modes, as ``transmit`` for each app in priority order and then
-    ``advance_cycle`` would: ``modes[app][k]`` is the mode app sends in at
-    sample k.  A ``BusCapacityError`` leaves every delivery up to the failing
-    sample logged and ``state.cycle_index`` at that sample.
+# the bus log's int columns, by group: one row per completed cycle, per
+# transmission, and per delivery (one per app per sample, priority order
+# within a sample; ``et`` is 1 for an ET message, 0 for TT)
+CYCLE_COLUMNS = ("consumed", "idle", "carried")
+TX_COLUMNS = ("tx_cycle", "tx_app", "tx_len")
+DELIVERY_COLUMNS = ("app", "k", "et", "delivery", "arrival")
+BUS_COLUMNS = CYCLE_COLUMNS + TX_COLUMNS + DELIVERY_COLUMNS
+
+
+class _Outcome(NamedTuple):
+    """What one cycle of the walk did, relative to its sample c."""
+    consumed: int
+    idle: int
+    carried: int  # messages it carried over
+    transmissions: list  # (app, msg_len)
+    arrivals: list  # arrival - c of each app's delivery, by priority position
+    carry: tuple  # the apps of the carry queue it leaves, in order
+
+
+def replay(config: BusConfig, et, n: int, log: dict) -> None:
+    """Run samples 0..n-1 of the bus on a fresh state, as ``transmit`` for
+    each app in priority order and then ``advance_cycle`` would per sample,
+    and fill ``log`` with the bus log as ``BUS_COLUMNS`` int64 arrays.
+    ``et[app][k]`` is true where app sends in ET at sample k.
+
+    With one message length, a cycle's outcome depends only on its carry
+    queue (the apps, in order) and the set of apps that request, so the walk
+    runs once per distinct pair, at the first cycle that has it, and its
+    outcome is applied to every later cycle that shares it.  A
+    ``BusCapacityError`` is raised with the text that first cycle gives; it
+    leaves in ``log`` every cycle before the failing sample, which is then
+    ``len(log["consumed"])``, and every delivery up to and including it.
     """
     order = config.priority_order()
-    msg_len, d2 = config.message_minislots, config.d2
-    tt, et = Mode.TT.value, Mode.ET.value
-    deliveries = state.deliveries
-    for k, row in zip(range(n), zip(*(modes[app] for app in order))):
-        for app, mode in zip(order, row):
-            if mode == et:
-                state.cycle_requests[app] = msg_len
-                state.pending[app] = len(deliveries)
-                deliveries.append((app, k, et, k + d2, k + 1))
-            else:
-                deliveries.append((app, k, tt, k + 1, k + 1))
-        advance_cycle(state, config)
+    et = np.asarray(et, dtype=bool)[order, :n].T  # (n, N): each sample's ET flags by priority position
+    n = len(et)
+    packed = np.ascontiguousarray(np.packbits(et, axis=1))
+    patterns = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # each sample's flags as bytes
+    memo: dict = {}  # (carry queue, request pattern) -> index into outcomes
+    outcomes: list = []
+    index = np.zeros(n, dtype=np.intp)  # each sample's outcome
+    carry, cycles, error = (), n, None
+    for c, pattern in enumerate(patterns):
+        o = memo.get((carry, pattern))
+        if o is None:
+            outcome, error = _cycle_outcome(config, order, carry, et[c], c)
+            o = memo[(carry, pattern)] = len(outcomes)
+            outcomes.append(outcome)
+        index[c] = o
+        if error is not None:
+            cycles = c
+            break
+        carry = outcomes[o].carry
+    _fill_log(log, config, order, et, index[:n if error is None else cycles + 1], cycles, outcomes)
+    if error is not None:
+        raise error
+
+
+def _cycle_outcome(config: BusConfig, order: list, carry: tuple, requests, c: int):
+    """(outcome, None) of the walk at cycle c from a fresh state holding the
+    carry queue ``carry`` and each app's ET flag ``requests`` by priority
+    position, or (the sample's arrivals, the ``BusCapacityError``)."""
+    msg_len = config.message_minislots
+    state = BusState(cycle_index=c, modes=dict.fromkeys(compress(order, requests.tolist()), _ET),
+                     carryover=[(app, msg_len, c - 1) for app in carry])
+    for app in order:
+        transmit(state, config, app, c)
+    try:
+        report = advance_cycle(state, config)
+    except BusCapacityError as exc:
+        return _Outcome(0, 0, 0, [], [d[4] - c for d in state.deliveries], ()), exc
+    return _Outcome(report.consumed_minislots, report.idle_slots, len(report.carried), report.transmissions,
+                    [d[4] - c for d in state.deliveries], tuple(app for app, _len, _k in report.carried)), None
+
+
+def _fill_log(log: dict, config: BusConfig, order: list, et: np.ndarray, index: np.ndarray, cycles: int,
+              outcomes: list) -> None:
+    """The columns of the first ``cycles`` cycles and of the deliveries of
+    every sample ``index`` covers, from each sample's outcome index."""
+    done = index[:cycles]
+    stats = np.array([o[:3] for o in outcomes], dtype=np.int64).reshape(-1, 3)[done]
+    log.update(zip(CYCLE_COLUMNS, stats.T.copy()))
+    # each outcome's transmissions are a slice of one flat table; a cycle's
+    # r-th transmission is row start[its outcome] + r
+    counts = np.array([len(o.transmissions) for o in outcomes], dtype=np.int64)
+    table = np.array([tx for o in outcomes for tx in o.transmissions], dtype=np.int64).reshape(-1, 2)
+    per_cycle = counts[done]
+    first = np.cumsum(per_cycle) - per_cycle  # of each cycle's transmissions in the log
+    rows = np.repeat((np.cumsum(counts) - counts)[done] - first, per_cycle) + np.arange(per_cycle.sum())
+    log["tx_cycle"] = np.repeat(np.arange(cycles, dtype=np.int64), per_cycle)
+    log["tx_app"], log["tx_len"] = table[rows].T.copy()
+    samples, apps = len(index), len(order)
+    k = np.arange(samples, dtype=np.int64)[:, None]
+    flags = et[:samples]
+    arrivals = np.array([o.arrivals for o in outcomes], dtype=np.int64).reshape(-1, apps)
+    log["app"] = np.tile(np.asarray(order, dtype=np.int64), samples)
+    log["k"] = np.repeat(k[:, 0], apps)
+    log["et"] = flags.astype(np.int64).ravel()
+    log["delivery"] = (k + np.where(flags, config.d2, 1)).ravel()
+    log["arrival"] = (k + arrivals[index]).ravel()
 
 
 def _schedule_carried(state: BusState, config: BusConfig, carried: list, fresh: int) -> None:

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from adaptbus import harness
-from adaptbus.harness import INT_FIELDS, AppTrace, Trace, export_trace, parse_config, run_scenario
+from adaptbus.harness import INT_FIELDS, AppTrace, BusLog, Trace, export_trace, parse_config, run_scenario
+from adaptbus.netbus import BUS_COLUMNS
 from adaptbus.supervisor import TRACE_FIELDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -67,7 +68,7 @@ def oracle_json(trace: Trace) -> str:
             }
             for app in trace.apps
         ],
-        "bus": trace.bus,
+        "bus": {name: [int(v) for v in trace.bus[name]] for name in BUS_COLUMNS},
     }
     return json.dumps(doc)
 
@@ -136,13 +137,12 @@ def _odd_values() -> Trace:
         "apps": [{"app": 0, "max_abs_y": math.inf, "max_abs_e": math.nan, "switch_count": 2}],
         1: "int key", 2.5: "float key", None: "null key", False: "bool key",
     }
-    bus = {
-        "cycles": [
-            {"cycle": 0, "transmissions": [[0, 1], [1, 2]], "carried": 0, "conserved": True},
-            {"cycle": 1, "transmissions": [], "carried": 1, "conserved": False},
-        ],
-        "deliveries": [[0, 0, "TT", 1, 1], [1, 0, "ET", 3, 2]],
-    }
+    # two cycles, the second unconserved, and one delivery arriving past 2**40
+    bus = BusLog({name: np.array(col, dtype=np.int64) for name, col in {
+        "consumed": [3, 5], "idle": [0, 1], "carried": [0, 1],
+        "tx_cycle": [0, 0], "tx_app": [0, 1], "tx_len": [1, 2],
+        "app": [0, 1], "k": [0, 0], "et": [0, 1], "delivery": [1, 3], "arrival": [1, 2**40 + 1],
+    }.items()})
     app = AppTrace(app_id=0, columns=cols, switches=[(1, "TT->ET", 1), (4, "ET->TT", 0)])
     empty = AppTrace(app_id=1, columns={name: np.zeros(0) for name in TRACE_FIELDS}, switches=[])
     # CSV rows follow the k column, JSON writes every column whole

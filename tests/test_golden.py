@@ -8,8 +8,9 @@ machine.  The fixed configs read numpy's vectorised ``sin``, which is not
 bit-stable across CPUs, so they are compared only where the numpy/CPU
 fingerprint matches the one they were recorded with.
 
-The switching configs also pin the sha256 of their bus log (the exported
-``cycles`` and ``deliveries``) and of their per-app switch lists.
+The switching configs also pin the sha256 of their bus log, as the
+version-1 ``cycles`` and ``deliveries`` lists that the trace builds from its
+bus columns, and of their per-app switch lists.
 
 Every config also pins the sha256 of its exported CSV and JSON files.  Those
 hold the monitor columns, whose ``rank`` and ``alpha_hat`` come from LAPACK,
@@ -77,15 +78,15 @@ BUS_GOLDEN = {
 # config: (CSV sha256, JSON sha256)
 EXPORT_GOLDEN = {
     "fixed_tt": ("f309066215010f3961a7f4ee00e63799cfefe38f782a206a6f4c38f7b8afd9b3",
-                 "bb863e0e4dfd5d3183b169d698eb9318e9064edc16908505e9bfb3d555ab3966"),
+                 "be3b4da52a7d5b03696477424601b7bb1cd47038e08c620534ff17206fefe7bd"),
     "fixed_et": ("62730fb74402eb73b2da3bd3ecbe2dbd33d9d4d6db0a630333b650bfbb804dc2",
-                 "f2e05b9cdd4ea92f698ce30dad8c0b59364a1f08c01cc4258960ba859e8c8d17"),
+                 "c5a9cf42d1b0ecca4cce9b89f62557f3f9e233a520a554160684421c73c83e52"),
     "switching_1app": ("4b46cb4ba6666ddef22e97363f777c5b967e19ace41ee556d995cb30b931af96",
-                       "9a5fce23262c63fa5037e0dd51f41cf98b72121c92b71becca5644c72bfdb88f"),
+                       "521c80b931efe4c6ec0e8de07db8552575dcd1a43b931347e0c318d3b30a6d7a"),
     "switching_1app_quiet": ("1c0d045770032b9d288b8b3c5eda8d241357de0edbd188dc40ea8f63ca9e7991",
-                             "123c531aa76b56cda1662d89733f71fc71092c7cb838f8d41a013dcedc58472b"),
+                             "1b1ead75c660ff2d7759aaefe364ef63498bd29b811a9e7f9752c41d0bdac478"),
     "switching_3app": ("02618ffe3771ce2f372836a517d2dc6883891a2168a8987e6dd6df648b9cc88b",
-                       "457630dfdea59a8b91f72e41a3ce493785b59be3b2b79cb4e813cae55a0f03d1"),
+                       "57708cfc0752c365c048d80724502e5d4942ac299f97b7118e04c5ab234ee1d4"),
 }
 
 # apps 0 and 2 take the shared random train, app 1 its own; recorded before

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adaptbus.netbus import (
+    BUS_COLUMNS,
     BusCapacityError,
     BusConfig,
     BusState,
@@ -14,6 +15,7 @@ from adaptbus.netbus import (
     select_mode,
     transmit,
 )
+from tests import bus_reference
 
 
 class TestSelectMode:
@@ -141,11 +143,11 @@ class TestAdvanceCycle:
         # send the four messages of sample 0 in cycles 0-3, so app 3 arrives
         # at 4 > k + d2 - 1 = 3
         cfg = BusConfig.default(4, d2=4, minislots_per_cycle=3, message_minislots=2)
-        state = BusState()
+        log = {}
         with pytest.raises(BusCapacityError, match=r"app 3 message at sample 0 would arrive at 4 "):
-            replay(state, cfg, [["ET"]] * 4, 1)
-        assert [(d[0], d[4]) for d in state.deliveries] == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert state.cycle_index == 0 and not state.cycle_log and not state.carryover
+            replay(cfg, [[True]] * 4, 1, log)
+        assert list(zip(log["app"].tolist(), log["arrival"].tolist())) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert not len(log["consumed"]) and not len(log["tx_cycle"])
 
     def test_conservation_random(self):
         import numpy as np
@@ -230,7 +232,7 @@ class TestReplay:
             state = BusState()
             error = None
             try:
-                replay(state, cfg, modes, 40)
+                bus_reference.replay(state, cfg, modes, 40)
             except BusCapacityError as exc:
                 error = str(exc)
             assert error == ref_error
@@ -254,10 +256,10 @@ class TestReplay:
             cfg, modes = random_bus(rng)
             if cfg.message_minislots > cfg.minislots_per_cycle:
                 with pytest.raises(BusCapacityError, match="exceeds the whole dynamic segment"):
-                    replay(BusState(), cfg, modes, 40)
+                    bus_reference.replay(BusState(), cfg, modes, 40)
                 continue
             free = BusState()
-            replay(free, replace(cfg, d2=10**6), modes, 40)
+            bus_reference.replay(free, replace(cfg, d2=10**6), modes, 40)
             while free.carryover:
                 advance_cycle(free, cfg)
             sends, arrivals = {}, {}
@@ -271,7 +273,7 @@ class TestReplay:
             state = BusState()
             stop = 40
             try:
-                replay(state, cfg, modes, 40)
+                bus_reference.replay(state, cfg, modes, 40)
             except BusCapacityError:
                 stop = state.cycle_index
                 late += 1
@@ -284,8 +286,84 @@ class TestReplay:
 
     def test_stops_after_n_samples(self):
         cfg = BusConfig.default(2, d2=3)
-        state = BusState()
-        replay(state, cfg, [["ET"] * 10, ["TT"] * 10], 4)
-        assert state.cycle_index == 4
-        assert [d[:3] for d in state.deliveries[:2]] == [(0, 0, "ET"), (1, 0, "TT")]
-        assert len(state.deliveries) == 8
+        log = {}
+        replay(cfg, [[True] * 10, [False] * 10], 4, log)
+        assert len(log["consumed"]) == 4
+        assert [(log["app"][i], log["k"][i], log["et"][i]) for i in range(2)] == [(0, 0, 1), (1, 0, 0)]
+        assert len(log["k"]) == 8
+
+
+def memo_replay(cfg, modes, n):
+    """(columns, error text) of the memoised replay."""
+    log = {}
+    try:
+        replay(cfg, [[m == Mode.ET.value for m in row] for row in modes], n, log)
+    except BusCapacityError as exc:
+        return log, str(exc)
+    return log, None
+
+
+def oracle_replay(cfg, modes, n):
+    """(columns, error text, failing sample) of the per-cycle replay."""
+    state = BusState()
+    try:
+        bus_reference.replay(state, cfg, modes, n)
+    except BusCapacityError as exc:
+        return bus_reference.log_columns(state), str(exc), state.cycle_index
+    return bus_reference.log_columns(state), None, None
+
+
+class TestMemoisedReplay:
+    """The memoised walk against the per-cycle one it replaces."""
+
+    def assert_same(self, cfg, modes, n):
+        want, want_error, stop = oracle_replay(cfg, modes, n)
+        got, error = memo_replay(cfg, modes, n)
+        assert error == want_error
+        if stop is not None:
+            assert len(got["consumed"]) == stop
+        for name in BUS_COLUMNS:
+            assert got[name].dtype == np.int64 and got[name].tolist() == want[name].tolist(), name
+        return want, want_error
+
+    def test_random_buses_match_the_per_cycle_walk(self):
+        rng = np.random.default_rng(11)
+        seen = dict.fromkeys(["short_budget_carry", "long_message_carry", "permuted_carry", "late", "oversize"], 0)
+        for _ in range(300):
+            cfg, modes = random_bus(rng)
+            n = int(rng.integers(0, 41))
+            want, error = self.assert_same(cfg, modes, n)
+            carried = error is None and bool(want["carried"].any())
+            permuted = cfg.priority_order() != list(range(cfg.n_apps))
+            seen["short_budget_carry"] += carried and cfg.minislots_per_cycle < cfg.n_apps
+            seen["long_message_carry"] += carried and cfg.message_minislots > 1
+            seen["permuted_carry"] += carried and permuted
+            seen["late"] += error is not None and "would arrive at" in error
+            seen["oversize"] += error is not None and "exceeds the whole dynamic segment" in error
+        assert all(seen.values()), seen
+
+    def test_saturated_bus_with_reversed_priorities(self):
+        # five one-minislot messages a sample on a three-minislot segment:
+        # every cycle carries, and the lowest-priority app (0) is carried furthest
+        n_apps = 5
+        cfg = BusConfig(n_apps, {i: n_apps - i for i in range(n_apps)}, minislots_per_cycle=3, d2=4)
+        rng = np.random.default_rng(3)
+        modes = [["ET" if rng.random() < 0.6 else "TT" for _ in range(200)] for _ in range(n_apps)]
+        want, error = self.assert_same(cfg, modes, 200)
+        assert want["carried"].any()
+
+    def test_each_distinct_cycle_is_walked_once(self, monkeypatch):
+        from adaptbus import netbus
+
+        calls = []
+        real = netbus.advance_cycle
+
+        def counting(state, config, requests=None):
+            calls.append((tuple(app for app, _l, _k in state.carryover), frozenset(state.cycle_requests)))
+            return real(state, config, requests)
+
+        monkeypatch.setattr(netbus, "advance_cycle", counting)
+        cfg = BusConfig.default(3, d2=3, minislots_per_cycle=2)
+        modes = [["ET", "TT"] * 50, ["ET"] * 100, ["TT", "ET", "ET", "TT"] * 25]
+        self.assert_same(cfg, modes, 100)  # the oracle calls the walk it imported, not the patched one
+        assert 1 < len(calls) == len(set(calls)) < 10
