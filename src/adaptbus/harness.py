@@ -37,6 +37,7 @@ DEFAULT_TOLERANCES = {
     "dv_fixed_tol": 1e-12,
     "check_sr": True,
 }
+_KINDS = {float: "a number", int: "an integer", bool: "true or false"}  # a tolerance's type, in its errors
 
 
 class ConfigError(ValueError):
@@ -45,15 +46,14 @@ class ConfigError(ValueError):
 
 @dataclass
 class PlantSpec:
-    """One application as it runs.  ``disturbance`` and ``beta0_init`` are the
-    app's own, else the scenario's shared ones, and ``train`` is the impulse
-    train drawn from that disturbance."""
+    """One application as it runs.  ``train`` is the impulse train drawn from
+    the app's own disturbance, else the scenario's shared one, and
+    ``beta0_init`` the app's own divisor prior, else the shared one."""
     model: PlantModel
     y_init: tuple = ()
     u_init: tuple = ()
     oracle: bool = True
     phase_offset: float = 0.0
-    disturbance: dict | None = None
     train: DisturbanceTrain = field(default_factory=DisturbanceTrain.empty)
     beta0_init: float = 1.0
 
@@ -69,7 +69,7 @@ class ScenarioConfig:
     delays: tuple  # of the loop: (d,) on the fixed protocol, (1, d2) switching
     gammas: tuple  # the update-guard gain of each delay
     eth: float  # the switching threshold; -1 on the fixed protocol
-    tolerances: dict
+    tolerances: dict  # every DEFAULT_TOLERANCES key, of its default's type
     raw: dict
 
     @property
@@ -78,16 +78,12 @@ class ScenarioConfig:
 
     def bus_config(self) -> BusConfig:
         p = self.protocol
-        n = len(self.plants)
-        prios = p.get("dyn_priorities") or {i: i + 1 for i in range(n)}
-        prios = {int(k): int(v) for k, v in (prios.items() if isinstance(prios, dict) else enumerate(prios))}
-        return BusConfig(
-            n_apps=n,
-            dyn_priorities=prios,
-            minislots_per_cycle=int(p.get("minislots_per_cycle", max(4, 2 * n))),
-            d2=int(p["d2"]),
-            message_minislots=int(p.get("message_minislots", 1)),
-        )
+        prios = p.get("dyn_priorities") or {}
+        prios = prios.items() if isinstance(prios, dict) else enumerate(prios)
+        slots = int(p["minislots_per_cycle"]) if "minislots_per_cycle" in p else None  # int(None) rejects a null
+        return BusConfig.default(
+            len(self.plants), d2=int(p["d2"]), minislots_per_cycle=slots,
+            message_minislots=int(p.get("message_minislots", 1)), dyn_priorities={int(k): int(v) for k, v in prios})
 
 
 def load_document(source) -> dict:
@@ -196,7 +192,6 @@ def parse_config(source) -> ScenarioConfig:
                 u_init=tuple(p.get("u_init", ())),
                 oracle=bool(p.get("oracle", True)),
                 phase_offset=float(p.get("phase_offset", 0.0)),
-                disturbance=dist,
                 train=DisturbanceTrain.empty() if dist is None else _impulse_train(dist, horizon, rng),
                 beta0_init=shared_beta0 if b0i is None else float(b0i),
             ))
@@ -208,8 +203,7 @@ def parse_config(source) -> ScenarioConfig:
         gammas = raw.get("gammas", [0.5, 0.5])
         gamma1 = _check_gamma(gammas[0], "gamma1")
         gamma2 = _check_gamma(gammas[1] if len(gammas) > 1 else gammas[0], "gamma2")
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(raw.get("tolerances", {}))
+        tol = _tolerances(raw.get("tolerances", {}))
         if isinstance(gen, reference.Tabulated):
             shifted = [i for i, spec in enumerate(plants) if spec.phase_offset != 0.0]
             if shifted:
@@ -234,8 +228,24 @@ def parse_config(source) -> ScenarioConfig:
         return cfg
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
+
+
+def _tolerances(given) -> dict:
+    """The scenario's tolerances over the defaults, each of its default's
+    type: a float key takes any number, an int key an integral number, and
+    ``check_sr`` true or false.  Any other key or value is rejected."""
+    tol = dict(DEFAULT_TOLERANCES)
+    for name, value in _object(given, "tolerances").items():
+        if name not in tol:
+            raise ConfigError(f"tolerances: unknown key {name!r}; the keys are {', '.join(tol)}")
+        kind = type(tol[name])
+        if (isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float))
+                or (kind is int and not float(value).is_integer())):
+            raise ConfigError(f"tolerances.{name} must be {_KINDS[kind]}, got {json.dumps(value)}")
+        tol[name] = kind(value)
+    return tol
 
 
 def _check_table_length(gen: reference.Tabulated, horizon: int, lookahead: int, tol: dict) -> None:
@@ -249,7 +259,7 @@ def _check_table_length(gen: reference.Tabulated, horizon: int, lookahead: int, 
             f"lookahead {lookahead} needs {need}"
         )
     declared = gen.declared_sr_order
-    if declared and tol.get("check_sr", True):
+    if declared and tol["check_sr"]:
         window = _richness_window(declared)[2]
         if have < window:
             raise ConfigError(
@@ -268,7 +278,7 @@ def _richness_window(declared: int) -> tuple[int, int, int]:
 
 def _check_reference_richness(gen: reference.ReferenceGenerator, tol: dict) -> None:
     declared = gen.declared_sr_order
-    if declared is None or not tol.get("check_sr", True) or declared == 0:
+    if declared is None or not tol["check_sr"] or declared == 0:
         return
     m_max, N, T = _richness_window(declared)
     seq = gen.sequence(T)
@@ -380,7 +390,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     else:
         summary = {"kind": "switching", "d2": cfg.delays[-1], "eth": cfg.eth}
         rows, aborting, status, bus = _replay_bus(cfg.bus_config(), runs, cfg.horizon)
-    rank_tol = cfg.tolerances.get("rank_tol", 1e-6)
+    rank_tol = cfg.tolerances["rank_tol"]
     apps, summary["apps"] = [], []
     for i, (n, spec, yref_ext) in enumerate(zip(rows, cfg.plants, yrefs)):
         # the loop's lists are freed before this app's ideal models run
@@ -409,7 +419,7 @@ def _loop_arrays(run: kernels.LoopRun) -> kernels.LoopRun:
     regressor rows of each estimate 2-D."""
     widths = [len(rows[0]) for rows in run.phi_rows]  # every estimate has pre-start rows
     return replace(
-        run, y=np.array(run.y), u=np.array(run.u), e=np.array(run.e), eps=np.array(run.eps),
+        run, y=np.array(run.y), u=np.array(run.u), eps=np.array(run.eps),
         et=np.array(run.et, dtype=bool),
         theta_rows=tuple(np.reshape(np.array(rows, dtype=float), (-1, M))
                          for rows, M in zip(run.theta_rows, widths)),
@@ -503,13 +513,14 @@ def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: P
     # copies: a view would keep the loop's arrays alive, which were made
     # among its lists and which peak RSS then pays for (about 4 MB on the
     # benchmark's fixed workload)
+    y, yref = run.y[:n].copy(), yref_ext[:n].copy()
     cols = {
         "app": np.full(n, app_id, dtype=int),
         "k": np.arange(n),
         "mode": _mode_labels(delay),
-        "y": run.y[:n].copy(),
-        "yref": yref_ext[:n].copy(),
-        "e": run.e[:n].copy(),
+        "y": y,
+        "yref": yref,
+        "e": y - yref,  # the loop's own e(k) = y(k) - ref[k]
         "u": run.u[:n].copy(),
         "delay": delay,
         "eps": run.eps[:n].copy(),
@@ -628,17 +639,15 @@ def _windowed_rank(Phi: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.nda
 
 def _app_summary(app_id, cols, theta_norms, switches) -> dict:
     T = len(cols["k"])
-    e = np.asarray(cols["e"], dtype=float)
-    out = {
+    return {
         "app": app_id,
         "samples": T,
         "max_abs_y": float(np.max(np.abs(cols["y"]))) if T else 0.0,
         "max_abs_u": float(np.max(np.abs(cols["u"]))) if T else 0.0,
         "max_theta_norm": float(np.max(theta_norms)) if len(theta_norms) else 0.0,
-        "max_abs_e": float(np.max(np.abs(e))) if T else 0.0,
+        "max_abs_e": float(np.max(np.abs(cols["e"]))) if T else 0.0,
         "switch_count": len(switches) if switches else 0,
     }
-    return out
 
 
 def _settle_sample(e: np.ndarray, level: float) -> int | None:
@@ -815,8 +824,8 @@ def load_trace(path) -> Trace:
 
 def _bus_columns(bus: dict, path) -> BusLog:
     """The bus log of a trace document as int64 columns; a column that is
-    missing, holds a cell that is not an integer, or differs in length from
-    the others of its group raises ``ValueError``."""
+    missing, holds a cell that is not an integer (true and false included),
+    or differs in length from the others of its group raises ``ValueError``."""
     cols = BusLog()
     for name in BUS_COLUMNS:
         if name not in bus:
@@ -825,7 +834,9 @@ def _bus_columns(bus: dict, path) -> BusLog:
             col = np.array(bus[name])
         except ValueError:  # ragged
             col = None
-        if col is None or col.ndim != 1 or (col.size and col.dtype.kind not in "iu"):
+        # numpy reads [true, 0, 1] as ints; the cells' types tell the bools apart
+        if col is None or col.ndim != 1 or (col.size and (col.dtype.kind not in "iu"
+                                                           or bool in set(map(type, bus[name])))):
             raise ValueError(f"{path}: not a trace: bus column {name!r} must be a list of integers")
         cols[name] = col.astype(np.int64, copy=False)
     for group in (CYCLE_COLUMNS, TX_COLUMNS, DELIVERY_COLUMNS):
@@ -888,11 +899,8 @@ class MonitorReport:
         return all(r.passed for r in self.results)
 
     def lines(self) -> list:
-        out = []
-        for r in self.results:
-            flag = "PASS" if r.passed else "FAIL"
-            out.append(f"[{flag}] {r.name}: measured {r.measured:.6g} vs threshold {r.threshold:.6g} {r.detail}")
-        return out
+        return [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: measured {r.measured:.6g} "
+                f"vs threshold {r.threshold:.6g} {r.detail}" for r in self.results]
 
 
 def evaluate_monitors(trace: Trace, cfg: ScenarioConfig | None = None) -> MonitorReport:
@@ -907,7 +915,7 @@ def evaluate_monitors(trace: Trace, cfg: ScenarioConfig | None = None) -> Monito
         name="completed", passed=ok_status, measured=0.0 if ok_status else 1.0,
         threshold=0.0, detail=trace.status,
     ))
-    bound = float(tol["bound"])
+    bound = tol["bound"]
     worst = 0.0
     for s in trace.summary["apps"]:
         worst = max(worst, s["max_abs_y"], s["max_abs_u"], s["max_theta_norm"])
@@ -921,8 +929,7 @@ def evaluate_monitors(trace: Trace, cfg: ScenarioConfig | None = None) -> Monito
 
 def _fixed_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
     tol = cfg.tolerances
-    settle = int(tol["settle_sample"])
-    track = float(tol["tracking_tol"])
+    settle, track = tol["settle_sample"], tol["tracking_tol"]
     worst_tail = 0.0
     for app in trace.apps:
         e = app.columns["e"]
@@ -938,7 +945,7 @@ def _fixed_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
         results.append(MonitorResult("regressor_rank", all(r == declared for r in ranks),
                                      float(measured), float(declared),
                                      detail="windowed Gram rank at the final sample"))
-        window = int(tol["ortho_window"])
+        window = tol["ortho_window"]
         worst_o = 0.0
         any_window = False
         for app in trace.apps:
@@ -948,46 +955,52 @@ def _fixed_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
                 any_window = True
                 worst_o = max(worst_o, float(np.max(o[start:])))
         if any_window:
-            results.append(MonitorResult("orthogonality_residual", worst_o < float(tol["ortho_tol"]),
-                                         worst_o, float(tol["ortho_tol"]),
+            results.append(MonitorResult("orthogonality_residual", worst_o < tol["ortho_tol"],
+                                         worst_o, tol["ortho_tol"],
                                          detail=f"max over final {window} settled samples"))
-    if oracle and all(spec.disturbance is None for spec in cfg.plants):
+    if oracle and not any(_impulses(trace, cfg)):
         worst_dv = 0.0
         for app in trace.apps:
             dv = app.columns["dV"]
             if len(dv) > 1:
                 worst_dv = max(worst_dv, float(np.max(dv[1:])))
-        results.append(MonitorResult("parameter_error_monotone", worst_dv <= float(tol["dv_fixed_tol"]),
-                                     worst_dv, float(tol["dv_fixed_tol"])))
+        results.append(MonitorResult("parameter_error_monotone", worst_dv <= tol["dv_fixed_tol"],
+                                     worst_dv, tol["dv_fixed_tol"]))
+
+
+def _impulses(trace: Trace, cfg: ScenarioConfig) -> list:
+    """Each app's impulse times: its trace's dist column, then, if the run
+    stopped early, those its config places after the stop."""
+    stopped = trace.status != "ok"
+    return [np.flatnonzero(app.columns["dist"]).tolist()
+            + (spec.train.times[spec.train.times >= len(app.columns["dist"])].tolist() if stopped else [])
+            for app, spec in zip(trace.apps, cfg.plants)]
 
 
 def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
     tol = cfg.tolerances
     d2, eth = cfg.delays[-1], cfg.eth
+    impulses = _impulses(trace, cfg)
     # impulse response: each impulse must push |e| past eth within d2 samples
-    # and put the app in TT right after
+    # and put the app in TT right after; a completed run's impulse too close
+    # to the end is not judged, while a stopped run fails the impulses it cut
     worst_margin = np.inf
     all_triggered = True
-    any_impulse = False
-    for app, spec in zip(trace.apps, cfg.plants):
-        if spec.disturbance is None or spec.disturbance.get("times") is None:
-            continue
-        e = app.columns["e"]
-        mode = app.columns["mode"]
-        for t in spec.disturbance["times"]:
-            any_impulse = True
-            w = [abs(float(e[j])) for j in range(t + 1, min(t + d2 + 1, len(e)))]
-            peak = max(w) if w else 0.0
+    unjudged = 0
+    for app, times in zip(trace.apps, impulses):
+        e, mode = app.columns["e"], app.columns["mode"]
+        for t in times:
+            if trace.status == "ok" and t + d2 + 2 > len(e):
+                unjudged += 1
+                continue
+            peak = max((abs(float(e[j])) for j in range(t + 1, min(t + d2 + 1, len(e)))), default=0.0)
             worst_margin = min(worst_margin, peak)
-            crossed = peak > eth
-            in_tt = any(
-                mode[j] == "TT" for j in range(t + 1, min(t + d2 + 2, len(mode)))
-            )
-            all_triggered = all_triggered and crossed and in_tt
-    if any_impulse:
-        results.append(MonitorResult("impulse_triggers_tt", bool(all_triggered),
-                                     float(worst_margin), eth,
-                                     detail=f"min post-impulse |e| peak within d2={d2} samples"))
+            in_tt = any(mode[j] == "TT" for j in range(t + 1, min(t + d2 + 2, len(mode))))
+            all_triggered = all_triggered and peak > eth and in_tt
+    if np.isfinite(worst_margin):  # some impulse was judged
+        skipped = f"; {unjudged} impulse(s) within d2 + 1 samples of the end not judged" if unjudged else ""
+        results.append(MonitorResult("impulse_triggers_tt", bool(all_triggered), float(worst_margin), eth,
+                                     detail=f"min post-impulse |e| peak within d2={d2} samples{skipped}"))
     # containment, each app over its own window, and phase lengths
     contain_ok = True
     phase_ok = True
@@ -1012,22 +1025,21 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
     # Lyapunov non-increase inside modes, switch samples excluded
     worst_dv = -np.inf
     for app in trace.apps:
-        dv = np.asarray(app.columns["dV"], dtype=float)
+        dv = app.columns["dV"]
         kept = np.arange(len(dv)) >= 1
         excluded = np.array([s[0] + j for s in app.switches for j in (0, 1)], dtype=np.int64)
         kept[excluded[(excluded >= 0) & (excluded < len(dv))]] = False
         # fmax skips a NaN sample; all NaN (or none) leaves -inf
         worst_dv = max(worst_dv, float(np.fmax.reduce(dv[kept], initial=-np.inf)))
     if np.isfinite(worst_dv):
-        results.append(MonitorResult("lyapunov_in_mode", worst_dv <= float(tol["dv_tol"]),
-                                     worst_dv, float(tol["dv_tol"]),
+        results.append(MonitorResult("lyapunov_in_mode", worst_dv <= tol["dv_tol"],
+                                     worst_dv, tol["dv_tol"],
                                      detail="max dV at non-switch samples"))
-    # quiescence under no disturbance
-    if all(spec.disturbance is None for spec in cfg.plants):
+    # quiescence where no impulse strikes
+    if not any(impulses):
         late_switches = 0
         for app in trace.apps:
-            e = app.columns["e"]
-            settle = _settle_sample(np.asarray(e, dtype=float), eth)
+            settle = _settle_sample(app.columns["e"], eth)
             if settle is None:
                 late_switches += len(app.switches)
                 continue

@@ -78,7 +78,7 @@ class LoopRun:
     """What ``adaptive_loop`` recorded; sample k at index k.
 
     The sample that stops a run keeps what it computed before the stop: its
-    ``et``, ``e`` and ``eps`` always, its estimates after the update, and on
+    ``et`` and ``eps`` always, its estimates after the update, and on
     a divergence also its regressors, ``u``, its switch (estimates reset)
     and the diverging output in ``value``.  ``y`` holds y(0), y(1), ... up
     to the output the last sample read.
@@ -89,7 +89,6 @@ class LoopRun:
     T: int
     y: list
     u: list
-    e: list  # y(k) - ref[k]
     eps: list
     et: list  # True where the sample ran the second (ET) estimate
     switches: list  # (k, direction, p)
@@ -168,11 +167,9 @@ def adaptive_loop(a, b, ref, impulses, y_init, u_init, thetas, gammas, eth=-1.0,
 _LOOP = """\
 def loop(a, b, ref, D, ys, us, R1, R2, theta1, theta2, gamma1, gamma2, eth, T):
 {unpack}
-    Y, U, E, EPS, ET, TH1, TH2, switches = [y0], [], [], [], [], [], [], []
+    Y, U, EPS, ET, TH1, TH2, switches = [y0], [], [], [], [], [], []
     status, k_stop, value, hold, p, et = SIM_OK, T, None, 0, 0, False
     for k in range(T):
-        e_k = y0 - ref[k]
-        E.append(e_k)
 {sample}
 {record}
         U.append(uk)
@@ -181,11 +178,11 @@ def loop(a, b, ref, D, ys, us, R1, R2, theta1, theta2, gamma1, gamma2, eth, T):
             break
         Y.append(acc)
 {roll}
-    return LoopRun(status, k_stop, T, Y, U, E, EPS, {et}, switches, {rows}, value)
+    return LoopRun(status, k_stop, T, Y, U, EPS, {et}, switches, {rows}, value)
 """
 _SWITCHING = """\
 ET.append(et)
-et_next = abs(e_k) <= eth
+et_next = abs(y0 - ref[k]) <= eth
 if et:
 {et}
 else:
@@ -281,7 +278,7 @@ def _loop_source(m1: int, m2: int, d1: int, d2: int, switching: bool, updates: b
     roll = [f"{', '.join(x[::-1])} = {', '.join(x[-2::-1] + [new])}" for x, new in ((ys, "acc"), (us, "uk")) if x]
     source = _LOOP.format(unpack=_indent("\n".join(unpack), 4), sample=_indent(body, 8),
                           record=_indent(record, 8), roll=_indent("\n".join(roll), 8),
-                          et="ET" if switching else "[False] * len(E)",
+                          et="ET" if switching else "[False] * len(EPS)",
                           rows="(TH1, TH2), (R1, R2)" if switching else "(TH1,), (R1,)")
     return "".join(line for line in source.splitlines(True) if line.strip())
 

@@ -68,13 +68,13 @@ class BusConfig:
 
     @classmethod
     def default(cls, n_apps: int, d2: int = 2, minislots_per_cycle: int | None = None,
-                message_minislots: int = 1):
-        if minislots_per_cycle is None:
-            minislots_per_cycle = max(4, 2 * n_apps * message_minislots)
+                message_minislots: int = 1, dyn_priorities: dict | None = None):
+        """A bus whose unset budget is two minislots per app, at least four,
+        and whose unset priorities put app i at i + 1."""
         return cls(
             n_apps=n_apps,
-            dyn_priorities={i: i + 1 for i in range(n_apps)},
-            minislots_per_cycle=minislots_per_cycle,
+            dyn_priorities=dyn_priorities or {i: i + 1 for i in range(n_apps)},
+            minislots_per_cycle=max(4, 2 * n_apps) if minislots_per_cycle is None else minislots_per_cycle,
             d2=d2,
             message_minislots=message_minislots,
         )

@@ -13,16 +13,12 @@ import numpy as np
 
 
 class ReferenceGenerator:
+    """A reference as one whole-run ``sequence(n, phase_offset)``: yref(0..n-1)."""
+
     declared_sr_order: int | None = None
 
-    def value(self, k: int) -> float:  # pragma: no cover - interface
+    def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
-        return np.array([self.value_at(k, phase_offset) for k in range(n)])
-
-    def value_at(self, k: int, phase_offset: float = 0.0) -> float:
-        return self.value(k)
 
 
 @dataclass
@@ -32,8 +28,8 @@ class Constant(ReferenceGenerator):
     def __post_init__(self):
         self.declared_sr_order = 1 if self.level != 0.0 else 0
 
-    def value(self, k: int) -> float:
-        return float(self.level)
+    def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
+        return np.full(n, float(self.level))
 
 
 @dataclass
@@ -61,12 +57,6 @@ class SinusoidSum(ReferenceGenerator):
         self.components = tuple(comps)
         self.declared_sr_order = 2 * len(comps)
 
-    def value(self, k: int) -> float:
-        return self.value_at(k, 0.0)
-
-    def value_at(self, k: int, phase_offset: float = 0.0) -> float:
-        return float(sum(a * np.sin(w * k + p + phase_offset) for a, w, p in self.components))
-
     def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
         k = np.arange(n)
         out = np.zeros(n)
@@ -86,14 +76,11 @@ class Square(ReferenceGenerator):
             raise ValueError("square-wave period must be >= 2 samples")
         self.declared_sr_order = None  # period-dependent; declare explicitly if needed
 
-    def value(self, k: int) -> float:
-        return self.value_at(k, 0.0)
-
-    def value_at(self, k: int, phase_offset: float = 0.0) -> float:
+    def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
         # phase_offset in radians of the fundamental, as SinusoidSum takes it:
         # the wave is advanced by phase_offset / (2 pi) periods
-        pos = (k + phase_offset / (2 * np.pi) * self.period) % self.period
-        return float(self.amplitude if pos < self.duty * self.period else -self.amplitude)
+        pos = np.remainder(np.arange(n) + phase_offset / (2 * np.pi) * self.period, self.period)
+        return np.where(pos < self.duty * self.period, float(self.amplitude), float(-self.amplitude))
 
 
 @dataclass
@@ -109,12 +96,12 @@ class Tabulated(ReferenceGenerator):
             raise ValueError("tabulated reference must be a non-empty vector")
         self.declared_sr_order = None
 
-    def value(self, k: int) -> float:
-        if k >= self.values.shape[0]:
+    def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
+        if n > self.values.shape[0]:
             raise IndexError(
-                f"tabulated reference exhausted at sample {k}; supply horizon + d2 values"
+                f"tabulated reference exhausted at sample {self.values.shape[0]}; supply horizon + d2 values"
             )
-        return float(self.values[k])
+        return self.values[:n].copy()
 
 
 def from_spec(spec: dict) -> ReferenceGenerator:

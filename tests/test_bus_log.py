@@ -132,11 +132,13 @@ def _v2_doc(tmp_path):
     (lambda bus: bus["k"].__setitem__(3, 1.5), "bus column 'k' must be a list of integers"),
     (lambda bus: bus["et"].__setitem__(0, "ET"), "bus column 'et' must be a list of integers"),
     (lambda bus: bus.__setitem__("et", [v == 1 for v in bus["et"]]), "bus column 'et' must be a list of integers"),
+    # numpy alone would read this column as int64
+    (lambda bus: bus["et"].__setitem__(0, True), "bus column 'et' must be a list of integers"),
     (lambda bus: bus["arrival"].__setitem__(2, None), "bus column 'arrival' must be a list of integers"),
     (lambda bus: bus["app"].__setitem__(0, [0]), "bus column 'app' must be a list of integers"),
     (lambda bus: bus.__setitem__("consumed", 4), "bus column 'consumed' must be a list of integers"),
     (lambda bus: bus["tx_cycle"].__setitem__(-1, 40), "a transmission names a cycle the bus does not log"),
-], ids=["missing", "short_cycle_column", "long_tx_column", "float", "str", "bool", "null", "nested", "not_a_list",
+], ids=["missing", "short_cycle_column", "long_tx_column", "float", "str", "bool", "one_bool", "null", "nested", "not_a_list",
         "tx_cycle_out_of_range"])
 def test_load_trace_rejects_a_malformed_v2_bus(tmp_path, capsys, change, message):
     doc = _v2_doc(tmp_path)

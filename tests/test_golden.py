@@ -2,9 +2,9 @@
 
 Each config pins the sha256 of its simulation columns (``y u e eps mode
 switch delay dist`` of every app, in app order), its status and its
-(monitor, passed) verdicts.  The switching configs use constant references,
-so their arithmetic is fixed-order scalar code and they are compared on every
-machine.  The fixed configs read numpy's vectorised ``sin``, which is not
+(monitor, passed, threshold) verdicts.  The switching configs use constant
+references, so their arithmetic is fixed-order scalar code and they are
+compared on every machine.  The fixed configs read numpy's vectorised ``sin``, which is not
 bit-stable across CPUs, so they are compared only where the numpy/CPU
 fingerprint matches the one they were recorded with.
 
@@ -20,9 +20,9 @@ where the fingerprint matches.
 One scenario with random impulse trains pins its sha256 and the impulses of
 each app's ``dist`` column: two apps share the scenario's random disturbance
 and one has its own, so the pin holds the order in which the apps draw from
-the seeded generator.  It is compared where numpy's version matches the one
-it was recorded with, since the generator's streams may change between
-versions.
+the seeded generator.  Its drawn impulses must pass ``impulse_triggers_tt``.
+It is compared where numpy's version matches the one it was recorded with,
+since the generator's streams may change between versions.
 
 A change that moves a digest re-records it here and says why in CHANGES.md.
 """
@@ -42,16 +42,19 @@ SIM_COLUMNS = ("y", "u", "e", "eps", "mode", "switch", "delay", "dist")
 
 FINGERPRINT = {"numpy": "2.4.6", "machine": "x86_64", "cpu": "Intel(R) Xeon(R) Processor"}
 
-SWITCHING_VERDICTS = ["completed", "bounded_signals", "impulse_triggers_tt", "re_entry_containment",
-                      "et_phase_length", "lyapunov_in_mode", "bus_delay_dichotomy",
-                      "minislot_conservation"]
-QUIET_VERDICTS = ["completed", "bounded_signals", "re_entry_containment", "et_phase_length",
-                  "lyapunov_in_mode", "quiescent_switches", "bus_delay_dichotomy",
-                  "minislot_conservation"]
-FIXED_VERDICTS = ["completed", "bounded_signals", "tracking_tail", "regressor_rank",
-                  "orthogonality_residual", "parameter_error_monotone"]
+# (monitor, repr of its threshold)
+SWITCHING_VERDICTS = [("completed", "0.0"), ("bounded_signals", "1000.0"), ("impulse_triggers_tt", "0.05"),
+                      ("re_entry_containment", "0.05"), ("et_phase_length", "2.0"),
+                      ("lyapunov_in_mode", "1e-09"), ("bus_delay_dichotomy", "0.0"),
+                      ("minislot_conservation", "0.0")]
+QUIET_VERDICTS = [("completed", "0.0"), ("bounded_signals", "1000.0"), ("re_entry_containment", "0.05"),
+                  ("et_phase_length", "2.0"), ("lyapunov_in_mode", "1e-09"), ("quiescent_switches", "0.0"),
+                  ("bus_delay_dichotomy", "0.0"), ("minislot_conservation", "0.0")]
+FIXED_VERDICTS = [("completed", "0.0"), ("bounded_signals", "1000.0"), ("tracking_tail", "0.001"),
+                  ("regressor_rank", "2.0"), ("orthogonality_residual", "0.001"),
+                  ("parameter_error_monotone", "1e-12")]
 
-# config: (sim sha256, status, monitors; every one passed)
+# config: (sim sha256, status, monitors with their thresholds; every one passed)
 GOLDEN = {
     "fixed_tt": ("946ce4b84298c5773d77b3f6fb9e8c85943611ace824e865267c76a28758e7a0",
                  "ok", FIXED_VERDICTS),
@@ -144,7 +147,7 @@ def test_bundled_config_matches_golden(name):
     trace = run_scenario(cfg)
     report = evaluate_monitors(trace, cfg)
     assert trace.status == status
-    assert [(r.name, r.passed) for r in report.results] == [(m, True) for m in monitors]
+    assert [(r.name, r.passed, repr(r.threshold)) for r in report.results] == [(m, True, t) for m, t in monitors]
     assert sim_digest(trace) == digest
 
 
@@ -179,10 +182,15 @@ def test_random_trains_match_golden():
     if np.__version__ != FINGERPRINT["numpy"]:
         pytest.skip(f"recorded with numpy {FINGERPRINT['numpy']}; its random streams may differ in {np.__version__}")
     digest, impulses = RANDOM_GOLDEN
-    trace = run_scenario(parse_config(RANDOM_TRAINS))
+    cfg = parse_config(RANDOM_TRAINS)
+    trace = run_scenario(cfg)
     assert trace.status == "ok"
     for app, (times, amplitude) in zip(trace.apps, impulses):
         dist = app.columns["dist"]
         assert np.flatnonzero(dist).tolist() == times
         assert dist[times].tolist() == [amplitude] * len(times)
     assert sim_digest(trace) == digest
+    # the drawn trains are judged: the weakest impulse is app 1's 0.8
+    results = {r.name: r for r in evaluate_monitors(trace, cfg).results}
+    impulse = results["impulse_triggers_tt"]
+    assert impulse.passed and impulse.measured == pytest.approx(0.8, abs=1e-12)

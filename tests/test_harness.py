@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import adaptbus
 from adaptbus.harness import (
+    DEFAULT_TOLERANCES,
     ConfigError,
     check_impulse_times,
     evaluate_monitors,
@@ -18,6 +20,7 @@ from adaptbus.harness import (
     read_trace_csv,
     run_scenario,
 )
+from adaptbus.netbus import BusConfig
 from adaptbus.plant import make_impulse_train
 from adaptbus.supervisor import TRACE_FIELDS
 
@@ -111,7 +114,8 @@ class TestParseConfig:
                   {"a": [], "b": [0.25], "disturbance": own_times},
                   {"a": [], "b": [0.25], "beta0_init": -0.3}]
         cfg = parse_config(minimal_config(plants=plants, disturbance=shared, beta0_init=0.7))
-        assert [spec.disturbance for spec in cfg.plants] == [shared, own_random, own_times, shared]
+        # each train keeps the dwell gap of the spec it was drawn from
+        assert [spec.train.t_dw for spec in cfg.plants] == [20, 15, 10, 20]
         assert [spec.beta0_init for spec in cfg.plants] == [0.7, 0.4, 0.7, -0.3]
         rng = np.random.default_rng(3)
 
@@ -133,7 +137,7 @@ class TestParseConfig:
         for app, spec in zip(trace.apps, cfg.plants):
             assert app.columns["dist"].tobytes() == spec.train.dense(50).tobytes()
         bare = parse_config(minimal_config(plants=plants[:1]))
-        assert bare.plants[0].disturbance is None and bare.plants[0].train.times.size == 0
+        assert bare.plants[0].train.times.size == 0
         assert bare.plants[0].beta0_init == 1.0
 
     @pytest.mark.parametrize("protocol, delays, gammas, eth", [
@@ -205,6 +209,49 @@ class TestParseConfig:
             parse_config(minimal_config(reference=ref, plants=plants))
         plants[1]["phase_offset"] = 0.0
         parse_config(minimal_config(reference=ref, plants=plants))
+
+
+@pytest.mark.parametrize("n, message_minislots", [(1, 1), (3, 1), (3, 2), (5, 3)])
+def test_the_scenario_bus_is_the_default_bus(n, message_minislots):
+    # one rule for an unset budget, two minislots per app and at least four,
+    # whatever a message takes; unset priorities put app i at i + 1
+    protocol = {"kind": "switching", "d2": 3, "eth": 0.05, "message_minislots": message_minislots}
+    cfg = parse_config(minimal_config(protocol=protocol, plants=[{"a": [], "b": [0.25]}] * n))
+    bus = BusConfig.default(n, d2=3, message_minislots=message_minislots)
+    assert cfg.bus_config() == bus
+    assert bus.minislots_per_cycle == max(4, 2 * n)
+    assert bus.dyn_priorities == {i: i + 1 for i in range(n)}
+
+
+def test_a_null_budget_is_config_error():
+    # an unset budget is a missing key, never null
+    protocol = {"kind": "switching", "d2": 2, "eth": 0.05, "minislots_per_cycle": None}
+    with pytest.raises(ConfigError, match="malformed scenario"):
+        parse_config(minimal_config(protocol=protocol))
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"dv_tol": None}, "tolerances.dv_tol must be a number, got null"),
+        ({"settle_samples": 10}, "unknown key 'settle_samples'"),
+        ({"bound": "1e3"}, 'tolerances.bound must be a number, got "1e3"'),
+        ({"tracking_tol": True}, "tolerances.tracking_tol must be a number, got true"),
+        ({"settle_sample": False}, "tolerances.settle_sample must be an integer, got false"),
+        ({"ortho_window": 20.5}, "tolerances.ortho_window must be an integer, got 20.5"),
+        ({"check_sr": 1}, "tolerances.check_sr must be true or false, got 1"),
+        ({"rank_tol": [1e-6]}, "tolerances.rank_tol must be a number"),
+        ({"bound": 10 ** 400}, "malformed scenario: int too large to convert to float"),
+        ([1e-6], "tolerances must be a JSON object, got list"),
+    ], ids=["null", "unknown_key", "string", "bool_for_float", "bool_for_int", "fraction_for_int",
+            "number_for_bool", "list_value", "huge_int", "list"])
+    def test_bad_tolerance_is_config_error(self, tolerances, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(minimal_config(tolerances=tolerances))
+
+    def test_each_tolerance_takes_its_default_type(self):
+        cfg = parse_config(minimal_config(tolerances={"bound": 500, "settle_sample": 30.0, "check_sr": False}))
+        assert cfg.tolerances == dict(DEFAULT_TOLERANCES, bound=500.0, settle_sample=30, check_sr=False)
+        assert [type(v) for v in cfg.tolerances.values()] == [type(v) for v in DEFAULT_TOLERANCES.values()]
 
 
 class TestRunFixed:
@@ -377,6 +424,49 @@ class TestMonitors:
         names = [r.name for r in evaluate_monitors(run_scenario(cfg), cfg).results]
         assert "parameter_error_monotone" in names
 
+    @pytest.mark.parametrize("dist", [{"random": True, "t_dw": 15}, {"times": [12, 36, 58], "t_dw": 15},
+                                      {"times": [12, 36, 59], "t_dw": 15}],
+                             ids=["random_seed_0", "two_before_the_end", "last_sample"])
+    def test_an_impulse_near_the_end_is_not_judged(self, dist):
+        # an impulse with fewer than d2 + 1 samples after it has no whole
+        # response window; seed 0 draws [12, 36, 58] with numpy 2.4
+        cfg = parse_config(minimal_config(horizon=60, seed=0, protocol={"kind": "switching", "d2": 2, "eth": 0.05},
+                                          plants=[{"a": [], "b": [0.25]}], beta0_init=0.25, disturbance=dist,
+                                          reference={"type": "constant", "level": 2.0}))
+        report = evaluate_monitors(run_scenario(cfg), cfg)
+        assert report.all_passed, [r.name for r in report.results if not r.passed]
+        if "times" in dist or cfg.plants[0].train.times.tolist() == [12, 36, 58]:
+            result = {r.name: r for r in report.results}["impulse_triggers_tt"]
+            assert result.measured == pytest.approx(1.0, abs=1e-12)
+            assert result.detail.endswith("; 1 impulse(s) within d2 + 1 samples of the end not judged")
+
+    @pytest.mark.parametrize("protocol, gate", [({"kind": "fixed", "d": 1}, "parameter_error_monotone"),
+                                                ({"kind": "switching", "d2": 2, "eth": 0.05}, "quiescent_switches")])
+    def test_impulses_are_read_from_the_trace(self, protocol, gate):
+        # a completed run is judged on the impulses its trace recorded,
+        # whatever train the config it is judged against would draw
+        base = minimal_config(horizon=200, protocol=protocol, plants=[{"a": [], "b": [0.25]}],
+                              reference={"type": "constant", "level": 2.0}, beta0_init=0.25)
+        quiet = parse_config(base)
+        assert gate in [r.name for r in evaluate_monitors(run_scenario(quiet), quiet).results]
+        struck = run_scenario(parse_config(dict(base, disturbance={"times": [100], "t_dw": 50})))
+        names = [r.name for r in evaluate_monitors(struck, quiet).results]
+        assert gate not in names
+        assert ("impulse_triggers_tt" in names) is (protocol["kind"] == "switching")
+
+    def test_a_stopped_run_fails_the_impulses_it_never_answered(self):
+        # this run stops at sample 2, before its impulse at 50: the trace's
+        # dist column is empty, but the impulse is judged, and fails
+        cfg = parse_config(minimal_config(horizon=100, protocol={"kind": "switching", "d2": 3, "eth": 0.05},
+                                          plants=[{"a": [], "b": [0.25]}], beta0_init=0.25,
+                                          reference={"type": "constant", "level": 2.0},
+                                          disturbance={"times": [50], "t_dw": 10}))
+        trace = run_scenario(cfg)
+        assert trace.status.startswith("aborted at sample 2") and not trace.apps[0].columns["dist"].any()
+        results = {r.name: r for r in evaluate_monitors(trace, cfg).results}
+        assert not results["impulse_triggers_tt"].passed and results["impulse_triggers_tt"].measured == 0.0
+        assert "quiescent_switches" not in results
+
     @pytest.mark.parametrize("app, passed", [(0, True), (1, False)])
     def test_re_entry_containment_window_is_each_apps_own(self, app, passed):
         # app 0 (m2 = 0) is held for m2 + d2 = 2 samples after an ET
@@ -546,6 +636,22 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert f"configuration error: {field} must be a JSON object" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("tolerances, message", [
+        ({"dv_tol": None}, "tolerances.dv_tol must be a number, got null"),
+        ({"settle_samples": 10}, "tolerances: unknown key 'settle_samples'"),
+    ], ids=["null", "unknown_key"])
+    def test_bad_tolerance_is_config_error(self, tmp_path, command, tolerances, message):
+        cfg = json.loads((CONFIG_DIR / "switching_1app.json").read_text())
+        cfg.update(horizon=300, disturbance=None, tolerances=tolerances)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert f"configuration error: {message}" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_seed_override_reaches_the_trace(self, tmp_path):

@@ -145,7 +145,6 @@ def test_pinned_kernel_matches_the_numpy_scalar_loop(m1, m2, d, variant):
     assert n == (T if status == SIM_OK else k_stop + 1) and run.T == T
     assert len(run.y) == n + (status == SIM_OK) and _bytes(run.y) == y[: len(run.y)].tobytes()
     assert len(run.u) == n - (status == SIM_ZERO_DIVISOR) and _bytes(run.u) == u[: len(run.u)].tobytes()
-    assert _bytes(run.e) == (y[:n] - case["ref"][:n]).tobytes()
     assert _bytes(run.eps) == eps[:n].tobytes()
     assert run.et == [False] * n and run.switches == []
     (theta_rows,), (phi_rows,) = run.theta_rows, run.phi_rows
@@ -169,7 +168,6 @@ def test_switching_kernel_matches_the_supervisor(m1, m2, d2, variant):
     n = len(sup.rows["k"])  # completed samples
     assert len(run.eps) == n + (status != SIM_OK)
     assert _bytes(run.y) == _bytes(sup.rows["y"] + [sup.history.y_lag(0)])
-    assert _bytes(run.e) == _bytes(sup.rows["e"] + ([sup._e_k] if status else []))
     assert _bytes(run.eps[:n]) == _bytes(sup.rows["eps"])
     assert run.et[:n] == [mode == "ET" for mode in sup.rows["mode"]]
     assert run.switches == [(ev.k, ev.direction, ev.p) for ev in sup.switch_log.events]
@@ -260,4 +258,4 @@ def test_a_generated_frame_shows_its_source_line():
              [0.0, 1.0], [0.0, 1.0], 0.5, 0.5, -1.0, 3)
     text = "".join(traceback.format_exception(info.value))
     assert 'File "<adaptive_loop m1=1 m2=0 d1=1 d2=1 pinned>"' in text
-    assert "e_k = y0 - ref[k]" in text
+    assert "uk = (ref[k + 1] - (" in text
