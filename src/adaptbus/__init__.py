@@ -15,6 +15,7 @@ from .harness import (
     ConfigError,
     ScenarioConfig,
     Trace,
+    containment_check,
     evaluate_monitors,
     export_trace,
     load_trace,
@@ -36,7 +37,6 @@ from .supervisor import (
     DualEstimates,
     ReferenceModel,
     apply_reset,
-    containment_check,
     equivalent_reference,
     lyapunov,
     signal_error,

@@ -24,11 +24,20 @@ def _as_rows(samples) -> np.ndarray:
 
 
 def _window_grams(rows: np.ndarray, N: int) -> np.ndarray:
-    """Grams of every length-N window: shape (T-N+1, n, n)."""
+    """The Gram of the window that ends at each row k, rows k+1-N..k (from
+    row 0 while k < N - 1): shape (T, n, n).
+
+    The running sums restart at every block of N rows, so a window Gram adds
+    up at most two blocks and its rounding does not grow with the run."""
     T, n = rows.shape
-    outer = np.einsum("ti,tj->tij", rows, rows)
-    csum = np.concatenate([np.zeros((1, n, n)), np.cumsum(outer, axis=0)])
-    return csum[N:] - csum[:-N]
+    nb = -(-T // N)
+    outer = np.zeros((nb * N, n, n))
+    np.einsum("ki,kj->kij", rows, rows, out=outer[:T])
+    grams = np.cumsum(outer.reshape(nb, N, n, n), axis=1).reshape(nb * N, n, n)[:T]
+    # window k: its block's sum up to k plus the rest of the block before
+    k = np.arange(N, T)
+    grams[N:] += grams[k - k % N - 1] - grams[k - N]
+    return grams
 
 
 def is_pe(samples, N: int, alpha: float) -> bool:
@@ -38,8 +47,7 @@ def is_pe(samples, N: int, alpha: float) -> bool:
     rows = _as_rows(samples)
     if rows.shape[0] < N:
         raise ValueError(f"need at least N={N} samples, got {rows.shape[0]}")
-    grams = _window_grams(rows, N)
-    w = np.linalg.eigvalsh(grams)
+    w = np.linalg.eigvalsh(_window_grams(rows, N)[N - 1:])
     return bool(np.min(w[:, 0]) >= alpha)
 
 
@@ -58,8 +66,7 @@ def sr_order(samples, m_max: int, N: int, tol: float) -> int:
         if T - m + 1 < N:
             break  # not enough data to certify this order
         stacked = np.lib.stride_tricks.sliding_window_view(rows, (m, n)).reshape(T - m + 1, m * n)
-        grams = _window_grams(np.ascontiguousarray(stacked), N)
-        w = np.linalg.eigvalsh(grams)
+        w = np.linalg.eigvalsh(_window_grams(stacked, N)[N - 1:])
         if np.min(w[:, 0]) > tol:
             order = m
         else:

@@ -18,13 +18,33 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, netbus, reference
-from .excitation import sr_order
-from .netbus import BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode
+from .excitation import _window_grams, sr_order
+from .netbus import (BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode,
+                     SwitchEvent)
 from .plant import DisturbanceTrain, PlantModel, make_impulse_train
-from .supervisor import MONITOR_FIELDS, TRACE_FIELDS, containment_check
 
 SCHEMA_VERSION = 2
+TRACE_FIELDS = [
+    "app", "k", "mode", "y", "yref", "yref_prime", "e", "u", "delay", "eps",
+    "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res", "switch", "dist",
+]
+# computed after a run from the true plant; the loop records the rest
+MONITOR_FIELDS = ("yref_prime", "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res")
+SIM_FIELDS = [name for name in TRACE_FIELDS if name not in MONITOR_FIELDS]
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
+
+# the keys each part of a scenario document may hold; a plant's ``h``, the
+# sample period, is metadata that no run reads
+_DOCUMENT_KEYS = ("name", "horizon", "seed", "protocol", "plants", "reference", "disturbance", "gammas",
+                  "beta0_init", "tolerances")
+_PROTOCOL_KEYS = {"fixed": ("kind", "d"),
+                  "switching": ("kind", "d2", "eth", "minislots_per_cycle", "message_minislots", "dyn_priorities")}
+_PLANT_KEYS = ("a", "b", "h", "y_init", "u_init", "oracle", "phase_offset", "disturbance", "beta0_init")
+_REFERENCE_KEYS = {"constant": ("type", "level", "sr_order"), "sinusoid": ("type", "components", "sr_order"),
+                   "square": ("type", "amplitude", "period", "duty", "sr_order"),
+                   "file": ("type", "values", "path", "sr_order")}
+_COMPONENT_KEYS = ("amplitude", "omega", "phase")  # of a sinusoid component written as an object
+_DISTURBANCE_KEYS = ("t_dw", "times", "random", "amplitudes")
 
 DEFAULT_TOLERANCES = {
     "bound": 1e3,
@@ -63,7 +83,7 @@ class ScenarioConfig:
     name: str
     horizon: int
     seed: int
-    protocol: dict
+    kind: str  # the protocol: "fixed" or "switching"
     plants: list
     reference: reference.ReferenceGenerator
     delays: tuple  # of the loop: (d,) on the fixed protocol, (1, d2) switching
@@ -71,19 +91,10 @@ class ScenarioConfig:
     eth: float  # the switching threshold; -1 on the fixed protocol
     tolerances: dict  # every DEFAULT_TOLERANCES key, of its default's type
     raw: dict
+    bus: BusConfig | None = None  # the switching protocol's bus
 
-    @property
-    def kind(self) -> str:
-        return self.protocol["kind"]
-
-    def bus_config(self) -> BusConfig:
-        p = self.protocol
-        prios = p.get("dyn_priorities") or {}
-        prios = prios.items() if isinstance(prios, dict) else enumerate(prios)
-        slots = int(p["minislots_per_cycle"]) if "minislots_per_cycle" in p else None  # int(None) rejects a null
-        return BusConfig.default(
-            len(self.plants), d2=int(p["d2"]), minislots_per_cycle=slots,
-            message_minislots=int(p.get("message_minislots", 1)), dyn_priorities={int(k): int(v) for k, v in prios})
+    def bus_config(self) -> BusConfig | None:
+        return self.bus
 
 
 def load_document(source) -> dict:
@@ -104,11 +115,24 @@ def load_document(source) -> dict:
     return _object(doc, f"{where}: the scenario")
 
 
-def _object(value, name: str) -> dict:
-    """The value of a field that must hold a JSON object."""
+def _object(value, name: str, keys=None) -> dict:
+    """The value of a field that must hold a JSON object, each of whose keys
+    is one of ``keys`` when they are given."""
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+    for key in value if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(f"{name}: unknown key {key!r}; the keys are {', '.join(keys)}")
     return value
+
+
+def _integer(value, name: str) -> int:
+    """The value of an integer field: a number with a fraction is rejected,
+    where ``int`` would truncate it; an integral float such as 2000.0 is
+    taken."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def _check_gamma(value: float, name: str) -> float:
@@ -129,26 +153,29 @@ def parse_config(source) -> ScenarioConfig:
     Each app takes its own ``disturbance`` and ``beta0_init``, else the shared
     ones; random impulse trains are drawn from one generator seeded by
     ``seed``, app by app."""
-    raw = load_document(source)
+    raw = _object(load_document(source), "the scenario", _DOCUMENT_KEYS)
     try:
-        horizon = int(raw.get("horizon", 0))
+        horizon = _integer(raw.get("horizon", 0), "horizon")
         if horizon < 0:
             raise ConfigError("horizon must be >= 0")
-        seed = int(raw.get("seed", 0))
-        protocol = dict(raw.get("protocol", {"kind": "fixed", "d": 1}))
+        seed = _integer(raw.get("seed", 0), "seed")
+        protocol = _object(raw.get("protocol", {"kind": "fixed", "d": 1}), "protocol")
         kind = protocol.get("kind")
-        if kind not in ("fixed", "switching"):
+        if kind not in _PROTOCOL_KEYS:
             raise ConfigError(f"protocol.kind must be 'fixed' or 'switching', got {kind!r}")
+        _object(protocol, "protocol", _PROTOCOL_KEYS[kind])
         if kind == "fixed":
-            if int(protocol.get("d", 0)) < 1:
+            d = _integer(protocol.get("d", 0), "protocol.d")
+            if d < 1:
                 raise ConfigError("fixed protocol needs a delay d >= 1")
-            delays, eth = (int(protocol["d"]),), -1.0
+            delays, eth = (d,), -1.0
         else:
-            if int(protocol.get("d2", 0)) < 2:
+            d2, eth = _integer(protocol.get("d2", 0), "protocol.d2"), float(protocol.get("eth", 0.0))
+            if d2 < 2:
                 raise ConfigError("switching protocol needs d2 >= 2")
-            if float(protocol.get("eth", 0.0)) <= 0:
+            if eth <= 0:
                 raise ConfigError("switching protocol needs eth > 0")
-            delays, eth = (1, int(protocol["d2"])), float(protocol["eth"])
+            delays = (1, d2)
         delay = delays[-1]  # the longest delay a loop uses
         plants_raw = raw.get("plants", [])
         if not plants_raw:
@@ -159,7 +186,7 @@ def parse_config(source) -> ScenarioConfig:
         shared_dist = raw.get("disturbance")
         if shared_dist is not None:
             # checked even where every plant has its own; these draws are unused
-            _impulse_train(_object(shared_dist, "disturbance"), horizon,
+            _impulse_train(_object(shared_dist, "disturbance", _DISTURBANCE_KEYS), horizon,
                            lambda: np.random.default_rng(seed))
         # one generator for every random train, made when the first is
         # drawn: numpy imports numpy.random on first use, which costs several
@@ -167,14 +194,9 @@ def parse_config(source) -> ScenarioConfig:
         rng = functools.cache(lambda: np.random.default_rng(seed))
         plants = []
         for i, p in enumerate(plants_raw):
-            p = _object(p, f"plant[{i}]")
+            p = _object(p, f"plant[{i}]", _PLANT_KEYS)
             try:
-                model = PlantModel(
-                    a=np.asarray(p.get("a", []), dtype=float),
-                    b=np.asarray(p["b"], dtype=float),
-                    d_nominal=int(p.get("d_nominal", 1)),
-                    h=float(p.get("h", 0.01)),
-                )
+                model = PlantModel(a=np.asarray(p.get("a", []), dtype=float), b=np.asarray(p["b"], dtype=float))
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"plant[{i}]: {exc}") from exc
             b0i = p.get("beta0_init")
@@ -185,7 +207,7 @@ def parse_config(source) -> ScenarioConfig:
                     raise ConfigError(f"plant[{i}]: {name} has {len(p[name])} values; the history holds {depth}")
             # the app's own disturbance and divisor prior, else the shared ones
             own = p.get("disturbance")
-            dist = shared_dist if own is None else _object(own, f"plant[{i}].disturbance")
+            dist = shared_dist if own is None else _object(own, f"plant[{i}].disturbance", _DISTURBANCE_KEYS)
             plants.append(PlantSpec(
                 model=model,
                 y_init=tuple(p.get("y_init", ())),
@@ -196,11 +218,18 @@ def parse_config(source) -> ScenarioConfig:
                 beta0_init=shared_beta0 if b0i is None else float(b0i),
             ))
         ref_spec = _object(raw.get("reference", {"type": "constant", "level": 1.0}), "reference")
+        # an unknown type is left to reference.from_spec, which names it
+        _object(ref_spec, "reference", _REFERENCE_KEYS.get(ref_spec.get("type")))
+        for i, c in enumerate(ref_spec.get("components", ())):
+            if isinstance(c, dict):
+                _object(c, f"reference: components[{i}]", _COMPONENT_KEYS)
         try:
             gen = reference.from_spec(ref_spec)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"reference: {exc}") from exc
         gammas = raw.get("gammas", [0.5, 0.5])
+        if len(gammas) not in (1, 2):
+            raise ConfigError(f"gammas must hold one or two gains, got {len(gammas)}")
         gamma1 = _check_gamma(gammas[0], "gamma1")
         gamma2 = _check_gamma(gammas[1] if len(gammas) > 1 else gammas[0], "gamma2")
         tol = _tolerances(raw.get("tolerances", {}))
@@ -209,11 +238,22 @@ def parse_config(source) -> ScenarioConfig:
             if shifted:
                 raise ConfigError(f"plant[{shifted[0]}]: phase_offset needs a periodic reference, not a file")
             _check_table_length(gen, horizon, delay, tol)
+        bus = None
+        if kind == "switching":
+            prios = protocol.get("dyn_priorities") or {}
+            prios = prios.items() if isinstance(prios, dict) else enumerate(prios)
+            # an unset budget takes the default; a null one is rejected, as int(None) is
+            slots = (_integer(protocol["minislots_per_cycle"], "protocol.minislots_per_cycle")
+                     if "minislots_per_cycle" in protocol else None)
+            bus = BusConfig.default(
+                len(plants), d2=delay, minislots_per_cycle=slots,
+                message_minislots=_integer(protocol.get("message_minislots", 1), "protocol.message_minislots"),
+                dyn_priorities={int(k): _integer(v, "protocol.dyn_priorities") for k, v in prios})
         cfg = ScenarioConfig(
             name=str(raw.get("name", "scenario")),
             horizon=horizon,
             seed=seed,
-            protocol=protocol,
+            kind=kind,
             plants=plants,
             reference=gen,
             delays=delays,
@@ -221,9 +261,8 @@ def parse_config(source) -> ScenarioConfig:
             eth=eth,
             tolerances=tol,
             raw=raw,
+            bus=bus,
         )
-        if kind == "switching":
-            cfg.bus_config()  # validates slot/priority/d2 consistency
         _check_reference_richness(gen, tol)
         return cfg
     except ConfigError:
@@ -237,9 +276,7 @@ def _tolerances(given) -> dict:
     type: a float key takes any number, an int key an integral number, and
     ``check_sr`` true or false.  Any other key or value is rejected."""
     tol = dict(DEFAULT_TOLERANCES)
-    for name, value in _object(given, "tolerances").items():
-        if name not in tol:
-            raise ConfigError(f"tolerances: unknown key {name!r}; the keys are {', '.join(tol)}")
+    for name, value in _object(given, "tolerances", tol).items():
         kind = type(tol[name])
         if (isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float))
                 or (kind is int and not float(value).is_integer())):
@@ -297,7 +334,7 @@ def _impulse_train(spec: dict, horizon: int, rng) -> DisturbanceTrain:
     """The impulse train of a disturbance spec: its explicit times, or times
     drawn from the generator ``rng()`` returns.  Times below 0 are rejected;
     times at or past the horizon are left to check_impulse_times."""
-    t_dw = int(spec.get("t_dw", 0))
+    t_dw = _integer(spec.get("t_dw", 0), "disturbance.t_dw")
     if t_dw < 1:
         raise ConfigError("disturbance t_dw must be >= 1")
     times = spec.get("times")
@@ -308,7 +345,8 @@ def _impulse_train(spec: dict, horizon: int, rng) -> DisturbanceTrain:
         if times is None:
             train = make_impulse_train(t_dw, horizon, amplitudes=amplitudes, rng=rng())
         else:
-            train = make_impulse_train(t_dw, horizon, amplitudes=amplitudes, times=list(times))
+            train = make_impulse_train(t_dw, horizon, amplitudes=amplitudes,
+                                       times=[_integer(t, "an impulse time") for t in times])
     except ValueError as exc:
         raise ConfigError(f"disturbance: {exc}") from exc
     early = [t for t in train.times.tolist() if t < 0]
@@ -389,7 +427,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
             for i, run in enumerate(runs) if run.status) or "ok"
     else:
         summary = {"kind": "switching", "d2": cfg.delays[-1], "eth": cfg.eth}
-        rows, aborting, status, bus = _replay_bus(cfg.bus_config(), runs, cfg.horizon)
+        rows, aborting, status, bus = _replay_bus(cfg.bus, runs, cfg.horizon)
     rank_tol = cfg.tolerances["rank_tol"]
     apps, summary["apps"] = [], []
     for i, (n, spec, yref_ext) in enumerate(zip(rows, cfg.plants, yrefs)):
@@ -611,22 +649,9 @@ def _monitor_columns(v_err, phi_diff, Phi, theta_err, rank_tol: float) -> dict:
 
 def _windowed_rank(Phi: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample rank and smallest retained eigenvalue of the sliding-window
-    regressor Gram (window 8M plus an M-sample slack, as in GramWindow).
-
-    The running sums restart at every block of one window length, so a
-    window Gram adds up at most two blocks and its rounding does not grow
-    with the run."""
-    T, M = Phi.shape
-    cap = 8 * M + M
-    nb = -(-T // cap)
-    outer = np.zeros((nb * cap, M, M))
-    np.einsum("ki,kj->kij", Phi, Phi, out=outer[:T])
-    grams = np.cumsum(outer.reshape(nb, cap, M, M), axis=1).reshape(nb * cap, M, M)[:T]
-    # window k is rows k+1-cap..k: its block's sum up to k plus the rest of the block before
-    k = np.arange(cap, T)
-    head = k - k % cap
-    grams[cap:] += grams[head - 1] - grams[k - cap]
-    w = np.linalg.eigvalsh(grams)  # ascending, (T, M)
+    regressor Gram (window 8M plus an M-sample slack, as in GramWindow)."""
+    M = Phi.shape[1]
+    w = np.linalg.eigvalsh(_window_grams(Phi, 8 * M + M))  # ascending, (T, M)
     wmax = np.maximum(w[:, -1], 0.0)
     thresh = rank_tol * wmax
     above = w > thresh[:, None]
@@ -920,7 +945,7 @@ def evaluate_monitors(trace: Trace, cfg: ScenarioConfig | None = None) -> Monito
     for s in trace.summary["apps"]:
         worst = max(worst, s["max_abs_y"], s["max_abs_u"], s["max_theta_norm"])
     results.append(MonitorResult("bounded_signals", worst < bound, worst, bound))
-    if trace.summary.get("kind") == "fixed":
+    if cfg.kind == "fixed":
         _fixed_monitors(trace, cfg, results)
     else:
         _switching_monitors(trace, cfg, results)
@@ -977,6 +1002,71 @@ def _impulses(trace: Trace, cfg: ScenarioConfig) -> list:
             for app, spec in zip(trace.apps, cfg.plants)]
 
 
+@dataclass
+class ContainmentEntry:
+    k_prime: int
+    p: int
+    errors: list
+    ok: bool
+
+
+@dataclass
+class PhaseEntry:
+    k_prime: int
+    p: int
+    length: int
+    terminated: bool
+    ok: bool
+
+
+@dataclass
+class ContainmentReport:
+    entries: list  # ContainmentEntry per TT->ET re-entry with p >= 3
+    phases: list  # PhaseEntry per ET phase
+    eth: float
+    window: int
+
+    @property
+    def passed(self) -> bool:
+        return all(e.ok for e in self.entries) and all(ph.ok for ph in self.phases)
+
+
+def containment_check(e: np.ndarray, switches: list[SwitchEvent], eth: float,
+                      m2: int, d2: int) -> ContainmentReport:
+    """Post-scenario scan of ET re-entry behaviour.
+
+    For each TT->ET switch with p >= 3 the tracking error must stay within
+    eth for the first m2+d2 samples of the phase; every terminated ET phase
+    must strictly exceed 2 samples between its start k'_p and the closing
+    switch instant.
+    """
+    e = np.asarray(e, dtype=float)
+    horizon = e.shape[0]
+    window = m2 + d2
+    entries: list[ContainmentEntry] = []
+    phases: list[PhaseEntry] = []
+    slack = 1e-12
+    for i, ev in enumerate(switches):
+        if ev.direction != "TT->ET":
+            continue
+        k_prime = ev.k + 1
+        nxt = switches[i + 1] if i + 1 < len(switches) else None
+        end = nxt.k if nxt is not None else horizon - 1
+        length = end - k_prime
+        terminated = nxt is not None
+        phases.append(PhaseEntry(
+            k_prime=k_prime, p=ev.p, length=length, terminated=terminated,
+            ok=(length > 2) or not terminated,
+        ))
+        if ev.p >= 3:
+            vals = [float(e[k_prime + l]) for l in range(window) if k_prime + l < horizon]
+            entries.append(ContainmentEntry(
+                k_prime=k_prime, p=ev.p, errors=vals,
+                ok=all(abs(v) <= eth + slack for v in vals),
+            ))
+    return ContainmentReport(entries=entries, phases=phases, eth=eth, window=window)
+
+
 def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
     tol = cfg.tolerances
     d2, eth = cfg.delays[-1], cfg.eth
@@ -1007,7 +1097,7 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
     worst_contain = 0.0
     min_phase_len = np.inf
     for app, spec in zip(trace.apps, cfg.plants):
-        events = [netbus.SwitchEvent(k=s[0], direction=s[1], p=s[2]) for s in app.switches]
+        events = [SwitchEvent(k=s[0], direction=s[1], p=s[2]) for s in app.switches]
         rep = containment_check(app.columns["e"], events, eth, spec.model.m2, d2)
         for entry in rep.entries:
             worst_contain = max(worst_contain, max((abs(v) for v in entry.errors), default=0.0))
@@ -1055,7 +1145,7 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
     results.append(MonitorResult("bus_delay_dichotomy", bad_delay == 0, float(bad_delay), 0.0,
                                  detail="TT delay == 1, ET delay <= d2"))
     consumed = bus["consumed"]
-    broken = (consumed != bus["idle"] + _minislots_sent(bus)) | (consumed > cfg.bus_config().minislots_per_cycle)
+    broken = (consumed != bus["idle"] + _minislots_sent(bus)) | (consumed > cfg.bus.minislots_per_cycle)
     unconserved = int(np.count_nonzero(broken))
     results.append(MonitorResult("minislot_conservation", unconserved == 0, float(unconserved), 0.0,
                                  detail="cycles where consumed != idle + transmitted or > minislots_per_cycle"))

@@ -27,7 +27,7 @@ class PlantDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Plant coefficients a (feedback) and b (input, b[0] != 0) plus delay metadata.
+    """Plant coefficients a (feedback) and b (input, b[0] != 0).
 
     The numerator zeros must lie strictly inside the unit disk so the plant
     inverse is stable; construction rejects anything else, naming the
@@ -36,8 +36,6 @@ class PlantModel:
 
     a: np.ndarray
     b: np.ndarray
-    d_nominal: int = 1
-    h: float = 0.01  # sample period, metadata only
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
@@ -46,8 +44,6 @@ class PlantModel:
             raise ValueError("plant coefficient vectors must be one-dimensional")
         if b.shape[0] < 1 or b[0] == 0.0:
             raise ValueError("b must be non-empty with b[0] != 0")
-        if self.d_nominal < 1:
-            raise ValueError(f"delay must be >= 1, got {self.d_nominal}")
         bp = ShiftPoly(b)
         if not zeros_strictly_inside(bp):
             bad = unstable_zeros(bp)
@@ -219,13 +215,12 @@ def make_impulse_train(t_dw, horizon, amplitudes=1.0, times=None, rng=None) -> D
 
 
 def step_difference(model: PlantModel, history: SignalHistory, u_k: float,
-                    train: DisturbanceTrain | None = None, d: int | None = None) -> float:
+                    train: DisturbanceTrain | None = None, d: int = 1) -> float:
     """Advance the plant one sample with applied input u_k; returns y(k+1).
 
     The disturbance enters delayed through the input channel: the step that
     produces y(k+1) reads D(k+1-d).
     """
-    d = model.d_nominal if d is None else int(d)
     m1, m2 = model.m1, model.m2
     if history.m1 < m1 or history._nu < m2 + d - 1:
         raise ValueError("signal history too shallow for this plant and delay")

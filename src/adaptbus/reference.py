@@ -40,11 +40,13 @@ class SinusoidSum(ReferenceGenerator):
 
     def __post_init__(self):
         comps = []
-        for c in self.components:
+        for i, c in enumerate(self.components):
             if isinstance(c, dict):
                 comps.append((float(c["amplitude"]), float(c["omega"]), float(c.get("phase", 0.0))))
             else:
                 amp, omega, *rest = c
+                if len(rest) > 1:
+                    raise ValueError(f"components[{i}] has {len(c)} values; the list is [amplitude, omega, phase]")
                 comps.append((float(amp), float(omega), float(rest[0]) if rest else 0.0))
         if not comps:
             raise ValueError("sinusoid reference needs at least one component")

@@ -1,8 +1,8 @@
 """Switching adaptive controller: dual estimates (one per bus mode), the
 switching-instant reset/hold rules, the per-sample reference loop
 (``AppSupervisor``) of the switching kernels ``kernels.adaptive_loop`` runs,
-the per-sample monitor definitions (common Lyapunov value, equivalent
-reference, ideal reference models, containment scan) and the trace schema.
+and the per-sample monitor definitions (common Lyapunov value, equivalent
+reference, ideal reference models).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import numpy as np
 
 from . import adapt, kernels
 from .adapt import ParameterEstimate
-from .netbus import Mode, SwitchEvent, SwitchLog, select_mode
+from .harness import SIM_FIELDS
+from .netbus import Mode, SwitchLog, select_mode
 from .plant import (
     DisturbanceTrain,
     PlantModel,
@@ -181,71 +182,6 @@ def signal_error(phi: np.ndarray, phi_star: np.ndarray) -> float:
     return float(np.linalg.norm(phi - phi_star))
 
 
-@dataclass
-class ContainmentEntry:
-    k_prime: int
-    p: int
-    errors: list
-    ok: bool
-
-
-@dataclass
-class PhaseEntry:
-    k_prime: int
-    p: int
-    length: int
-    terminated: bool
-    ok: bool
-
-
-@dataclass
-class ContainmentReport:
-    entries: list  # ContainmentEntry per TT->ET re-entry with p >= 3
-    phases: list  # PhaseEntry per ET phase
-    eth: float
-    window: int
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries) and all(ph.ok for ph in self.phases)
-
-
-def containment_check(e: np.ndarray, switches: list[SwitchEvent], eth: float,
-                      m2: int, d2: int) -> ContainmentReport:
-    """Post-scenario scan of ET re-entry behaviour.
-
-    For each TT->ET switch with p >= 3 the tracking error must stay within
-    eth for the first m2+d2 samples of the phase; every terminated ET phase
-    must strictly exceed 2 samples between its start k'_p and the closing
-    switch instant.
-    """
-    e = np.asarray(e, dtype=float)
-    horizon = e.shape[0]
-    window = m2 + d2
-    entries: list[ContainmentEntry] = []
-    phases: list[PhaseEntry] = []
-    slack = 1e-12
-    for i, ev in enumerate(switches):
-        if ev.direction != "TT->ET":
-            continue
-        k_prime = ev.k + 1
-        nxt = switches[i + 1] if i + 1 < len(switches) else None
-        end = nxt.k if nxt is not None else horizon - 1
-        length = end - k_prime
-        terminated = nxt is not None
-        phases.append(PhaseEntry(
-            k_prime=k_prime, p=ev.p, length=length, terminated=terminated,
-            ok=(length > 2) or not terminated,
-        ))
-        if ev.p >= 3:
-            vals = [float(e[k_prime + l]) for l in range(window) if k_prime + l < horizon]
-            entries.append(ContainmentEntry(
-                k_prime=k_prime, p=ev.p, errors=vals,
-                ok=all(abs(v) <= eth + slack for v in vals),
-            ))
-    return ContainmentReport(entries=entries, phases=phases, eth=eth, window=window)
-
-
 class AppSupervisor:
     """One application's switching loop, one sample at a time: mode selection
     feeds the bus, the per-mode controller runs update-then-control,
@@ -402,11 +338,3 @@ class AppSupervisor:
             "dist": float(self.train.value(k)),
         }
 
-
-TRACE_FIELDS = [
-    "app", "k", "mode", "y", "yref", "yref_prime", "e", "u", "delay", "eps",
-    "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res", "switch", "dist",
-]
-# computed after a run from the true plant; the loop records the rest
-MONITOR_FIELDS = ("yref_prime", "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res")
-SIM_FIELDS = [name for name in TRACE_FIELDS if name not in MONITOR_FIELDS]

@@ -14,6 +14,7 @@ import pytest
 from adaptbus import kernels
 from adaptbus.excitation import numerical_rank
 from adaptbus.harness import (
+    TRACE_FIELDS,
     evaluate_monitors,
     export_trace,
     parse_config,
@@ -22,7 +23,6 @@ from adaptbus.harness import (
 )
 from adaptbus.netbus import Mode, select_mode
 from adaptbus.shiftpoly import ShiftPoly, diophantine_residual, solve_diophantine
-from adaptbus.supervisor import TRACE_FIELDS
 from tests.conftest import make_random_plant, predictor_identity_error
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

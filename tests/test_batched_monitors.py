@@ -20,13 +20,11 @@ import pytest
 from adaptbus import harness
 from adaptbus.adapt import ParameterEstimate
 from adaptbus.excitation import GramWindow, orthogonality_residual
-from adaptbus.harness import parse_config, run_scenario
+from adaptbus.harness import MONITOR_FIELDS, SIM_FIELDS, parse_config, run_scenario
 from adaptbus.kernels import LoopRun
 from adaptbus.netbus import Mode
 from adaptbus.plant import DisturbanceTrain, PlantModel
 from adaptbus.supervisor import (
-    MONITOR_FIELDS,
-    SIM_FIELDS,
     DisturbanceInverseFilter,
     DualEstimates,
     ReferenceModel,

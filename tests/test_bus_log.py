@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from adaptbus import cli
-from adaptbus.harness import BusLog, evaluate_monitors, export_trace, load_trace, parse_config, run_scenario
+from adaptbus.harness import (TRACE_FIELDS, BusLog, evaluate_monitors, export_trace, load_trace, parse_config,
+                              run_scenario)
 from adaptbus.netbus import BUS_COLUMNS, BusState
-from adaptbus.supervisor import TRACE_FIELDS
 from tests import bus_reference
 from tests.test_switching_engine import CASES
 

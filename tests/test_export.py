@@ -21,9 +21,8 @@ import numpy as np
 import pytest
 
 from adaptbus import harness
-from adaptbus.harness import INT_FIELDS, AppTrace, BusLog, Trace, export_trace, parse_config, run_scenario
+from adaptbus.harness import INT_FIELDS, TRACE_FIELDS, AppTrace, BusLog, Trace, export_trace, parse_config, run_scenario
 from adaptbus.netbus import BUS_COLUMNS
-from adaptbus.supervisor import TRACE_FIELDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

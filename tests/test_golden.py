@@ -2,7 +2,8 @@
 
 Each config pins the sha256 of its simulation columns (``y u e eps mode
 switch delay dist`` of every app, in app order), its status and its
-(monitor, passed, threshold) verdicts.  The switching configs use constant
+(monitor, passed, measured, threshold, detail) verdicts, the numbers as
+their ``repr``.  The switching configs use constant
 references, so their arithmetic is fixed-order scalar code and they are
 compared on every machine.  The fixed configs read numpy's vectorised ``sin``, which is not
 bit-stable across CPUs, so they are compared only where the numpy/CPU
@@ -42,24 +43,47 @@ SIM_COLUMNS = ("y", "u", "e", "eps", "mode", "switch", "delay", "dist")
 
 FINGERPRINT = {"numpy": "2.4.6", "machine": "x86_64", "cpu": "Intel(R) Xeon(R) Processor"}
 
-# (monitor, repr of its threshold)
-SWITCHING_VERDICTS = [("completed", "0.0"), ("bounded_signals", "1000.0"), ("impulse_triggers_tt", "0.05"),
-                      ("re_entry_containment", "0.05"), ("et_phase_length", "2.0"),
-                      ("lyapunov_in_mode", "1e-09"), ("bus_delay_dichotomy", "0.0"),
-                      ("minislot_conservation", "0.0")]
-QUIET_VERDICTS = [("completed", "0.0"), ("bounded_signals", "1000.0"), ("re_entry_containment", "0.05"),
-                  ("et_phase_length", "2.0"), ("lyapunov_in_mode", "1e-09"), ("quiescent_switches", "0.0"),
-                  ("bus_delay_dichotomy", "0.0"), ("minislot_conservation", "0.0")]
-FIXED_VERDICTS = [("completed", "0.0"), ("bounded_signals", "1000.0"), ("tracking_tail", "0.001"),
-                  ("regressor_rank", "2.0"), ("orthogonality_residual", "0.001"),
-                  ("parameter_error_monotone", "1e-12")]
+# (monitor, repr of its measured value, repr of its threshold, detail)
+CONSERVATION = ("minislot_conservation", "0.0", "0.0",
+                "cycles where consumed != idle + transmitted or > minislots_per_cycle")
+SWITCHING_VERDICTS = [
+    ("completed", "0.0", "0.0", "ok"),
+    ("bounded_signals", "8.125", "1000.0", ""),
+    ("impulse_triggers_tt", "1.0", "0.05", "min post-impulse |e| peak within d2=2 samples"),
+    ("re_entry_containment", "0.03125", "0.05", "|e| over the first m2+d2=2 re-entry samples"),
+    ("et_phase_length", "698.0", "2.0", "every terminated ET phase must exceed 2 samples"),
+    ("lyapunov_in_mode", "5.421010862427522e-20", "1e-09", "max dV at non-switch samples"),
+    ("bus_delay_dichotomy", "0.0", "0.0", "TT delay == 1, ET delay <= d2"),
+    CONSERVATION,
+]
+QUIET_VERDICTS = [
+    ("completed", "0.0", "0.0", "ok"),
+    ("bounded_signals", "8.125", "1000.0", ""),
+    ("re_entry_containment", "0.0", "0.05", "|e| over the first m2+d2=2 re-entry samples"),
+    ("et_phase_length", "-1.0", "2.0", "every terminated ET phase must exceed 2 samples"),
+    ("lyapunov_in_mode", "4.2351647362715017e-20", "1e-09", "max dV at non-switch samples"),
+    ("quiescent_switches", "0.0", "0.0", "switches after the error settles inside eth"),
+    ("bus_delay_dichotomy", "0.0", "0.0", "TT delay == 1, ET delay <= d2"),
+    CONSERVATION,
+]
 
-# config: (sim sha256, status, monitors with their thresholds; every one passed)
+
+def fixed_verdicts(max_signal: str, tail: str, ortho: str, dv: str) -> list:
+    return [("completed", "0.0", "0.0", "ok"), ("bounded_signals", max_signal, "1000.0", ""),
+            ("tracking_tail", tail, "0.001", "|e| for k >= 2000"),
+            ("regressor_rank", "2.0", "2.0", "windowed Gram rank at the final sample"),
+            ("orthogonality_residual", ortho, "0.001", "max over final 500 settled samples"),
+            ("parameter_error_monotone", dv, "1e-12", "")]
+
+
+# config: (sim sha256, status, monitors with their values; every one passed)
 GOLDEN = {
-    "fixed_tt": ("946ce4b84298c5773d77b3f6fb9e8c85943611ace824e865267c76a28758e7a0",
-                 "ok", FIXED_VERDICTS),
-    "fixed_et": ("2edf14f68e33fc529beb393a694a761668b3a12274482000ab1daec567d1fbe2",
-                 "ok", FIXED_VERDICTS),
+    "fixed_tt": ("946ce4b84298c5773d77b3f6fb9e8c85943611ace824e865267c76a28758e7a0", "ok",
+                 fixed_verdicts("2.0905894695390246", "3.660960423701454e-14", "2.568384639037119e-14",
+                                "1.1102230246251565e-16")),
+    "fixed_et": ("2edf14f68e33fc529beb393a694a761668b3a12274482000ab1daec567d1fbe2", "ok",
+                 fixed_verdicts("4.091017861349213", "7.91033905045424e-14", "4.886962642002112e-14",
+                                "6.661338147750939e-16")),
     "switching_1app": ("954a5f10f27f01e15d4b83869a20dcc459e9aaf8241347b1bdd8cf5305f35f01",
                        "ok", SWITCHING_VERDICTS),
     "switching_1app_quiet": ("9d6c4378ee58ccaf612fbacdd1594a0a99f8832e727bf30a49f80d0bf0ab8a37",
@@ -147,7 +171,8 @@ def test_bundled_config_matches_golden(name):
     trace = run_scenario(cfg)
     report = evaluate_monitors(trace, cfg)
     assert trace.status == status
-    assert [(r.name, r.passed, repr(r.threshold)) for r in report.results] == [(m, True, t) for m, t in monitors]
+    assert ([(r.name, r.passed, repr(r.measured), repr(r.threshold), r.detail) for r in report.results]
+            == [(m, True, *values) for m, *values in monitors])
     assert sim_digest(trace) == digest
 
 

@@ -11,6 +11,7 @@ import pytest
 import adaptbus
 from adaptbus.harness import (
     DEFAULT_TOLERANCES,
+    TRACE_FIELDS,
     ConfigError,
     check_impulse_times,
     evaluate_monitors,
@@ -22,7 +23,6 @@ from adaptbus.harness import (
 )
 from adaptbus.netbus import BusConfig
 from adaptbus.plant import make_impulse_train
-from adaptbus.supervisor import TRACE_FIELDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -252,6 +252,80 @@ class TestTolerances:
         cfg = parse_config(minimal_config(tolerances={"bound": 500, "settle_sample": 30.0, "check_sr": False}))
         assert cfg.tolerances == dict(DEFAULT_TOLERANCES, bound=500.0, settle_sample=30, check_sr=False)
         assert [type(v) for v in cfg.tolerances.values()] == [type(v) for v in DEFAULT_TOLERANCES.values()]
+
+
+SWITCHING = {"kind": "switching", "d2": 2, "eth": 0.1}
+
+
+class TestKeysAndIntegers:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"horizn": 50}, "the scenario: unknown key 'horizn'; the keys are name, horizon, seed, protocol,"),
+        ({"plants": [{"a": [], "b": [1.0], "beta0_int": 0.5}]},
+         "plant[0]: unknown key 'beta0_int'; the keys are a, b, h,"),
+        ({"plants": [{"a": [], "b": [1.0], "d_nominal": 1}]}, "plant[0]: unknown key 'd_nominal'"),
+        ({"protocol": dict(SWITCHING, minislot_per_cycle=4)},
+         "protocol: unknown key 'minislot_per_cycle'; the keys are kind, d2, eth, minislots_per_cycle,"),
+        ({"protocol": {"kind": "fixed", "d": 1, "eth": 0.1}}, "protocol: unknown key 'eth'; the keys are kind, d"),
+        ({"reference": {"type": "constant", "level": 1.0, "period": 5}},
+         "reference: unknown key 'period'; the keys are type, level, sr_order"),
+        ({"reference": {"type": "sinusoid", "components": [{"amplitude": 1.0, "omega": 0.4, "phse": 0.1}]}},
+         "reference: components[0]: unknown key 'phse'; the keys are amplitude, omega, phase"),
+        ({"reference": {"type": "sinusoid", "components": [[1.0, 0.4, 0.0, 9.0]]}},
+         "reference: components[0] has 4 values; the list is [amplitude, omega, phase]"),
+        ({"disturbance": {"times": [5], "t_dw": 5, "amplitude": 2.0}},
+         "disturbance: unknown key 'amplitude'; the keys are t_dw, times, random, amplitudes"),
+        ({"plants": [{"a": [], "b": [1.0], "disturbance": {"random": True, "t_dw": 5, "seed": 1}}]},
+         "plant[0].disturbance: unknown key 'seed'"),
+    ], ids=["document", "plant", "d_nominal", "switching", "fixed", "reference", "component", "component_list",
+            "disturbance", "plant_disturbance"])
+    def test_unknown_key_is_config_error(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(minimal_config(**overrides))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"horizon": 10.7}, "horizon must be an integer, got 10.7"),
+        ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+        ({"protocol": {"kind": "fixed", "d": 1.9}}, "protocol.d must be an integer, got 1.9"),
+        ({"protocol": dict(SWITCHING, d2=2.9)}, "protocol.d2 must be an integer, got 2.9"),
+        ({"protocol": dict(SWITCHING, minislots_per_cycle=4.5)},
+         "protocol.minislots_per_cycle must be an integer, got 4.5"),
+        ({"protocol": dict(SWITCHING, message_minislots=1.5)}, "protocol.message_minislots must be an integer"),
+        ({"protocol": dict(SWITCHING, dyn_priorities=[1.5])}, "protocol.dyn_priorities must be an integer"),
+        ({"disturbance": {"times": [10.6], "t_dw": 5}}, "disturbance: an impulse time must be an integer, got 10.6"),
+        ({"disturbance": {"times": [10], "t_dw": 5.5}}, "disturbance.t_dw must be an integer, got 5.5"),
+        ({"gammas": []}, "gammas must hold one or two gains, got 0"),
+        ({"gammas": [0.5, 0.5, 0.5]}, "gammas must hold one or two gains, got 3"),
+    ], ids=["horizon", "seed", "d", "d2", "minislots", "message_minislots", "priority", "impulse_time", "t_dw",
+            "no_gammas", "three_gammas"])
+    def test_fraction_or_bad_gain_count_is_config_error(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(minimal_config(**overrides))
+
+    def test_integral_floats_are_integers(self):
+        as_floats = parse_config(minimal_config(
+            horizon=50.0, seed=3.0, protocol=dict(SWITCHING, d2=2.0, minislots_per_cycle=6.0, message_minislots=2.0),
+            disturbance={"times": [10.0], "t_dw": 5.0}))
+        as_ints = parse_config(minimal_config(
+            horizon=50, seed=3, protocol=dict(SWITCHING, d2=2, minislots_per_cycle=6, message_minislots=2),
+            disturbance={"times": [10], "t_dw": 5}))
+        for cfg in (as_floats, as_ints):
+            assert (cfg.horizon, cfg.seed, cfg.delays) == (50, 3, (1, 2))
+            assert type(cfg.horizon) is int and type(cfg.delays[1]) is int
+            assert cfg.plants[0].train.times.tolist() == [10] and cfg.plants[0].train.t_dw == 5
+        assert as_floats.bus == as_ints.bus == BusConfig.default(1, d2=2, minislots_per_cycle=6, message_minislots=2)
+
+    def test_sample_period_is_metadata(self):
+        # h is accepted and read by nothing: the run is the same without it
+        plain = run_scenario(parse_config(minimal_config()))
+        timed = run_scenario(parse_config(minimal_config(plants=[{"a": [-0.5], "b": [1.0], "h": 0.5}])))
+        assert all(np.array_equal(plain.apps[0].columns[name], timed.apps[0].columns[name]) for name in TRACE_FIELDS)
+
+    def test_protocol_and_bus_resolved_once(self):
+        fixed = parse_config(minimal_config())
+        assert (fixed.kind, fixed.bus, fixed.bus_config()) == ("fixed", None, None)
+        cfg = parse_config(minimal_config(protocol=dict(SWITCHING, dyn_priorities={"0": 4})))
+        assert cfg.kind == "switching" and not hasattr(cfg, "protocol")
+        assert cfg.bus_config() is cfg.bus == BusConfig.default(1, d2=2, dyn_priorities={0: 4})
 
 
 class TestRunFixed:
@@ -648,6 +722,21 @@ class TestCLI:
         cfg.update(horizon=300, disturbance=None, tolerances=tolerances)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert f"configuration error: {message}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"horizn": 50}, "the scenario: unknown key 'horizn'"),
+        ({"gammas": []}, "gammas must hold one or two gains, got 0"),
+        ({"horizon": 10.5}, "horizon must be an integer, got 10.5"),
+    ], ids=["unknown_key", "no_gammas", "fractional_horizon"])
+    def test_parse_fault_is_config_error(self, tmp_path, command, overrides, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(**overrides)))
         args = ["--out", str(tmp_path / "out")] if command == "run" else []
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr

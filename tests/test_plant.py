@@ -23,10 +23,6 @@ class TestPlantModel:
         with pytest.raises(ValueError, match="non-empty"):
             PlantModel(a=[], b=[0.0, 1.0])
 
-    def test_rejects_bad_delay(self):
-        with pytest.raises(ValueError, match="delay"):
-            PlantModel(a=[], b=[1.0], d_nominal=0)
-
     def test_true_theta_layout(self):
         model = PlantModel(a=[-0.5], b=[1.0])
         # d=2: prediction form has alpha=(0.25), beta=(1, 0.5)

@@ -4,6 +4,7 @@ import pytest
 from adaptbus.adapt import ParameterEstimate
 from adaptbus.netbus import BusState, Mode, SwitchEvent, advance_cycle, transmit
 from adaptbus.netbus import BusConfig
+from adaptbus.harness import containment_check
 from adaptbus.plant import DisturbanceTrain, PlantModel, make_impulse_train
 from adaptbus.supervisor import (
     AppSupervisor,
@@ -11,7 +12,6 @@ from adaptbus.supervisor import (
     DualEstimates,
     ReferenceModel,
     apply_reset,
-    containment_check,
     equivalent_reference,
     lyapunov,
     signal_error,

@@ -18,11 +18,11 @@ import pytest
 
 from adaptbus import harness
 from adaptbus.adapt import ZeroDivisorError
-from adaptbus.harness import evaluate_monitors, parse_config, run_scenario
+from adaptbus.harness import SIM_FIELDS, evaluate_monitors, parse_config, run_scenario
 from adaptbus.kernels import SIM_OK
 from adaptbus.netbus import BusCapacityError, BusState, advance_cycle, transmit
 from adaptbus.plant import PlantDivergenceError
-from adaptbus.supervisor import SIM_FIELDS, AppSupervisor
+from adaptbus.supervisor import AppSupervisor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 INT_COLUMNS = ("app", "k", "delay", "switch")
