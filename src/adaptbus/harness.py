@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,19 +34,6 @@ MONITOR_FIELDS = ("yref_prime", "V", "dV", "phi_err", "rank", "alpha_hat", "orth
 SIM_FIELDS = [name for name in TRACE_FIELDS if name not in MONITOR_FIELDS]
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
 
-# the keys each part of a scenario document may hold; a plant's ``h``, the
-# sample period, is metadata that no run reads
-_DOCUMENT_KEYS = ("name", "horizon", "seed", "protocol", "plants", "reference", "disturbance", "gammas",
-                  "beta0_init", "tolerances")
-_PROTOCOL_KEYS = {"fixed": ("kind", "d"),
-                  "switching": ("kind", "d2", "eth", "minislots_per_cycle", "message_minislots", "dyn_priorities")}
-_PLANT_KEYS = ("a", "b", "h", "y_init", "u_init", "oracle", "phase_offset", "disturbance", "beta0_init")
-_REFERENCE_KEYS = {"constant": ("type", "level", "sr_order"), "sinusoid": ("type", "components", "sr_order"),
-                   "square": ("type", "amplitude", "period", "duty", "sr_order"),
-                   "file": ("type", "values", "path", "sr_order")}
-_COMPONENT_KEYS = ("amplitude", "omega", "phase")  # of a sinusoid component written as an object
-_DISTURBANCE_KEYS = ("t_dw", "times", "random", "amplitudes")
-
 DEFAULT_TOLERANCES = {
     "bound": 1e3,
     "tracking_tol": 1e-3,
@@ -57,7 +45,6 @@ DEFAULT_TOLERANCES = {
     "dv_fixed_tol": 1e-12,
     "check_sr": True,
 }
-_KINDS = {float: "a number", int: "an integer", bool: "true or false"}  # a tolerance's type, in its errors
 
 
 class ConfigError(ValueError):
@@ -119,170 +106,231 @@ def _object(value, name: str, keys=None) -> dict:
     """The value of a field that must hold a JSON object, each of whose keys
     is one of ``keys`` when they are given."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
+        raise ConfigError(f"{name} must be a JSON object, got {'null' if value is None else type(value).__name__}")
     for key in value if keys is not None else ():
         if key not in keys:
             raise ConfigError(f"{name}: unknown key {key!r}; the keys are {', '.join(keys)}")
     return value
 
 
-def _integer(value, name: str) -> int:
-    """The value of an integer field: a number with a fraction is rejected,
-    where ``int`` would truncate it; an integral float such as 2000.0 is
-    taken."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
-    return int(value)
+# A scenario object's schema maps each key to (kind, default).  A kind is
+# float (a finite number; true and false are never numbers), int (a finite
+# integral number: 2000 or 2000.0), bool, str, a schema (an object of it),
+# (tag, {value: schema}) (an object whose tag picks its schema), [kind] (a
+# list of it, read as a tuple; [kind, label] names item j by the label) or a
+# function (value, name) -> value.  A missing key takes its default, but for
+# _REQUIRED (it must be given) and _ABSENT (it stays unset); null stands for
+# the default only where the default is None.
+_REQUIRED, _ABSENT = object(), object()
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
-def _check_gamma(value: float, name: str) -> float:
-    g = float(value)
+def _read(value, where: str, schema: dict, prefix: str | None = None) -> dict:
+    """The typed fields of ``value``, an object of ``schema`` named ``where``;
+    each field is named ``prefix`` (by default ``where.``) plus its key."""
+    obj = _object(value, where, schema)
+    prefix = f"{where}." if prefix is None else prefix
+    fields = {}
+    for key, (kind, default) in schema.items():
+        given = obj.get(key, default)
+        if given is _REQUIRED:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        if given is not _ABSENT:
+            fields[key] = None if given is None and default is None else _typed(kind, given, prefix + key, where)
+    return fields
+
+
+def _typed(kind, value, name: str, where: str = ""):
+    """``value`` read as ``kind``, or a ConfigError naming the field ``name``
+    of the object ``where``."""
+    if kind is float or kind is int:  # a JSON number is an int or a float, never a bool
+        if type(value) in (int, float) and math.isfinite(value) and (kind is float or float(value).is_integer()):
+            return kind(value)
+    elif kind is bool or kind is str:
+        if type(value) is kind:
+            return value
+    elif isinstance(kind, dict):
+        return _read(value, name, kind)
+    elif isinstance(kind, tuple):
+        tag, schemas = kind
+        chosen = _object(value, name).get(tag)
+        if chosen not in tuple(schemas):
+            raise ConfigError(f"{name}.{tag} must be one of {', '.join(schemas)}, got {json.dumps(chosen)}")
+        return _read(value, name, schemas[chosen])
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {json.dumps(value)}")
+        return tuple(_typed(kind[0], item, kind[1].format(j=j, where=where) if kind[1:] else name)
+                     for j, item in enumerate(value))
+    else:
+        return kind(value, name)
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _amplitudes(value, name: str):
+    """A disturbance's impulse amplitudes: one number for all, or a list."""
+    return _typed([float] if isinstance(value, list) else float, value, name)
+
+
+def _component(value, name: str) -> tuple:
+    """A sinusoid component, written as an object or as the list [amplitude,
+    omega, phase] with an optional phase: (amplitude, omega, phase)."""
+    if isinstance(value, list):
+        if not 2 <= len(value) <= 3:
+            raise ConfigError(f"{name} has {len(value)} values; the list is [amplitude, omega, phase]")
+        value = dict(zip(_COMPONENT, value))
+    return tuple(_read(value, name, _COMPONENT).values())
+
+
+def _priorities(value, name: str) -> dict:
+    """App -> priority: a list in app order, or an object whose keys are app
+    indexes in plain decimal, so that no two keys name the same app."""
+    if isinstance(value, list):
+        return dict(enumerate(_typed([int], value, name)))
+    prios = {}
+    for key, prio in _object(value, name).items():
+        if not (key.isdecimal() and str(int(key)) == key):
+            raise ConfigError(f"{name}: key {key!r} is not an app index in plain decimal, such as '0' or '12'")
+        prios[int(key)] = _typed(int, prio, name)
+    return prios
+
+
+_DISTURBANCE = {"t_dw": (int, 0), "times": ([int, "{where}: an impulse time"], _ABSENT), "random": (bool, False),
+                "amplitudes": (_amplitudes, 1.0)}
+# h, the sample period, is metadata that no run reads
+_PLANT = {"a": ([float], []), "b": ([float], _REQUIRED), "h": (float, _ABSENT), "y_init": ([float], []),
+          "u_init": ([float], []), "oracle": (bool, True), "phase_offset": (float, 0.0),
+          "disturbance": (_DISTURBANCE, None), "beta0_init": (float, None)}
+_PROTOCOLS = {
+    "fixed": {"kind": (str, _REQUIRED), "d": (int, 0)},
+    "switching": {"kind": (str, _REQUIRED), "d2": (int, 0), "eth": (float, 0.0),
+                  "minislots_per_cycle": (int, _ABSENT),  # unset: BusConfig.default's budget
+                  "message_minislots": (int, 1), "dyn_priorities": (_priorities, None)},
+}
+_COMPONENT = {"amplitude": (float, _REQUIRED), "omega": (float, _REQUIRED), "phase": (float, 0.0)}
+_REFERENCES = {
+    "constant": {"type": (str, _REQUIRED), "level": (float, 1.0), "sr_order": (int, None)},
+    "sinusoid": {"type": (str, _REQUIRED), "components": ([_component, "{where}: components[{j}]"], _REQUIRED),
+                 "sr_order": (int, None)},
+    "square": {"type": (str, _REQUIRED), "amplitude": (float, 1.0), "period": (int, 100), "duty": (float, 0.5),
+               "sr_order": (int, None)},
+    "file": {"type": (str, _REQUIRED), "values": ([float], _ABSENT), "path": (str, _ABSENT), "sr_order": (int, None)},
+}
+_GENERATORS = {"constant": reference.Constant, "sinusoid": reference.SinusoidSum, "square": reference.Square,
+               "file": reference.Tabulated}
+_DOCUMENT = {
+    "name": (str, "scenario"), "horizon": (int, 0), "seed": (int, 0),
+    "protocol": (("kind", _PROTOCOLS), {"kind": "fixed", "d": 1}),
+    "plants": ([_PLANT, "plant[{j}]"], []),
+    "reference": (("type", _REFERENCES), {"type": "constant", "level": 1.0}),
+    "disturbance": (_DISTURBANCE, None), "gammas": ([float], [0.5, 0.5]), "beta0_init": (float, 1.0),
+    "tolerances": ({key: (type(value), value) for key, value in DEFAULT_TOLERANCES.items()}, {}),
+}
+
+
+def _check_gamma(g: float, name: str) -> float:
     if not (0.0 < g < 2.0) or g == 1.0:
-        raise ConfigError(
-            f"{name} = {g} rejected: the update-guard gain must lie in (0, 2) and differ from 1"
-        )
+        raise ConfigError(f"{name} = {g} rejected: the update-guard gain must lie in (0, 2) and differ from 1")
     return g
 
 
 def parse_config(source) -> ScenarioConfig:
     """Load, validate and resolve a scenario, so that a scenario that parses
-    will run.  Every plant/gain/protocol/reference rule is enforced here but
-    one: impulse times at or past the horizon are accepted, so that a caller
-    can shorten a run, and rejected by ``check_impulse_times``.
+    will run.  Every object is read through its schema (``_DOCUMENT``), and
+    every plant/gain/protocol/reference rule is enforced here but one:
+    impulse times at or past the horizon are accepted, so that a caller can
+    shorten a run, and rejected by ``check_impulse_times``.
 
     Each app takes its own ``disturbance`` and ``beta0_init``, else the shared
     ones; random impulse trains are drawn from one generator seeded by
     ``seed``, app by app."""
-    raw = _object(load_document(source), "the scenario", _DOCUMENT_KEYS)
+    raw = load_document(source)
     try:
-        horizon = _integer(raw.get("horizon", 0), "horizon")
+        doc = _read(raw, "the scenario", _DOCUMENT, prefix="")
+        horizon, seed, protocol, tol = doc["horizon"], doc["seed"], doc["protocol"], doc["tolerances"]
         if horizon < 0:
             raise ConfigError("horizon must be >= 0")
-        seed = _integer(raw.get("seed", 0), "seed")
-        protocol = _object(raw.get("protocol", {"kind": "fixed", "d": 1}), "protocol")
-        kind = protocol.get("kind")
-        if kind not in _PROTOCOL_KEYS:
-            raise ConfigError(f"protocol.kind must be 'fixed' or 'switching', got {kind!r}")
-        _object(protocol, "protocol", _PROTOCOL_KEYS[kind])
-        if kind == "fixed":
-            d = _integer(protocol.get("d", 0), "protocol.d")
-            if d < 1:
+        if protocol["kind"] == "fixed":
+            if protocol["d"] < 1:
                 raise ConfigError("fixed protocol needs a delay d >= 1")
-            delays, eth = (d,), -1.0
+            delays, eth = (protocol["d"],), -1.0
         else:
-            d2, eth = _integer(protocol.get("d2", 0), "protocol.d2"), float(protocol.get("eth", 0.0))
-            if d2 < 2:
+            if protocol["d2"] < 2:
                 raise ConfigError("switching protocol needs d2 >= 2")
-            if eth <= 0:
+            if protocol["eth"] <= 0:
                 raise ConfigError("switching protocol needs eth > 0")
-            delays = (1, d2)
+            delays, eth = (1, protocol["d2"]), protocol["eth"]
         delay = delays[-1]  # the longest delay a loop uses
-        plants_raw = raw.get("plants", [])
-        if not plants_raw:
+        if not doc["plants"]:
             raise ConfigError("at least one plant is required")
-        shared_beta0 = float(raw.get("beta0_init", 1.0))
-        if shared_beta0 == 0.0:
+        if doc["beta0_init"] == 0.0:
             raise ConfigError("beta0_init must be nonzero: the divisor estimate cannot start at zero")
-        shared_dist = raw.get("disturbance")
+        shared_dist = doc["disturbance"]
         if shared_dist is not None:
             # checked even where every plant has its own; these draws are unused
-            _impulse_train(_object(shared_dist, "disturbance", _DISTURBANCE_KEYS), horizon,
-                           lambda: np.random.default_rng(seed))
+            _impulse_train(shared_dist, horizon, lambda: np.random.default_rng(seed))
         # one generator for every random train, made when the first is
         # drawn: numpy imports numpy.random on first use, which costs several
         # times a whole parse
         rng = functools.cache(lambda: np.random.default_rng(seed))
         plants = []
-        for i, p in enumerate(plants_raw):
-            p = _object(p, f"plant[{i}]", _PLANT_KEYS)
+        for i, p in enumerate(doc["plants"]):
             try:
-                model = PlantModel(a=np.asarray(p.get("a", []), dtype=float), b=np.asarray(p["b"], dtype=float))
-            except (ValueError, KeyError) as exc:
+                model = PlantModel(a=p["a"], b=p["b"])
+            except ValueError as exc:
                 raise ConfigError(f"plant[{i}]: {exc}") from exc
-            b0i = p.get("beta0_init")
-            if b0i is not None and float(b0i) == 0.0:
+            if p["beta0_init"] == 0.0:
                 raise ConfigError(f"plant[{i}]: beta0_init must be nonzero")
             for name, depth in (("y_init", max(model.m1, 1)), ("u_init", max(model.m2 + delay, 1))):
-                if len(p.get(name, ())) > depth:
+                if len(p[name]) > depth:
                     raise ConfigError(f"plant[{i}]: {name} has {len(p[name])} values; the history holds {depth}")
             # the app's own disturbance and divisor prior, else the shared ones
-            own = p.get("disturbance")
-            dist = shared_dist if own is None else _object(own, f"plant[{i}].disturbance", _DISTURBANCE_KEYS)
+            dist = shared_dist if p["disturbance"] is None else p["disturbance"]
             plants.append(PlantSpec(
-                model=model,
-                y_init=tuple(p.get("y_init", ())),
-                u_init=tuple(p.get("u_init", ())),
-                oracle=bool(p.get("oracle", True)),
-                phase_offset=float(p.get("phase_offset", 0.0)),
+                model=model, y_init=p["y_init"], u_init=p["u_init"], oracle=p["oracle"], phase_offset=p["phase_offset"],
                 train=DisturbanceTrain.empty() if dist is None else _impulse_train(dist, horizon, rng),
-                beta0_init=shared_beta0 if b0i is None else float(b0i),
-            ))
-        ref_spec = _object(raw.get("reference", {"type": "constant", "level": 1.0}), "reference")
-        # an unknown type is left to reference.from_spec, which names it
-        _object(ref_spec, "reference", _REFERENCE_KEYS.get(ref_spec.get("type")))
-        for i, c in enumerate(ref_spec.get("components", ())):
-            if isinstance(c, dict):
-                _object(c, f"reference: components[{i}]", _COMPONENT_KEYS)
-        try:
-            gen = reference.from_spec(ref_spec)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"reference: {exc}") from exc
-        gammas = raw.get("gammas", [0.5, 0.5])
+                beta0_init=doc["beta0_init"] if p["beta0_init"] is None else p["beta0_init"]))
+        gen = _generator(doc["reference"])
+        gammas = doc["gammas"]
         if len(gammas) not in (1, 2):
             raise ConfigError(f"gammas must hold one or two gains, got {len(gammas)}")
-        gamma1 = _check_gamma(gammas[0], "gamma1")
-        gamma2 = _check_gamma(gammas[1] if len(gammas) > 1 else gammas[0], "gamma2")
-        tol = _tolerances(raw.get("tolerances", {}))
+        gamma1, gamma2 = _check_gamma(gammas[0], "gamma1"), _check_gamma(gammas[-1], "gamma2")  # one gain serves both
         if isinstance(gen, reference.Tabulated):
             shifted = [i for i, spec in enumerate(plants) if spec.phase_offset != 0.0]
             if shifted:
                 raise ConfigError(f"plant[{shifted[0]}]: phase_offset needs a periodic reference, not a file")
             _check_table_length(gen, horizon, delay, tol)
-        bus = None
-        if kind == "switching":
-            prios = protocol.get("dyn_priorities") or {}
-            prios = prios.items() if isinstance(prios, dict) else enumerate(prios)
-            # an unset budget takes the default; a null one is rejected, as int(None) is
-            slots = (_integer(protocol["minislots_per_cycle"], "protocol.minislots_per_cycle")
-                     if "minislots_per_cycle" in protocol else None)
-            bus = BusConfig.default(
-                len(plants), d2=delay, minislots_per_cycle=slots,
-                message_minislots=_integer(protocol.get("message_minislots", 1), "protocol.message_minislots"),
-                dyn_priorities={int(k): _integer(v, "protocol.dyn_priorities") for k, v in prios})
-        cfg = ScenarioConfig(
-            name=str(raw.get("name", "scenario")),
-            horizon=horizon,
-            seed=seed,
-            kind=kind,
-            plants=plants,
-            reference=gen,
-            delays=delays,
-            gammas=tuple(gamma1 if d == 1 else gamma2 for d in delays),
-            eth=eth,
-            tolerances=tol,
-            raw=raw,
-            bus=bus,
-        )
+        bus = None if protocol["kind"] == "fixed" else BusConfig.default(
+            len(plants), d2=delay, minislots_per_cycle=protocol.get("minislots_per_cycle"),
+            message_minislots=protocol["message_minislots"], dyn_priorities=protocol["dyn_priorities"])
         _check_reference_richness(gen, tol)
-        return cfg
+        return ScenarioConfig(name=doc["name"], horizon=horizon, seed=seed, kind=protocol["kind"], plants=plants,
+                              reference=gen, delays=delays, gammas=tuple(gamma1 if d == 1 else gamma2 for d in delays),
+                              eth=eth, tolerances=tol, raw=raw, bus=bus)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed scenario: {exc}") from exc
 
 
-def _tolerances(given) -> dict:
-    """The scenario's tolerances over the defaults, each of its default's
-    type: a float key takes any number, an int key an integral number, and
-    ``check_sr`` true or false.  Any other key or value is rejected."""
-    tol = dict(DEFAULT_TOLERANCES)
-    for name, value in _object(given, "tolerances", tol).items():
-        kind = type(tol[name])
-        if (isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float))
-                or (kind is int and not float(value).is_integer())):
-            raise ConfigError(f"tolerances.{name} must be {_KINDS[kind]}, got {json.dumps(value)}")
-        tol[name] = kind(value)
-    return tol
+def _generator(ref: dict) -> reference.ReferenceGenerator:
+    """The generator of a typed reference object; a declared ``sr_order``
+    replaces the order that its type declares."""
+    kind = ref["type"]
+    if kind == "file" and "values" not in ref:
+        if "path" not in ref:
+            raise ConfigError("reference: a file reference needs values or a path")
+        try:
+            ref = dict(ref, values=np.loadtxt(ref["path"]))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"reference.path: cannot read {ref['path']!r}: {exc}") from exc
+    try:  # the other keys of a reference are its generator's fields
+        gen = _GENERATORS[kind](**{key: value for key, value in ref.items() if key not in ("type", "path", "sr_order")})
+    except ValueError as exc:
+        raise ConfigError(f"reference: {exc}") from exc
+    if ref["sr_order"] is not None:
+        gen.declared_sr_order = ref["sr_order"]
+    return gen
 
 
 def _check_table_length(gen: reference.Tabulated, horizon: int, lookahead: int, tol: dict) -> None:
@@ -291,18 +339,14 @@ def _check_table_length(gen: reference.Tabulated, horizon: int, lookahead: int, 
     have = gen.values.size
     need = horizon + lookahead
     if have < need:
-        raise ConfigError(
-            f"reference: the table has {have} values; horizon {horizon} plus the "
-            f"lookahead {lookahead} needs {need}"
-        )
+        raise ConfigError(f"reference: the table has {have} values; horizon {horizon} plus the "
+                          f"lookahead {lookahead} needs {need}")
     declared = gen.declared_sr_order
     if declared and tol["check_sr"]:
         window = _richness_window(declared)[2]
         if have < window:
-            raise ConfigError(
-                f"reference: the table has {have} values; checking the declared "
-                f"richness order {declared} needs {window}"
-            )
+            raise ConfigError(f"reference: the table has {have} values; checking the declared "
+                              f"richness order {declared} needs {window}")
 
 
 def _richness_window(declared: int) -> tuple[int, int, int]:
@@ -320,33 +364,23 @@ def _check_reference_richness(gen: reference.ReferenceGenerator, tol: dict) -> N
     m_max, N, T = _richness_window(declared)
     seq = gen.sequence(T)
     peak = float(np.max(np.abs(seq))) if seq.size else 0.0
-    if peak == 0.0:
-        measured = 0
-    else:
-        measured = sr_order(seq, m_max=m_max, N=N, tol=1e-8 * N * peak * peak)
+    measured = sr_order(seq, m_max=m_max, N=N, tol=1e-8 * N * peak * peak) if peak else 0
     if measured != declared:
-        raise ConfigError(
-            f"reference declares richness order {declared} but measures {measured}"
-        )
+        raise ConfigError(f"reference declares richness order {declared} but measures {measured}")
 
 
 def _impulse_train(spec: dict, horizon: int, rng) -> DisturbanceTrain:
-    """The impulse train of a disturbance spec: its explicit times, or times
+    """The impulse train of a typed disturbance: its explicit times, or times
     drawn from the generator ``rng()`` returns.  Times below 0 are rejected;
     times at or past the horizon are left to check_impulse_times."""
-    t_dw = _integer(spec.get("t_dw", 0), "disturbance.t_dw")
-    if t_dw < 1:
+    if spec["t_dw"] < 1:
         raise ConfigError("disturbance t_dw must be >= 1")
     times = spec.get("times")
-    if times is None and not spec.get("random", False):
+    if times is None and not spec["random"]:
         raise ConfigError("disturbance needs explicit 'times' or 'random': true")
-    amplitudes = spec.get("amplitudes", 1.0)
     try:
-        if times is None:
-            train = make_impulse_train(t_dw, horizon, amplitudes=amplitudes, rng=rng())
-        else:
-            train = make_impulse_train(t_dw, horizon, amplitudes=amplitudes,
-                                       times=[_integer(t, "an impulse time") for t in times])
+        train = make_impulse_train(spec["t_dw"], horizon, amplitudes=spec["amplitudes"], times=times,
+                                   rng=rng() if times is None else None)
     except ValueError as exc:
         raise ConfigError(f"disturbance: {exc}") from exc
     early = [t for t in train.times.tolist() if t < 0]

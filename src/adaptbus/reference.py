@@ -23,13 +23,13 @@ class ReferenceGenerator:
 
 @dataclass
 class Constant(ReferenceGenerator):
-    level: float = 1.0
+    level: float
 
     def __post_init__(self):
         self.declared_sr_order = 1 if self.level != 0.0 else 0
 
     def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
-        return np.full(n, float(self.level))
+        return np.full(n, self.level, dtype=float)
 
 
 @dataclass
@@ -39,25 +39,15 @@ class SinusoidSum(ReferenceGenerator):
     components: tuple  # of (amplitude, omega, phase)
 
     def __post_init__(self):
-        comps = []
-        for i, c in enumerate(self.components):
-            if isinstance(c, dict):
-                comps.append((float(c["amplitude"]), float(c["omega"]), float(c.get("phase", 0.0))))
-            else:
-                amp, omega, *rest = c
-                if len(rest) > 1:
-                    raise ValueError(f"components[{i}] has {len(c)} values; the list is [amplitude, omega, phase]")
-                comps.append((float(amp), float(omega), float(rest[0]) if rest else 0.0))
-        if not comps:
+        if not self.components:
             raise ValueError("sinusoid reference needs at least one component")
-        for _, omega, _ in comps:
+        omegas = [omega for _, omega, _ in self.components]
+        for omega in omegas:
             if not 0.0 < omega < np.pi:
                 raise ValueError(f"sinusoid frequency must lie in (0, pi) rad/sample, got {omega}")
-        omegas = [c[1] for c in comps]
         if len(set(omegas)) != len(omegas):
             raise ValueError("sinusoid components must have distinct frequencies")
-        self.components = tuple(comps)
-        self.declared_sr_order = 2 * len(comps)
+        self.declared_sr_order = 2 * len(self.components)
 
     def sequence(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
         k = np.arange(n)
@@ -69,9 +59,9 @@ class SinusoidSum(ReferenceGenerator):
 
 @dataclass
 class Square(ReferenceGenerator):
-    amplitude: float = 1.0
-    period: int = 100
-    duty: float = 0.5
+    amplitude: float
+    period: int
+    duty: float
 
     def __post_init__(self):
         if self.period < 2:
@@ -104,29 +94,3 @@ class Tabulated(ReferenceGenerator):
                 f"tabulated reference exhausted at sample {self.values.shape[0]}; supply horizon + d2 values"
             )
         return self.values[:n].copy()
-
-
-def from_spec(spec: dict) -> ReferenceGenerator:
-    """Build a generator from its configuration dictionary."""
-    kind = spec.get("type")
-    if kind == "constant":
-        gen = Constant(level=float(spec.get("level", 1.0)))
-    elif kind == "sinusoid":
-        gen = SinusoidSum(components=tuple(spec["components"]))
-    elif kind == "square":
-        gen = Square(
-            amplitude=float(spec.get("amplitude", 1.0)),
-            period=int(spec.get("period", 100)),
-            duty=float(spec.get("duty", 0.5)),
-        )
-    elif kind == "file":
-        if "values" in spec:
-            vals = spec["values"]
-        else:
-            vals = np.loadtxt(spec["path"])
-        gen = Tabulated(values=np.asarray(vals, dtype=float))
-    else:
-        raise ValueError(f"unknown reference type {kind!r}")
-    if "sr_order" in spec and spec["sr_order"] is not None:
-        gen.declared_sr_order = int(spec["sr_order"])
-    return gen

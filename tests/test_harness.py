@@ -226,7 +226,7 @@ def test_the_scenario_bus_is_the_default_bus(n, message_minislots):
 def test_a_null_budget_is_config_error():
     # an unset budget is a missing key, never null
     protocol = {"kind": "switching", "d2": 2, "eth": 0.05, "minislots_per_cycle": None}
-    with pytest.raises(ConfigError, match="malformed scenario"):
+    with pytest.raises(ConfigError, match=re.escape("protocol.minislots_per_cycle must be an integer, got null")):
         parse_config(minimal_config(protocol=protocol))
 
 
@@ -326,6 +326,106 @@ class TestKeysAndIntegers:
         cfg = parse_config(minimal_config(protocol=dict(SWITCHING, dyn_priorities={"0": 4})))
         assert cfg.kind == "switching" and not hasattr(cfg, "protocol")
         assert cfg.bus_config() is cfg.bus == BusConfig.default(1, d2=2, dyn_priorities={0: 4})
+
+
+
+PLANT = {"a": [], "b": [1.0]}
+
+
+class TestTypedValues:
+    """Every scenario field is read through its schema: a value of the wrong
+    kind is a ConfigError naming the field, never a cast, a truthiness test or
+    a crash later in the run."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"plants": [dict(PLANT, u_init=[[1.0]])]}, "plant[0].u_init must be a number, got [1.0]"),
+        ({"plants": [dict(PLANT, y_init=["a"])]}, 'plant[0].y_init must be a number, got "a"'),
+        ({"plants": [dict(PLANT, oracle="no")]}, 'plant[0].oracle must be true or false, got "no"'),
+        ({"protocol": dict(SWITCHING, eth="0.05")}, 'protocol.eth must be a number, got "0.05"'),
+        ({"protocol": dict(SWITCHING, eth=float("nan"))}, "protocol.eth must be a number, got NaN"),
+        ({"horizon": True}, "horizon must be an integer, got true"),
+        ({"plants": [dict(PLANT, a=None)]}, "plant[0].a must be a list, got null"),
+        ({"disturbance": {"random": "no", "t_dw": 3}}, 'disturbance.random must be true or false, got "no"'),
+        ({"reference": {"type": "square", "sr_order": 1.7}}, "reference.sr_order must be an integer, got 1.7"),
+        ({"beta0_init": True}, "beta0_init must be a number, got true"),
+        ({"gammas": [0.5, float("nan")]}, "gammas must be a number, got NaN"),
+        ({"plants": [dict(PLANT, phase_offset=float("inf"))]}, "plant[0].phase_offset must be a number, got Infinity"),
+        ({"plants": [dict(PLANT, b=[float("-inf")])]}, "plant[0].b must be a number, got -Infinity"),
+        ({"reference": {"type": "constant", "level": "2"}}, 'reference.level must be a number, got "2"'),
+        ({"horizon": "50"}, 'horizon must be an integer, got "50"'),
+        ({"plants": [dict(PLANT, oracle=1)]}, "plant[0].oracle must be true or false, got 1"),
+        ({"disturbance": {"random": 1, "t_dw": 3}}, "disturbance.random must be true or false, got 1"),
+        ({"reference": {"type": "square", "period": 10.5}}, "reference.period must be an integer, got 10.5"),
+        ({"name": 5}, "name must be a string, got 5"),
+        ({"name": None}, "name must be a string, got null"),
+        ({"seed": None}, "seed must be an integer, got null"),
+        ({"protocol": dict(SWITCHING, message_minislots=None)},
+         "protocol.message_minislots must be an integer, got null"),
+        ({"disturbance": {"times": None, "t_dw": 3}}, "disturbance.times must be a list, got null"),
+        ({"plants": [dict(PLANT, disturbance={"times": [3], "t_dw": 3, "amplitudes": None})]},
+         "plant[0].disturbance.amplitudes must be a number, got null"),
+        ({"reference": {"type": "sinusoid", "components": [{"amplitude": 1.0, "omega": None}]}},
+         "reference: components[0].omega must be a number, got null"),
+        ({"reference": {"type": "file", "values": [1.0, None]}}, "reference.values must be a number, got null"),
+        ({"plants": [dict(PLANT, h=None)]}, "plant[0].h must be a number, got null"),
+        ({"tolerances": None}, "tolerances must be a JSON object, got null"),
+        ({"plants": [{"a": []}]}, "plant[0]: missing key 'b'"),
+        ({"reference": {"type": "sinusoid", "components": [[0.4]]}},
+         "reference: components[0] has 1 values; the list is [amplitude, omega, phase]"),
+        ({"protocol": {"kind": "tt", "d": 1}}, 'protocol.kind must be one of fixed, switching, got "tt"'),
+        ({"reference": {"level": 1.0}}, "reference.type must be one of constant, sinusoid, square, file, got null"),
+    ], ids=["u_init_nested", "y_init_string", "oracle_string", "eth_string", "eth_nan", "horizon_true", "a_null",
+            "random_string", "sr_order_fraction", "true_number", "nan_gain", "infinite_offset",
+            "minus_infinity", "string_level", "string_integer", "number_oracle", "number_random",
+            "period_fraction", "number_name", "null_name", "null_seed", "null_message_minislots", "null_times",
+            "null_amplitudes", "null_omega", "null_table_value", "null_h", "null_tolerances", "missing_b",
+            "short_component", "unknown_protocol", "no_reference_type"])
+    def test_ill_typed_value_is_config_error(self, overrides, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_config(**overrides))
+        assert str(exc.value) == message
+
+    def test_null_takes_the_default_where_it_may(self):
+        # the shared and per-plant disturbance, a plant's beta0_init,
+        # dyn_priorities and sr_order: null is the same as a missing key
+        ref = {"type": "sinusoid", "components": [[1.0, 0.4]]}
+        bare = parse_config(minimal_config(protocol=SWITCHING, reference=ref, plants=[PLANT, PLANT]))
+        nulls = parse_config(minimal_config(
+            protocol=dict(SWITCHING, dyn_priorities=None), reference=dict(ref, sr_order=None), disturbance=None,
+            plants=[dict(PLANT, disturbance=None, beta0_init=None)] * 2))
+        assert nulls.bus == bare.bus and nulls.reference == bare.reference
+        assert nulls.reference.declared_sr_order == bare.reference.declared_sr_order == 2
+        for cfg in (bare, nulls):
+            assert [(p.beta0_init, p.train.times.size, p.oracle) for p in cfg.plants] == [(1.0, 0, True)] * 2
+
+    def test_unreadable_reference_file_is_config_error(self, tmp_path):
+        # the path is read at parse, so its failure is the reference's fault, named as such
+        for path, text in ((tmp_path / "missing.txt", None), (tmp_path / "words.txt", "one\ntwo\n")):
+            if text is not None:
+                path.write_text(text)
+            raw = {"plants": [{"b": [0.25]}], "reference": {"type": "file", "path": str(path)}}
+            with pytest.raises(ConfigError, match=re.escape(f"reference.path: cannot read {str(path)!r}: ")):
+                parse_config(raw)
+        table = tmp_path / "table.txt"
+        table.write_text("\n".join(["1.5"] * 52))
+        cfg = parse_config(minimal_config(reference={"type": "file", "path": str(table)}))
+        assert cfg.reference.sequence(51).tolist() == [1.5] * 51
+
+    @pytest.mark.parametrize("priorities, key", [
+        ({"0": 1, "00": 2}, "00"),
+        ({"0": 1, " 1": 2}, " 1"),
+        ({"0": 1, "a": 2}, "a"),
+        ({"0": 1, "+1": 2}, "+1"),
+    ], ids=["leading_zero", "space", "letter", "sign"])
+    def test_priority_keys_name_each_app_once(self, priorities, key):
+        protocol = dict(SWITCHING, dyn_priorities=priorities)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_config(protocol=protocol, plants=[PLANT, PLANT]))
+        assert str(exc.value) == (f"protocol.dyn_priorities: key {key!r} is not an app index in plain decimal, "
+                                  "such as '0' or '12'")
+        cfg = parse_config(minimal_config(protocol=dict(SWITCHING, dyn_priorities={"1": 2, "0": 1}),
+                                          plants=[PLANT, PLANT]))
+        assert cfg.bus.dyn_priorities == {0: 1, 1: 2}
 
 
 class TestRunFixed:
@@ -742,6 +842,22 @@ class TestCLI:
         assert out.returncode == 2, out.stdout + out.stderr
         assert f"configuration error: {message}" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("overrides, message", [
+        ({"plants": [{"b": [1.0], "u_init": [[1.0]]}]}, "plant[0].u_init must be a number, got [1.0]"),
+        ({"plants": [{"b": [1.0], "oracle": "no"}]}, 'plant[0].oracle must be true or false, got "no"'),
+        ({"protocol": dict(SWITCHING, eth=float("nan"))}, "protocol.eth must be a number, got NaN"),
+        ({"plants": [{"b": [1.0], "a": None}]}, "plant[0].a must be a list, got null"),
+        ({"disturbance": {"random": "no", "t_dw": 3}}, 'disturbance.random must be true or false, got "no"'),
+    ], ids=["nested_u_init", "string_oracle", "nan_eth", "null_a", "string_random"])
+    def test_ill_typed_value_is_config_error(self, tmp_path, command, overrides, message):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config(**overrides)))
+        args = ["--out", str(tmp_path / "out")] if command == "run" else []
+        out = self.run_cli(command, "--config", str(p), *args)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert out.stderr == f"configuration error: {message}\n"
 
     def test_seed_override_reaches_the_trace(self, tmp_path):
         cfg = minimal_config(horizon=300, disturbance={"random": True, "t_dw": 40},

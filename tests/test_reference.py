@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from adaptbus.reference import Constant, SinusoidSum, Square, Tabulated, from_spec
+from adaptbus.harness import parse_config
+from adaptbus.reference import Constant, SinusoidSum, Square, Tabulated
 
 
 def _square_sample(sq: Square, k: int, phase_offset: float) -> float:
@@ -26,7 +27,8 @@ class TestSquarePhaseOffset:
         assert np.allclose(sin.sequence(40, np.pi / 2), sin.sequence(43)[3:])
 
     def test_zero_offset_unchanged(self):
-        sq = from_spec({"type": "square", "amplitude": 1.5, "period": 7, "duty": 0.3})
+        ref = {"type": "square", "amplitude": 1.5, "period": 7, "duty": 0.3}
+        sq = parse_config({"plants": [{"b": [1.0]}], "reference": ref}).reference
         expected = [1.5 if k % 7 < 0.3 * 7 else -1.5 for k in range(20)]
         assert sq.sequence(20).tolist() == expected
 
