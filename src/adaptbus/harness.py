@@ -20,8 +20,7 @@ import numpy as np
 
 from . import kernels, netbus, reference
 from .excitation import _window_grams, sr_order
-from .netbus import (BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode,
-                     SwitchEvent)
+from .netbus import BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode
 from .plant import DisturbanceTrain, PlantModel, make_impulse_train
 
 SCHEMA_VERSION = 2
@@ -45,6 +44,11 @@ DEFAULT_TOLERANCES = {
     "dv_fixed_tol": 1e-12,
     "check_sr": True,
 }
+# each numeric tolerance's floor: (least value, whether the least value itself is rejected)
+_TOLERANCE_FLOORS = {"bound": (0, True), "tracking_tol": (0, True), "settle_sample": (0, False),
+                     "rank_tol": (0, True), "ortho_tol": (0, True), "ortho_window": (1, False),
+                     "dv_tol": (0, False), "dv_fixed_tol": (0, False)}
+MAX_HORIZON = 10**7  # samples, 2,000 times the longest bundled horizon: bounds what a parse draws
 
 
 class ConfigError(ValueError):
@@ -248,8 +252,13 @@ def parse_config(source) -> ScenarioConfig:
     try:
         doc = _read(raw, "the scenario", _DOCUMENT, prefix="")
         horizon, seed, protocol, tol = doc["horizon"], doc["seed"], doc["protocol"], doc["tolerances"]
-        if horizon < 0:
-            raise ConfigError("horizon must be >= 0")
+        if not 0 <= horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must lie in [0, {MAX_HORIZON}], got {horizon}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        for key, (least, strict) in _TOLERANCE_FLOORS.items():
+            if tol[key] < least or strict and tol[key] == least:
+                raise ConfigError(f"tolerances.{key} must be {'>' if strict else '>='} {least}, got {tol[key]}")
         if protocol["kind"] == "fixed":
             if protocol["d"] < 1:
                 raise ConfigError("fixed protocol needs a delay d >= 1")
@@ -709,19 +718,6 @@ def _app_summary(app_id, cols, theta_norms, switches) -> dict:
     }
 
 
-def _settle_sample(e: np.ndarray, level: float) -> int | None:
-    """First sample from which |e| stays within level forever (None if never)."""
-    ok = np.abs(e) <= level
-    if not ok.size:
-        return None
-    # last violation, if any
-    bad = np.nonzero(~ok)[0]
-    if bad.size == 0:
-        return 0
-    s = int(bad[-1]) + 1
-    return s if s < ok.size else None
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -963,155 +959,89 @@ class MonitorReport:
 
 
 def evaluate_monitors(trace: Trace, cfg: ScenarioConfig | None = None) -> MonitorReport:
-    """Run every monitor applicable to the scenario kind; each result carries
-    the measured quantity and its threshold."""
+    """Run the monitors of the scenario's protocol, in ``_MONITORS`` order.
+    Each takes (trace, cfg, tolerances) and returns its results, none where
+    its precondition fails; its docstring is the claim it checks."""
     if cfg is None:
         cfg = parse_config(trace.config)
-    tol = cfg.tolerances
-    results: list[MonitorResult] = []
-    ok_status = trace.status == "ok"
-    results.append(MonitorResult(
-        name="completed", passed=ok_status, measured=0.0 if ok_status else 1.0,
-        threshold=0.0, detail=trace.status,
-    ))
-    bound = tol["bound"]
-    worst = 0.0
-    for s in trace.summary["apps"]:
-        worst = max(worst, s["max_abs_y"], s["max_abs_u"], s["max_theta_norm"])
-    results.append(MonitorResult("bounded_signals", worst < bound, worst, bound))
-    if cfg.kind == "fixed":
-        _fixed_monitors(trace, cfg, results)
-    else:
-        _switching_monitors(trace, cfg, results)
-    return MonitorReport(results=results)
+    return MonitorReport([r for monitor in _MONITORS[cfg.kind] for r in monitor(trace, cfg, cfg.tolerances)])
 
 
-def _fixed_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
-    tol = cfg.tolerances
+def _completed(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """The run reached its horizon without an abort."""
+    ok = trace.status == "ok"
+    return [MonitorResult("completed", ok, 0.0 if ok else 1.0, 0.0, detail=trace.status)]
+
+
+def _bounded_signals(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """Every app's |y|, |u| and |theta| stay below ``bound``."""
+    worst = max([0.0, *(v for s in trace.summary["apps"]
+                        for v in (s["max_abs_y"], s["max_abs_u"], s["max_theta_norm"]))])
+    return [MonitorResult("bounded_signals", worst < tol["bound"], worst, tol["bound"])]
+
+
+def _tracking_tail(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """|e| stays below ``tracking_tol`` from ``settle_sample`` on."""
     settle, track = tol["settle_sample"], tol["tracking_tol"]
-    worst_tail = 0.0
-    for app in trace.apps:
-        e = app.columns["e"]
-        if len(e) > settle:
-            worst_tail = max(worst_tail, float(np.max(np.abs(e[settle:]))))
-    results.append(MonitorResult("tracking_tail", worst_tail < track, worst_tail, track,
-                                 detail=f"|e| for k >= {settle}"))
+    worst = max([0.0, *(float(np.max(np.abs(app.columns["e"][settle:]))) for app in trace.apps
+                        if len(app.columns["e"]) > settle)])
+    return [MonitorResult("tracking_tail", worst < track, worst, track, detail=f"|e| for k >= {settle}")]
+
+
+def _regressor_rank(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """With the oracle on every app and a declared richness order, the
+    windowed Gram rank at the final sample equals that order."""
     declared = cfg.reference.declared_sr_order
-    oracle = all(spec.oracle for spec in cfg.plants)
-    if oracle and declared:
-        ranks = [int(app.columns["rank"][-1]) for app in trace.apps if len(app.columns["rank"])]
-        measured = ranks[0] if ranks else -1
-        results.append(MonitorResult("regressor_rank", all(r == declared for r in ranks),
-                                     float(measured), float(declared),
-                                     detail="windowed Gram rank at the final sample"))
-        window = tol["ortho_window"]
-        worst_o = 0.0
-        any_window = False
-        for app in trace.apps:
-            o = app.columns["ortho_res"]
-            start = max(len(o) - window, settle)  # never reach into the transient
-            if start < len(o):
-                any_window = True
-                worst_o = max(worst_o, float(np.max(o[start:])))
-        if any_window:
-            results.append(MonitorResult("orthogonality_residual", worst_o < tol["ortho_tol"],
-                                         worst_o, tol["ortho_tol"],
-                                         detail=f"max over final {window} settled samples"))
-    if oracle and not any(_impulses(trace, cfg)):
-        worst_dv = 0.0
-        for app in trace.apps:
-            dv = app.columns["dV"]
-            if len(dv) > 1:
-                worst_dv = max(worst_dv, float(np.max(dv[1:])))
-        results.append(MonitorResult("parameter_error_monotone", worst_dv <= tol["dv_fixed_tol"],
-                                     worst_dv, tol["dv_fixed_tol"]))
+    if not (declared and all(spec.oracle for spec in cfg.plants)):
+        return []
+    ranks = [int(app.columns["rank"][-1]) for app in trace.apps if len(app.columns["rank"])]
+    return [MonitorResult("regressor_rank", all(r == declared for r in ranks), float(ranks[0] if ranks else -1),
+                          float(declared), detail="windowed Gram rank at the final sample")]
 
 
-def _impulses(trace: Trace, cfg: ScenarioConfig) -> list:
-    """Each app's impulse times: its trace's dist column, then, if the run
-    stopped early, those its config places after the stop."""
+def _orthogonality_residual(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """With the oracle on every app and a declared richness order,
+    |Phi . theta_err| / (1 + |Phi|) stays below ``ortho_tol`` over the final
+    ``ortho_window`` samples from ``settle_sample`` on, where there are any."""
+    if not (cfg.reference.declared_sr_order and all(spec.oracle for spec in cfg.plants)):
+        return []
+    window, worst, any_window = tol["ortho_window"], 0.0, False
+    for app in trace.apps:
+        o = app.columns["ortho_res"]
+        start = max(len(o) - window, tol["settle_sample"])  # never reach into the transient
+        if start < len(o):
+            any_window = True
+            worst = max(worst, float(np.max(o[start:])))
+    return [MonitorResult("orthogonality_residual", worst < tol["ortho_tol"], worst, tol["ortho_tol"],
+                          detail=f"max over final {window} settled samples")] if any_window else []
+
+
+def _parameter_error_monotone(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """With the oracle on every app and no impulse, the parameter error V
+    never grows by more than ``dv_fixed_tol``."""
+    if not all(spec.oracle for spec in cfg.plants) or any(_impulses(trace, cfg)):
+        return []
+    worst = max([0.0, *(float(np.max(app.columns["dV"][1:])) for app in trace.apps if len(app.columns["dV"]) > 1)])
+    return [MonitorResult("parameter_error_monotone", worst <= tol["dv_fixed_tol"], worst, tol["dv_fixed_tol"])]
+
+
+def _impulses(trace: Trace, cfg: ScenarioConfig):
+    """Each app's impulse times, one app at a time as they are asked for, so
+    that any() stops at the first app struck: its dist column's, then, if
+    the run stopped early, those its config places after the stop."""
     stopped = trace.status != "ok"
-    return [np.flatnonzero(app.columns["dist"]).tolist()
+    return (np.flatnonzero(app.columns["dist"]).tolist()
             + (spec.train.times[spec.train.times >= len(app.columns["dist"])].tolist() if stopped else [])
-            for app, spec in zip(trace.apps, cfg.plants)]
+            for app, spec in zip(trace.apps, cfg.plants))
 
 
-@dataclass
-class ContainmentEntry:
-    k_prime: int
-    p: int
-    errors: list
-    ok: bool
-
-
-@dataclass
-class PhaseEntry:
-    k_prime: int
-    p: int
-    length: int
-    terminated: bool
-    ok: bool
-
-
-@dataclass
-class ContainmentReport:
-    entries: list  # ContainmentEntry per TT->ET re-entry with p >= 3
-    phases: list  # PhaseEntry per ET phase
-    eth: float
-    window: int
-
-    @property
-    def passed(self) -> bool:
-        return all(e.ok for e in self.entries) and all(ph.ok for ph in self.phases)
-
-
-def containment_check(e: np.ndarray, switches: list[SwitchEvent], eth: float,
-                      m2: int, d2: int) -> ContainmentReport:
-    """Post-scenario scan of ET re-entry behaviour.
-
-    For each TT->ET switch with p >= 3 the tracking error must stay within
-    eth for the first m2+d2 samples of the phase; every terminated ET phase
-    must strictly exceed 2 samples between its start k'_p and the closing
-    switch instant.
-    """
-    e = np.asarray(e, dtype=float)
-    horizon = e.shape[0]
-    window = m2 + d2
-    entries: list[ContainmentEntry] = []
-    phases: list[PhaseEntry] = []
-    slack = 1e-12
-    for i, ev in enumerate(switches):
-        if ev.direction != "TT->ET":
-            continue
-        k_prime = ev.k + 1
-        nxt = switches[i + 1] if i + 1 < len(switches) else None
-        end = nxt.k if nxt is not None else horizon - 1
-        length = end - k_prime
-        terminated = nxt is not None
-        phases.append(PhaseEntry(
-            k_prime=k_prime, p=ev.p, length=length, terminated=terminated,
-            ok=(length > 2) or not terminated,
-        ))
-        if ev.p >= 3:
-            vals = [float(e[k_prime + l]) for l in range(window) if k_prime + l < horizon]
-            entries.append(ContainmentEntry(
-                k_prime=k_prime, p=ev.p, errors=vals,
-                ok=all(abs(v) <= eth + slack for v in vals),
-            ))
-    return ContainmentReport(entries=entries, phases=phases, eth=eth, window=window)
-
-
-def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> None:
-    tol = cfg.tolerances
+def _impulse_triggers_tt(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """Each impulse pushes |e| past eth within d2 samples and puts its app in
+    TT right after; a completed run's impulse too close to the end is not
+    judged, while a stopped run fails those it cut."""
     d2, eth = cfg.delays[-1], cfg.eth
-    impulses = _impulses(trace, cfg)
-    # impulse response: each impulse must push |e| past eth within d2 samples
-    # and put the app in TT right after; a completed run's impulse too close
-    # to the end is not judged, while a stopped run fails the impulses it cut
-    worst_margin = np.inf
-    all_triggered = True
-    unjudged = 0
-    for app, times in zip(trace.apps, impulses):
+    worst_margin, all_triggered, unjudged = np.inf, True, 0
+    for app, times in zip(trace.apps, _impulses(trace, cfg)):
         e, mode = app.columns["e"], app.columns["mode"]
         for t in times:
             if trace.status == "ok" and t + d2 + 2 > len(e):
@@ -1121,65 +1051,96 @@ def _switching_monitors(trace: Trace, cfg: ScenarioConfig, results: list) -> Non
             worst_margin = min(worst_margin, peak)
             in_tt = any(mode[j] == "TT" for j in range(t + 1, min(t + d2 + 2, len(mode))))
             all_triggered = all_triggered and peak > eth and in_tt
-    if np.isfinite(worst_margin):  # some impulse was judged
-        skipped = f"; {unjudged} impulse(s) within d2 + 1 samples of the end not judged" if unjudged else ""
-        results.append(MonitorResult("impulse_triggers_tt", bool(all_triggered), float(worst_margin), eth,
-                                     detail=f"min post-impulse |e| peak within d2={d2} samples{skipped}"))
-    # containment, each app over its own window, and phase lengths
-    contain_ok = True
-    phase_ok = True
-    worst_contain = 0.0
-    min_phase_len = np.inf
-    for app, spec in zip(trace.apps, cfg.plants):
-        events = [SwitchEvent(k=s[0], direction=s[1], p=s[2]) for s in app.switches]
-        rep = containment_check(app.columns["e"], events, eth, spec.model.m2, d2)
-        for entry in rep.entries:
-            worst_contain = max(worst_contain, max((abs(v) for v in entry.errors), default=0.0))
-            contain_ok = contain_ok and entry.ok
-        for ph in rep.phases:
-            if ph.terminated:
-                min_phase_len = min(min_phase_len, ph.length)
-            phase_ok = phase_ok and ph.ok
-    windows = "/".join(str(w) for w in sorted({spec.model.m2 + d2 for spec in cfg.plants}))
-    results.append(MonitorResult("re_entry_containment", contain_ok, worst_contain, eth,
-                                 detail=f"|e| over the first m2+d2={windows} re-entry samples"))
-    results.append(MonitorResult("et_phase_length", phase_ok,
-                                 float(min_phase_len if np.isfinite(min_phase_len) else -1.0), 2.0,
-                                 detail="every terminated ET phase must exceed 2 samples"))
-    # Lyapunov non-increase inside modes, switch samples excluded
-    worst_dv = -np.inf
+    if not np.isfinite(worst_margin):  # no impulse was judged
+        return []
+    skipped = f"; {unjudged} impulse(s) within d2 + 1 samples of the end not judged" if unjudged else ""
+    return [MonitorResult("impulse_triggers_tt", bool(all_triggered), float(worst_margin), eth,
+                          detail=f"min post-impulse |e| peak within d2={d2} samples{skipped}")]
+
+
+def containment_check(e: np.ndarray, switches: list, m2: int, d2: int) -> tuple[list, list]:
+    """Post-scenario scan of an app's ``(k, direction, p)`` switches: the |e|
+    of the first m2+d2 samples (cut at the end of e) from k' = k + 1 of each
+    TT->ET switch with p >= 3, and the length k'' - k' of each ET phase that
+    a switch at k'' ends."""
+    windows, lengths = [], []
+    for i, (k, direction, p) in enumerate(switches):
+        if direction == "TT->ET":
+            if i + 1 < len(switches):
+                lengths.append(switches[i + 1][0] - (k + 1))
+            if p >= 3:
+                windows.append([abs(float(e[j])) for j in range(k + 1, min(k + 1 + m2 + d2, len(e)))])
+    return windows, lengths
+
+
+def _containment(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """|e| stays within eth over the first m2+d2 samples of each ET re-entry
+    with p >= 3, and every ET phase that ends exceeds 2 samples."""
+    d2, eth = cfg.delays[-1], cfg.eth
+    contain_ok, worst_contain, phase_ok, min_phase_len = True, 0.0, True, np.inf
+    for app, spec in zip(trace.apps, cfg.plants):  # each app over its own window
+        windows, lengths = containment_check(app.columns["e"], app.switches, spec.model.m2, d2)
+        for window in windows:
+            worst_contain = max(worst_contain, max(window, default=0.0))
+            contain_ok = contain_ok and all(v <= eth + 1e-12 for v in window)
+        for length in lengths:
+            min_phase_len = min(min_phase_len, length)
+            phase_ok = phase_ok and length > 2
+    sizes = "/".join(str(w) for w in sorted({spec.model.m2 + d2 for spec in cfg.plants}))
+    return [MonitorResult("re_entry_containment", contain_ok, worst_contain, eth,
+                          detail=f"|e| over the first m2+d2={sizes} re-entry samples"),
+            MonitorResult("et_phase_length", phase_ok, float(min_phase_len if np.isfinite(min_phase_len) else -1.0),
+                          2.0, detail="every terminated ET phase must exceed 2 samples")]
+
+
+def _lyapunov_in_mode(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """V grows by no more than ``dv_tol`` inside a mode (each switch sample and
+    the one after excluded), judged where some such dV is not NaN."""
+    worst = -np.inf
     for app in trace.apps:
         dv = app.columns["dV"]
         kept = np.arange(len(dv)) >= 1
         excluded = np.array([s[0] + j for s in app.switches for j in (0, 1)], dtype=np.int64)
         kept[excluded[(excluded >= 0) & (excluded < len(dv))]] = False
         # fmax skips a NaN sample; all NaN (or none) leaves -inf
-        worst_dv = max(worst_dv, float(np.fmax.reduce(dv[kept], initial=-np.inf)))
-    if np.isfinite(worst_dv):
-        results.append(MonitorResult("lyapunov_in_mode", worst_dv <= tol["dv_tol"],
-                                     worst_dv, tol["dv_tol"],
-                                     detail="max dV at non-switch samples"))
-    # quiescence where no impulse strikes
-    if not any(impulses):
-        late_switches = 0
-        for app in trace.apps:
-            settle = _settle_sample(app.columns["e"], eth)
-            if settle is None:
-                late_switches += len(app.switches)
-                continue
-            late_switches += sum(1 for (kp, _d, _p) in app.switches if kp > settle)
-        results.append(MonitorResult("quiescent_switches", late_switches == 0,
-                                     float(late_switches), 0.0,
-                                     detail="switches after the error settles inside eth"))
-    # bus delays and minislot conservation
-    bus = trace.bus
+        worst = max(worst, float(np.fmax.reduce(dv[kept], initial=-np.inf)))
+    return [MonitorResult("lyapunov_in_mode", worst <= tol["dv_tol"], worst, tol["dv_tol"],
+                          detail="max dV at non-switch samples")] if np.isfinite(worst) else []
+
+
+def _quiescent_switches(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """With no impulse, no app switches after its |e| settles inside eth for
+    good, and an app whose |e| ends outside eth has every switch late."""
+    if any(_impulses(trace, cfg)):
+        return []
+    late = 0
+    for app in trace.apps:
+        e = app.columns["e"]
+        bad = np.flatnonzero(~(np.abs(e) <= cfg.eth))  # NaN is outside
+        settle = int(bad[-1]) + 1 if bad.size else 0  # |e| stays inside from here
+        late += sum(1 for k, _d, _p in app.switches if k > settle) if settle < len(e) else len(app.switches)
+    return [MonitorResult("quiescent_switches", late == 0, float(late), 0.0,
+                          detail="switches after the error settles inside eth")]
+
+
+def _bus(trace: Trace, cfg: ScenarioConfig, tol: dict) -> list:
+    """TT messages arrive one sample after they are sent and ET ones within
+    d2, and each bus cycle's minislots add up and stay within budget."""
+    d2, bus = cfg.delays[-1], trace.bus
     k, delay = bus["k"], bus["delivery"] - bus["k"]
     bad = np.where(bus["et"] != 0, (delay < 1) | (delay > d2) | (bus["arrival"] > k + d2 - 1), delay != 1)
-    bad_delay = int(np.count_nonzero(bad))
-    results.append(MonitorResult("bus_delay_dichotomy", bad_delay == 0, float(bad_delay), 0.0,
-                                 detail="TT delay == 1, ET delay <= d2"))
     consumed = bus["consumed"]
     broken = (consumed != bus["idle"] + _minislots_sent(bus)) | (consumed > cfg.bus.minislots_per_cycle)
-    unconserved = int(np.count_nonzero(broken))
-    results.append(MonitorResult("minislot_conservation", unconserved == 0, float(unconserved), 0.0,
-                                 detail="cycles where consumed != idle + transmitted or > minislots_per_cycle"))
+    bad_delay, unconserved = int(np.count_nonzero(bad)), int(np.count_nonzero(broken))
+    return [MonitorResult("bus_delay_dichotomy", bad_delay == 0, float(bad_delay), 0.0,
+                          detail="TT delay == 1, ET delay <= d2"),
+            MonitorResult("minislot_conservation", unconserved == 0, float(unconserved), 0.0,
+                          detail="cycles where consumed != idle + transmitted or > minislots_per_cycle")]
+
+
+_MONITORS = {
+    "fixed": (_completed, _bounded_signals, _tracking_tail, _regressor_rank, _orthogonality_residual,
+              _parameter_error_monotone),
+    "switching": (_completed, _bounded_signals, _impulse_triggers_tt, _containment, _lyapunov_in_mode,
+                  _quiescent_switches, _bus),
+}

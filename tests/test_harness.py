@@ -10,7 +10,9 @@ import pytest
 
 import adaptbus
 from adaptbus.harness import (
+    _MONITORS,
     DEFAULT_TOLERANCES,
+    MAX_HORIZON,
     TRACE_FIELDS,
     ConfigError,
     check_impulse_times,
@@ -247,6 +249,34 @@ class TestTolerances:
     def test_bad_tolerance_is_config_error(self, tolerances, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(minimal_config(tolerances=tolerances))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"horizon": 1e30}, f"horizon must lie in [0, {MAX_HORIZON}], got {int(1e30)}"),
+        # rejected before the random train's draws, which would not end
+        ({"horizon": 1e12, "disturbance": {"random": True, "t_dw": 5}},
+         f"horizon must lie in [0, {MAX_HORIZON}], got {10 ** 12}"),
+        ({"horizon": MAX_HORIZON + 1}, f"horizon must lie in [0, {MAX_HORIZON}], got {MAX_HORIZON + 1}"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": -1, "disturbance": {"random": True, "t_dw": 5}}, "seed must be >= 0, got -1"),
+        ({"tolerances": {"settle_sample": -5}}, "tolerances.settle_sample must be >= 0, got -5"),
+        ({"tolerances": {"ortho_window": 0}}, "tolerances.ortho_window must be >= 1, got 0"),
+        ({"tolerances": {"bound": 0}}, "tolerances.bound must be > 0, got 0.0"),
+        ({"tolerances": {"tracking_tol": -1e-3}}, "tolerances.tracking_tol must be > 0, got -0.001"),
+        ({"tolerances": {"rank_tol": 0.0}}, "tolerances.rank_tol must be > 0, got 0.0"),
+        ({"tolerances": {"ortho_tol": -1}}, "tolerances.ortho_tol must be > 0, got -1.0"),
+        ({"tolerances": {"dv_tol": -1e-9}}, "tolerances.dv_tol must be >= 0, got -1e-09"),
+        ({"tolerances": {"dv_fixed_tol": -1e-12}}, "tolerances.dv_fixed_tol must be >= 0, got -1e-12"),
+    ], ids=["horizon_1e30", "horizon_1e12_random", "horizon_past_bound", "seed", "seed_random", "settle_sample",
+            "ortho_window", "bound", "tracking_tol", "rank_tol", "ortho_tol", "dv_tol", "dv_fixed_tol"])
+    def test_out_of_range_is_config_error(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(minimal_config(**overrides))
+        assert str(info.value) == message
+
+    def test_range_edges_parse(self):
+        tol = {"settle_sample": 0, "ortho_window": 1, "dv_tol": 0.0, "dv_fixed_tol": 0.0}
+        cfg = parse_config(minimal_config(horizon=MAX_HORIZON, seed=0, tolerances=tol))
+        assert (cfg.horizon, cfg.seed) == (MAX_HORIZON, 0) and cfg.tolerances == dict(DEFAULT_TOLERANCES, **tol)
 
     def test_each_tolerance_takes_its_default_type(self):
         cfg = parse_config(minimal_config(tolerances={"bound": 500, "settle_sample": 30.0, "check_sr": False}))
@@ -584,6 +614,20 @@ class TestMonitors:
         report = evaluate_monitors(trace, cfg)
         assert report.all_passed, [r.name for r in report.results if not r.passed]
 
+    @pytest.mark.parametrize("config, names", [
+        ("fixed_tt.json", ["completed", "bounded_signals", "tracking_tail", "regressor_rank",
+                           "orthogonality_residual", "parameter_error_monotone"]),
+        ("switching_1app.json", ["completed", "bounded_signals", "impulse_triggers_tt", "re_entry_containment",
+                                 "et_phase_length", "lyapunov_in_mode", "bus_delay_dichotomy",
+                                 "minislot_conservation"]),
+    ])
+    def test_results_follow_the_monitor_order(self, config, names):
+        # the report is each monitor's results in turn, in _MONITORS order
+        cfg = parse_config(str(CONFIG_DIR / config))
+        trace = run_scenario(cfg)
+        each = [[r.name for r in monitor(trace, cfg, cfg.tolerances)] for monitor in _MONITORS[cfg.kind]]
+        assert [r.name for r in evaluate_monitors(trace, cfg).results] == [n for group in each for n in group] == names
+
     @pytest.mark.parametrize("where", ["plant", "shared"])
     def test_parameter_error_monotone_skipped_under_any_disturbance(self, where):
         # the ideal model has no disturbance, so V may rise at an impulse
@@ -858,6 +902,13 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert out.stderr == f"configuration error: {message}\n"
+
+    def test_negative_seed_override_is_config_error(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(minimal_config()))
+        out = self.run_cli("run", "--config", str(p), "--out", str(tmp_path / "out"), "--seed", "-1")
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert out.stderr == "configuration error: seed must be >= 0, got -1\n"
 
     def test_seed_override_reaches_the_trace(self, tmp_path):
         cfg = minimal_config(horizon=300, disturbance={"random": True, "t_dw": 40},
