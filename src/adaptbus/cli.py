@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands:
-  run     --config FILE --out DIR [--seed N] [--format csv|json]
+  run     --config FILE --out DIR [--seed N]   writes DIR/trace.csv and DIR/trace.json
   check   --config FILE
   analyze --trace FILE
 
@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     chk_p = sub.add_parser("check", help="validate a scenario configuration")
     chk_p.add_argument("--config", required=True)
@@ -51,11 +50,9 @@ def _cmd_run(args) -> int:
     trace = run_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / f"trace.{args.format}"
-    export_trace(trace, trace_path, args.format)
-    # the JSON flavour is what `analyze` consumes; always keep one alongside
-    if args.format != "json":
-        export_trace(trace, out / "trace.json", "json")
+    trace_path = out / "trace.csv"
+    export_trace(trace, trace_path, "csv")
+    export_trace(trace, out / "trace.json", "json")  # what `analyze` reads
     report = evaluate_monitors(trace, cfg)
     for line in report.lines():
         print(line)

@@ -30,10 +30,11 @@ def _window_grams(rows: np.ndarray, N: int) -> np.ndarray:
     The running sums restart at every block of N rows, so a window Gram adds
     up at most two blocks and its rounding does not grow with the run."""
     T, n = rows.shape
-    nb = -(-T // N)
-    outer = np.zeros((nb * N, n, n))
-    np.einsum("ki,kj->kij", rows, rows, out=outer[:T])
-    grams = np.cumsum(outer.reshape(nb, N, n, n), axis=1).reshape(nb * N, n, n)[:T]
+    outer = np.einsum("ki,kj->kij", rows, rows)
+    grams = np.empty_like(outer)
+    full = T - T % N  # the rows of the whole blocks; the rest is one short block
+    np.cumsum(outer[:full].reshape(-1, N, n, n), axis=1, out=grams[:full].reshape(-1, N, n, n))
+    np.cumsum(outer[full:], axis=0, out=grams[full:])
     # window k: its block's sum up to k plus the rest of the block before
     k = np.arange(N, T)
     grams[N:] += grams[k - k % N - 1] - grams[k - N]

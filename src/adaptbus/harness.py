@@ -49,6 +49,7 @@ _TOLERANCE_FLOORS = {"bound": (0, True), "tracking_tol": (0, True), "settle_samp
                      "rank_tol": (0, True), "ortho_tol": (0, True), "ortho_window": (1, False),
                      "dv_tol": (0, False), "dv_fixed_tol": (0, False)}
 MAX_HORIZON = 10**7  # samples, 2,000 times the longest bundled horizon: bounds what a parse draws
+MAX_DELAY = 64  # samples, 21 times the longest bundled delay: bounds the loop histories and the bus deadline
 
 
 class ConfigError(ValueError):
@@ -89,21 +90,14 @@ class ScenarioConfig:
 
 
 def load_document(source) -> dict:
-    """The scenario document of a path, a JSON text or a dict (copied).  A
-    string is JSON text when it holds a newline or starts with ``{`` or ``[``;
-    any other string is a path."""
+    """The scenario document of a path or a dict (copied)."""
     if isinstance(source, dict):
         return json.loads(json.dumps(source))
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source
-                                    and source.lstrip()[:1] not in ("{", "[")):
-        text, where = Path(source).read_text(), str(source)
-    else:
-        text, where = str(source), "<inline>"
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(source).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return _object(doc, f"{where}: the scenario")
+        raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    return _object(doc, f"{source}: the scenario")
 
 
 def _object(value, name: str, keys=None) -> dict:
@@ -239,11 +233,11 @@ def _check_gamma(g: float, name: str) -> float:
 
 
 def parse_config(source) -> ScenarioConfig:
-    """Load, validate and resolve a scenario, so that a scenario that parses
-    will run.  Every object is read through its schema (``_DOCUMENT``), and
-    every plant/gain/protocol/reference rule is enforced here but one:
-    impulse times at or past the horizon are accepted, so that a caller can
-    shorten a run, and rejected by ``check_impulse_times``.
+    """Load, validate and resolve a scenario, a path or a dict, so that a
+    scenario that parses will run.  Every object is read through its schema
+    (``_DOCUMENT``), and every plant/gain/protocol/reference rule is enforced
+    here but one: impulse times at or past the horizon are accepted, so that
+    a caller can shorten a run, and rejected by ``check_impulse_times``.
 
     Each app takes its own ``disturbance`` and ``beta0_init``, else the shared
     ones; random impulse trains are drawn from one generator seeded by
@@ -259,13 +253,12 @@ def parse_config(source) -> ScenarioConfig:
         for key, (least, strict) in _TOLERANCE_FLOORS.items():
             if tol[key] < least or strict and tol[key] == least:
                 raise ConfigError(f"tolerances.{key} must be {'>' if strict else '>='} {least}, got {tol[key]}")
+        delay_key, least = ("d", 1) if protocol["kind"] == "fixed" else ("d2", 2)
+        if not least <= protocol[delay_key] <= MAX_DELAY:
+            raise ConfigError(f"protocol.{delay_key} must lie in [{least}, {MAX_DELAY}], got {protocol[delay_key]}")
         if protocol["kind"] == "fixed":
-            if protocol["d"] < 1:
-                raise ConfigError("fixed protocol needs a delay d >= 1")
             delays, eth = (protocol["d"],), -1.0
         else:
-            if protocol["d2"] < 2:
-                raise ConfigError("switching protocol needs d2 >= 2")
             if protocol["eth"] <= 0:
                 raise ConfigError("switching protocol needs eth > 0")
             delays, eth = (1, protocol["d2"]), protocol["eth"]
@@ -444,7 +437,6 @@ class Trace:
     apps: list
     bus: BusLog
     summary: dict
-    schema_version: int = SCHEMA_VERSION
 
 
 def run_scenario(cfg: ScenarioConfig) -> Trace:
@@ -825,7 +817,7 @@ def _write_csv(texts: list, f) -> None:
 def _write_json(trace: Trace, texts: list, f) -> None:
     """Write the text ``json.dumps(doc)`` gives for the trace's document: the
     columns are spliced in from their texts, the rest is ``json.dumps``'s."""
-    head = json.dumps({"schema_version": trace.schema_version, "status": trace.status,
+    head = json.dumps({"schema_version": SCHEMA_VERSION, "status": trace.status,
                        "config": trace.config, "summary": trace.summary})
     f.write(head[:-1] + ', "apps": [')
     for i, (app, columns) in enumerate(zip(trace.apps, texts)):
@@ -841,9 +833,8 @@ def _write_json(trace: Trace, texts: list, f) -> None:
 
 
 def load_trace(path) -> Trace:
-    """Read a JSON trace back into memory (the analyze entry point).  A
-    version-1 trace's bus (``cycles`` and ``deliveries`` lists) is read
-    into the bus columns."""
+    """Read a JSON trace back into memory (the analyze entry point).  Only
+    ``SCHEMA_VERSION`` loads; a trace that names no version is version 1."""
     path = Path(path)
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
@@ -860,6 +851,10 @@ def load_trace(path) -> Trace:
         missing = missing or [f"columns.{name}" for name in TRACE_FIELDS if name not in a["columns"]]
         if missing:
             raise ValueError(f"{path}: not a trace: app entry {i} has no {missing[0]!r} key")
+    version = doc.get("schema_version", 1)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{path}: not a trace: schema_version {json.dumps(version)} is not {SCHEMA_VERSION}; "
+                         f"re-run `adaptbus run` on the trace's config to write a version-{SCHEMA_VERSION} trace")
     apps = [
         AppTrace(
             app_id=a["app"],
@@ -871,8 +866,6 @@ def load_trace(path) -> Trace:
     bus = doc["bus"]
     if not isinstance(bus, dict):
         raise ValueError(f"{path}: not a trace: 'bus' must be an object, got {type(bus).__name__}")
-    if doc.get("schema_version", 1) == 1:
-        bus = _v1_columns(bus, path)
     return Trace(config=doc["config"], status=doc["status"], apps=apps, bus=_bus_columns(bus, path),
                  summary=doc["summary"])
 
@@ -902,23 +895,6 @@ def _bus_columns(bus: dict, path) -> BusLog:
     if tx_cycle.size and not (0 <= tx_cycle.min() and tx_cycle.max() < len(cols["consumed"])):
         raise ValueError(f"{path}: not a trace: a transmission names a cycle the bus does not log")
     return cols
-
-
-def _v1_columns(bus: dict, path) -> dict:
-    """The bus columns of a version-1 bus: ``cycles`` dicts with their
-    transmissions as [app, length], and [app, k, mode, delivery, arrival]
-    deliveries; the stored ``conserved`` flags are recomputed, not read."""
-    try:
-        cycles, deliveries = bus.get("cycles", []), bus.get("deliveries", [])
-        tx = [(c["cycle"], app, length) for c in cycles for app, length in c["transmissions"]]
-        rows = {"consumed": [c["consumed_minislots"] for c in cycles], "idle": [c["idle_slots"] for c in cycles],
-                "carried": [c["carried"] for c in cycles]}
-        rows.update(zip(TX_COLUMNS, zip(*tx) if tx else ((), (), ())))
-        rows.update(zip(DELIVERY_COLUMNS, zip(*deliveries) if deliveries else ((),) * 5))
-        rows["et"] = [int(mode != Mode.TT.value) for mode in rows["et"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: not a trace: malformed version-1 bus: {exc!r}") from exc
-    return {name: list(col) for name, col in rows.items()}
 
 
 def read_trace_csv(path) -> dict:

@@ -98,17 +98,15 @@ class CycleReport:
 
 @dataclass
 class BusState:
-    """Per-cycle accounting: current modes, fresh dynamic-segment requests and
-    their delivery records, carryovers from exhausted cycles, and the
-    delivery/cycle logs."""
+    """Per-cycle accounting: current modes, this cycle's dynamic-segment
+    requests as their delivery records, carryovers from exhausted cycles, and
+    the delivery log."""
 
     cycle_index: int = 0
     modes: dict = field(default_factory=dict)
-    cycle_requests: dict = field(default_factory=dict)  # app -> msg_len (this cycle)
     pending: dict = field(default_factory=dict)  # app -> index of its ET delivery record (this cycle)
     carryover: list = field(default_factory=list)  # (app, msg_len, enqueued_k)
     deliveries: list = field(default_factory=list)  # (app, k, mode, delivery, arrival)
-    cycle_log: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,6 @@ def transmit(state: BusState, config: BusConfig, app, k: int) -> int:
     if state.modes.get(app, _TT) == _TT:
         state.deliveries.append((app, k, _TT, k + 1, k + 1))
         return k + 1
-    state.cycle_requests[app] = config.message_minislots
     state.pending[app] = len(state.deliveries)
     state.deliveries.append((app, k, _ET, k + config.d2, k + 1))
     return k + config.d2
@@ -267,106 +264,58 @@ def _fill_log(log: dict, config: BusConfig, order: list, et: np.ndarray, index: 
     log["arrival"] = (k + arrivals[index]).ravel()
 
 
-def _schedule_carried(state: BusState, config: BusConfig, carried: list, fresh: int) -> None:
-    """Write the arrival of each message this cycle carried fresh (``carried``
-    from position ``fresh`` on) into its delivery record.  The carry queue is
-    served first in first out, ahead of every fresh message, capacity //
-    msg_len messages per cycle, so a message enqueued at k that sits at queue
-    position p is sent in cycle k + 1 + p // (capacity // msg_len) and
-    arrives one sample later.  Raises ``BusCapacityError`` if a message can
-    never be sent, or if one arrives after k + d2 - 1."""
-    capacity, deliveries = config.minislots_per_cycle, state.deliveries
-    late = None
-    for p in range(fresh, len(carried)):
-        app, msg_len, _cycle = carried[p]
-        if app not in state.pending:
-            continue  # raw ``requests`` traffic has no record and no deadline
-        if msg_len > capacity:
-            raise BusCapacityError(
-                f"message length {msg_len} exceeds the whole dynamic segment ({capacity} minislots)"
-            )
-        i = state.pending[app]
-        k = deliveries[i][1]
-        arrival = k + 2 + p // (capacity // msg_len)
-        deliveries[i] = deliveries[i][:4] + (arrival,)
-        if late is None and arrival > k + config.d2 - 1:
-            late = (app, k, arrival)
+def advance_cycle(state: BusState, config: BusConfig) -> CycleReport:
+    """Run one cycle's dynamic segment and roll what it cannot send into the next.
+
+    The walk serves one queue: the carried messages in arrival order, then
+    one slot per app in priority order, idle where the app requested nothing.
+    A message that fits is sent and consumes its length; an idle slot, and a
+    message that no longer fits, consume one idle minislot while budget
+    remains, and the message carries over.
+
+    The walk decides every ET arrival: a message sent in cycle c arrives at
+    c + 1, as ``transmit`` logged it.  The carry queue is served first in
+    first out, capacity // msg_len messages per cycle, so a message enqueued
+    at k and carried to queue position p is sent in cycle
+    k + 1 + p // (capacity // msg_len); its arrival is written into its
+    delivery record now.  If a message can never be sent or arrives after
+    k + d2 - 1, this raises ``BusCapacityError``: the sample's deliveries stay
+    logged with their arrivals, and the state stays at the failing sample.
+    """
+    c, capacity, msg_len = state.cycle_index, config.minislots_per_cycle, config.message_minislots
+    if state.pending and msg_len > capacity:
+        raise BusCapacityError(f"message length {msg_len} exceeds the whole dynamic segment ({capacity} minislots)")
+    deliveries, n_carried = state.deliveries, len(state.carryover)
+    budget, consumed, idle, late = capacity, 0, 0, None
+    tx: list = []
+    carried: list = []
+    queue = state.carryover + [(app, msg_len if app in state.pending else 0, c) for app in config.priority_order()]
+    for p, (app, length, enqueued) in enumerate(queue):
+        if length and budget >= length:
+            budget -= length
+            consumed += length
+            tx.append((app, length))
+            continue
+        if budget >= 1:
+            budget -= 1
+            consumed += 1
+            idle += 1
+        if not length:
+            continue  # an idle slot
+        if p >= n_carried:  # carried fresh: write the arrival its queue position gives
+            i = state.pending[app]
+            k = deliveries[i][1]
+            arrival = k + 2 + len(carried) // (capacity // length)
+            deliveries[i] = deliveries[i][:4] + (arrival,)
+            if late is None and arrival > k + config.d2 - 1:
+                late = (app, k, arrival)
+        carried.append((app, length, enqueued))
     if late is not None:
         app, k, arrival = late
         raise BusCapacityError(
             f"app {app!r} message at sample {k} would arrive at {arrival} "
             f"(> k + d2 - 1 = {k + config.d2 - 1}); priority/d2/minislot budget infeasible"
         )
-
-
-def advance_cycle(state: BusState, config: BusConfig, requests: dict | None = None) -> CycleReport:
-    """Run one cycle's segments and roll pending traffic into the next.
-
-    Walks the dynamic slot numbers in priority order after serving
-    carryovers: an idle slot consumes one minislot, a transmitted message
-    consumes its length, and a message that no longer fits consumes one idle
-    minislot (if any budget remains) and carries over.
-
-    The walk decides every ET arrival: a message sent in cycle c arrives at
-    c + 1, as ``transmit`` logged it, and a message carried fresh gets its
-    arrival written into its delivery record now (``_schedule_carried``).
-    If one can never be sent or arrives after k + d2 - 1, this raises
-    ``BusCapacityError``: the sample's deliveries stay logged with their
-    arrivals, the cycle is not logged, and ``state.cycle_index`` stays at the
-    failing sample.  Messages given as ``requests`` are raw minislot traffic,
-    with no delivery record and no deadline.
-    """
-    if requests is not None:
-        state.cycle_requests = dict(requests)
-    budget = config.minislots_per_cycle
-    consumed = 0
-    idle = 0
-    tx: list = []
-    carried: list = []
-    # carryovers first, in arrival order
-    for (app, msg_len, enq_k) in state.carryover:
-        if budget >= msg_len:
-            budget -= msg_len
-            consumed += msg_len
-            tx.append((app, msg_len))
-        else:
-            if budget >= 1:
-                budget -= 1
-                consumed += 1
-                idle += 1
-            carried.append((app, msg_len, enq_k))
-    fresh = len(carried)
-    # fresh dynamic slots in priority order
-    for app in config.priority_order():
-        if app in state.cycle_requests:
-            msg_len = state.cycle_requests[app]
-            if budget >= msg_len:
-                budget -= msg_len
-                consumed += msg_len
-                tx.append((app, msg_len))
-            else:
-                if budget >= 1:
-                    budget -= 1
-                    consumed += 1
-                    idle += 1
-                carried.append((app, msg_len, state.cycle_index))
-        else:
-            if budget >= 1:
-                budget -= 1
-                consumed += 1
-                idle += 1
-    if len(carried) > fresh:
-        _schedule_carried(state, config, carried, fresh)
-    report = CycleReport(
-        cycle=state.cycle_index,
-        consumed_minislots=consumed,
-        idle_slots=idle,
-        transmissions=tx,
-        carried=carried,
-    )
-    state.carryover = carried
-    state.cycle_requests = {}
-    state.pending = {}
+    state.carryover, state.pending = carried, {}
     state.cycle_index += 1
-    state.cycle_log.append(report)
-    return report
+    return CycleReport(cycle=c, consumed_minislots=consumed, idle_slots=idle, transmissions=tx, carried=carried)

@@ -5,11 +5,11 @@ them as JSON int lists (trace ``schema_version`` 2).  These tests pin:
 
 - the version-1 view (``bus["cycles"]`` and ``bus["deliveries"]``) built
   from the columns against the lists the per-cycle replay gives;
-- a version-1 trace, whose bus holds those lists, read back into the same
-  columns and verdicts as the version-2 file;
+- a version-2 trace read back into the same columns and verdicts, and a
+  version-1 trace, whose bus holds those lists, rejected;
 - the ``minislot_conservation`` rule over the columns, on hand-corrupted logs;
-- ``load_trace``'s rejection of a malformed bus, version 2 or 1, with exit
-  code 2 from ``analyze``.
+- ``load_trace``'s rejection of a malformed version-2 bus and of any
+  version-1 trace, with exit code 2 from ``analyze``.
 """
 
 import json
@@ -48,12 +48,12 @@ def run(request):
 def v1_lists(cfg, trace):
     """The version-1 bus log of a completed run: the per-cycle replay's
     cycle reports as dicts and its deliveries as lists."""
-    state = BusState()
-    bus_reference.replay(state, cfg.bus_config(), [app.columns["mode"] for app in trace.apps], cfg.horizon)
+    state, reports = BusState(), []
+    bus_reference.replay(state, cfg.bus_config(), [app.columns["mode"] for app in trace.apps], cfg.horizon, reports)
     cycles = [{"cycle": r.cycle, "consumed_minislots": r.consumed_minislots, "idle_slots": r.idle_slots,
                "transmissions": [[a, length] for a, length in r.transmissions], "carried": len(r.carried),
                "conserved": r.conserved}
-              for r in state.cycle_log]
+              for r in reports]
     return cycles, [list(dv) for dv in state.deliveries]
 
 
@@ -72,7 +72,11 @@ def test_v1_view_is_the_per_cycle_replay_lists(run):
         assert any(c["carried"] for c in cycles)
 
 
+V1_REJECTED = "schema_version 1 is not 2; re-run `adaptbus run` on the trace's config"
+
+
 def test_v1_trace_loads_into_the_same_columns_and_verdicts(run, tmp_path):
+    # only the version-2 file loads: the version-1 copy is rejected
     cfg, trace = run
     v2, v1 = tmp_path / "v2.json", tmp_path / "v1.json"
     export_trace(trace, v2, "json")
@@ -80,15 +84,16 @@ def test_v1_trace_loads_into_the_same_columns_and_verdicts(run, tmp_path):
     assert doc["schema_version"] == 2 and list(doc["bus"]) == list(BUS_COLUMNS)
     doc.update(schema_version=1, bus={"cycles": trace.bus["cycles"], "deliveries": trace.bus["deliveries"]})
     v1.write_text(json.dumps(doc))
-    new, old = load_trace(v2), load_trace(v1)
-    assert new.bus == trace.bus and old.bus == trace.bus
-    assert all(old.bus[name].dtype == np.int64 for name in BUS_COLUMNS)
-    for app_new, app_old in zip(new.apps, old.apps, strict=True):
+    new = load_trace(v2)
+    assert new.bus == trace.bus
+    assert all(new.bus[name].dtype == np.int64 for name in BUS_COLUMNS)
+    for app_new, app in zip(new.apps, trace.apps, strict=True):
         for name in TRACE_FIELDS:
-            x, y = app_new.columns[name], app_old.columns[name]
+            x, y = app_new.columns[name], app.columns[name]
             assert (list(x) == list(y)) if x.dtype == object else x.tobytes() == y.tobytes()
-    want = verdicts(evaluate_monitors(trace, cfg))
-    assert verdicts(evaluate_monitors(new)) == want == verdicts(evaluate_monitors(old))
+    assert verdicts(evaluate_monitors(new)) == verdicts(evaluate_monitors(trace, cfg))
+    with pytest.raises(ValueError, match=f"{v1}: not a trace: {V1_REJECTED}"):
+        load_trace(v1)
 
 
 def _conservation(trace, cfg):
@@ -157,8 +162,23 @@ def test_load_trace_rejects_a_malformed_v2_bus(tmp_path, capsys, change, message
     ({"deliveries": [[0, 0, "TT", 1]]}, "the bus has no 'arrival' column"),
 ], ids=["not_an_object", "cycle_without_counts", "short_delivery"])
 def test_load_trace_rejects_a_malformed_v1_bus(tmp_path, bus, message):
+    # a version-1 trace is rejected for its version, before its bus is read
     doc = dict(_v2_doc(tmp_path), schema_version=1, bus=bus)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=f"not a trace: {message}"):
+    with pytest.raises(ValueError, match=f"not a trace: {V1_REJECTED}") as info:
         load_trace(p)
+    assert message not in str(info.value)
+
+
+@pytest.mark.parametrize("version", [1, None], ids=["version_1", "no_version"])
+def test_analyze_rejects_a_version_1_trace(tmp_path, capsys, version):
+    doc = _v2_doc(tmp_path)
+    del doc["schema_version"]
+    if version is not None:
+        doc["schema_version"] = version
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["analyze", "--trace", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {p}: not a trace: {V1_REJECTED} to write a version-2 trace\n"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from adaptbus.excitation import (
     GramWindow,
+    _window_grams,
     is_pe,
     numerical_rank,
     orthogonality_residual,
@@ -33,6 +36,41 @@ class TestIsPE:
         # exciting early, degenerate later: not persistently exciting
         x = np.concatenate([np.sin(0.9 * np.arange(40)), np.zeros(40)])
         assert not is_pe(x, N=10, alpha=1e-8)
+
+
+def padded_window_grams(rows, N):
+    """The window Grams as they were computed with the outer-product stack
+    padded to whole blocks of N rows."""
+    T, n = rows.shape
+    nb = -(-T // N)
+    outer = np.zeros((nb * N, n, n))
+    np.einsum("ki,kj->kij", rows, rows, out=outer[:T])
+    grams = np.cumsum(outer.reshape(nb, N, n, n), axis=1).reshape(nb * N, n, n)[:T]
+    k = np.arange(N, T)
+    grams[N:] += grams[k - k % N - 1] - grams[k - N]
+    return grams
+
+
+class TestWindowGrams:
+    @pytest.mark.parametrize("T", [0, 3, 7, 23, 35], ids=["empty", "short", "one_block", "blocks_and_rest",
+                                                         "whole_blocks"])
+    def test_same_bytes_as_the_padded_stack(self, T):
+        rows = np.random.default_rng(T).standard_normal((T, 4))
+        got, want = _window_grams(rows, 7), padded_window_grams(rows, 7)
+        assert got.shape == want.shape == (T, 4, 4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_short_run_holds_no_whole_block(self):
+        # two rows of width 60 under a 500-row window: the padded stack held
+        # 500 outer products, some 29 MB
+        rows = np.random.default_rng(0).standard_normal((2, 60))
+        tracemalloc.start()
+        try:
+            _window_grams(rows, 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestSROrder:

@@ -53,7 +53,7 @@ def oracle_csv(trace: Trace) -> str:
 
 def oracle_json(trace: Trace) -> str:
     doc = {
-        "schema_version": trace.schema_version,
+        "schema_version": harness.SCHEMA_VERSION,
         "status": trace.status,
         "config": trace.config,
         "summary": trace.summary,

@@ -12,6 +12,7 @@ import adaptbus
 from adaptbus.harness import (
     _MONITORS,
     DEFAULT_TOLERANCES,
+    MAX_DELAY,
     MAX_HORIZON,
     TRACE_FIELDS,
     ConfigError,
@@ -41,6 +42,9 @@ def minimal_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+SWITCHING = {"kind": "switching", "d2": 2, "eth": 0.1}
 
 
 class TestParseConfig:
@@ -78,15 +82,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="eth > 0"):
             parse_config(minimal_config(protocol={"kind": "switching", "d2": 2, "eth": eth}))
 
-    def test_long_one_line_json_text_parses(self):
-        # longer than a file name may be, so it must not be looked up as one
+    def test_long_one_line_json_text_parses(self, tmp_path):
+        # a scenario is a path or a dict: JSON text is read from its file,
+        # and a string is always a path, never the document itself
         text = json.dumps({"name": "x" * 300, "horizon": 10, "plants": [{"a": [], "b": [1.0]}]})
         assert "\n" not in text
-        assert parse_config(text).name == "x" * 300
+        p = tmp_path / "one_line.json"
+        p.write_text(text)
+        assert parse_config(p).name == parse_config(str(p)).name == "x" * 300
+        with pytest.raises(OSError):
+            parse_config(text)
 
-    def test_long_one_line_json_list_is_config_error(self):
-        with pytest.raises(ConfigError, match="must be a JSON object, got list"):
-            parse_config(" " + json.dumps(list(range(100))))
+    def test_long_one_line_json_list_is_config_error(self, tmp_path):
+        p = tmp_path / "list.json"
+        p.write_text(" " + json.dumps(list(range(100))))
+        with pytest.raises(ConfigError, match=f"{p}: the scenario must be a JSON object, got list"):
+            parse_config(p)
 
     def test_disturbance_gap_checked(self):
         bad = {"times": [0, 5], "amplitudes": 1.0, "t_dw": 10}
@@ -266,8 +277,17 @@ class TestTolerances:
         ({"tolerances": {"ortho_tol": -1}}, "tolerances.ortho_tol must be > 0, got -1.0"),
         ({"tolerances": {"dv_tol": -1e-9}}, "tolerances.dv_tol must be >= 0, got -1e-09"),
         ({"tolerances": {"dv_fixed_tol": -1e-12}}, "tolerances.dv_fixed_tol must be >= 0, got -1e-12"),
+        ({"protocol": {"kind": "fixed", "d": 0}}, f"protocol.d must lie in [1, {MAX_DELAY}], got 0"),
+        ({"protocol": {"kind": "fixed", "d": MAX_DELAY + 1}},
+         f"protocol.d must lie in [1, {MAX_DELAY}], got {MAX_DELAY + 1}"),
+        ({"protocol": {"kind": "fixed", "d": 1e300}}, f"protocol.d must lie in [1, {MAX_DELAY}], got {int(1e300)}"),
+        ({"protocol": dict(SWITCHING, d2=1)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 1"),
+        ({"protocol": dict(SWITCHING, d2=MAX_DELAY + 1)},
+         f"protocol.d2 must lie in [2, {MAX_DELAY}], got {MAX_DELAY + 1}"),
+        ({"protocol": dict(SWITCHING, d2=1e6)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 1000000"),
     ], ids=["horizon_1e30", "horizon_1e12_random", "horizon_past_bound", "seed", "seed_random", "settle_sample",
-            "ortho_window", "bound", "tracking_tol", "rank_tol", "ortho_tol", "dv_tol", "dv_fixed_tol"])
+            "ortho_window", "bound", "tracking_tol", "rank_tol", "ortho_tol", "dv_tol", "dv_fixed_tol",
+            "d_0", "d_past_bound", "d_1e300", "d2_1", "d2_past_bound", "d2_1e6"])
     def test_out_of_range_is_config_error(self, overrides, message):
         with pytest.raises(ConfigError) as info:
             parse_config(minimal_config(**overrides))
@@ -278,13 +298,18 @@ class TestTolerances:
         cfg = parse_config(minimal_config(horizon=MAX_HORIZON, seed=0, tolerances=tol))
         assert (cfg.horizon, cfg.seed) == (MAX_HORIZON, 0) and cfg.tolerances == dict(DEFAULT_TOLERANCES, **tol)
 
+    @pytest.mark.parametrize("protocol", [{"kind": "fixed", "d": MAX_DELAY},
+                                          {"kind": "switching", "d2": MAX_DELAY, "eth": 0.1}],
+                             ids=["d", "d2"])
+    def test_delay_at_its_bound_runs(self, protocol):
+        cfg = parse_config(minimal_config(protocol=protocol, horizon=2 * MAX_DELAY))
+        assert cfg.delays[-1] == MAX_DELAY
+        assert len(run_scenario(cfg).apps[0].columns["k"]) > 0
+
     def test_each_tolerance_takes_its_default_type(self):
         cfg = parse_config(minimal_config(tolerances={"bound": 500, "settle_sample": 30.0, "check_sr": False}))
         assert cfg.tolerances == dict(DEFAULT_TOLERANCES, bound=500.0, settle_sample=30, check_sr=False)
         assert [type(v) for v in cfg.tolerances.values()] == [type(v) for v in DEFAULT_TOLERANCES.values()]
-
-
-SWITCHING = {"kind": "switching", "d2": 2, "eth": 0.1}
 
 
 class TestKeysAndIntegers:
@@ -877,7 +902,12 @@ class TestCLI:
         ({"horizn": 50}, "the scenario: unknown key 'horizn'"),
         ({"gammas": []}, "gammas must hold one or two gains, got 0"),
         ({"horizon": 10.5}, "horizon must be an integer, got 10.5"),
-    ], ids=["unknown_key", "no_gammas", "fractional_horizon"])
+        # the delays past MAX_DELAY once passed check and then failed a run:
+        # a numpy dimension error, a hang, and a memory-error traceback
+        ({"protocol": {"kind": "fixed", "d": 1e300}}, f"protocol.d must lie in [1, {MAX_DELAY}], got {int(1e300)}"),
+        ({"protocol": dict(SWITCHING, d2=1e6)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 1000000"),
+        ({"protocol": dict(SWITCHING, d2=500)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 500"),
+    ], ids=["unknown_key", "no_gammas", "fractional_horizon", "d_1e300", "d2_1e6", "d2_500"])
     def test_parse_fault_is_config_error(self, tmp_path, command, overrides, message):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config(**overrides)))
@@ -885,7 +915,7 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert f"configuration error: {message}" in out.stderr
-        assert "Traceback" not in out.stderr
+        assert "Traceback" not in out.stderr and out.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "run"])
     @pytest.mark.parametrize("overrides, message", [

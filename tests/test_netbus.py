@@ -85,7 +85,7 @@ class TestTransmit:
                            match=r"app 2 message at sample 50 would arrive at 52 \(> k \+ d2 - 1 = 51\)"):
             advance_cycle(state, cfg)
         assert [d[4] for d in state.deliveries] == [51, 51, 52]
-        assert state.cycle_index == 50 and not state.cycle_log
+        assert state.cycle_index == 50 and not state.carryover
 
     def test_unregistered_app(self):
         cfg = BusConfig.default(1)
@@ -102,10 +102,19 @@ class TestTransmit:
             advance_cycle(state, cfg)
 
 
+def cycle(state, cfg, k, et=()):
+    """The report of cycle k after the apps in ``et`` send in ET and every
+    other app in TT."""
+    for app in cfg.priority_order():
+        state.modes[app] = Mode.ET.value if app in et else Mode.TT.value
+        transmit(state, cfg, app, k)
+    return advance_cycle(state, cfg)
+
+
 class TestAdvanceCycle:
     def test_all_idle(self):
         cfg = BusConfig.default(3)
-        report = advance_cycle(BusState(), cfg, requests={})
+        report = cycle(BusState(), cfg, 0)
         assert report.consumed_minislots == 3
         assert report.idle_slots == 3
         assert not report.transmissions
@@ -113,8 +122,8 @@ class TestAdvanceCycle:
 
     def test_long_message_plus_idles(self):
         cfg = BusConfig(3, {i: i + 1 for i in range(3)},
-                        minislots_per_cycle=8, d2=2)
-        report = advance_cycle(BusState(), cfg, requests={0: 4})
+                        minislots_per_cycle=8, d2=2, message_minislots=4)
+        report = cycle(BusState(), cfg, 0, et={0})
         assert report.consumed_minislots == 6  # 4 + 1 + 1
         assert report.idle_slots == 2
         assert report.transmissions == [(0, 4)]
@@ -122,20 +131,22 @@ class TestAdvanceCycle:
 
     def test_empty_dynamic_segment(self):
         cfg = BusConfig(0, {}, minislots_per_cycle=4, d2=2)
-        report = advance_cycle(BusState(), cfg, requests={})
+        report = cycle(BusState(), cfg, 0)
         assert report.consumed_minislots == 0
         assert report.conserved
 
     def test_carryover_served_next_cycle(self):
         cfg = BusConfig(2, {0: 1, 1: 2}, minislots_per_cycle=2,
-                        d2=3)
-        state = BusState(modes={0: Mode.ET, 1: Mode.ET})
-        r1 = advance_cycle(state, cfg, requests={0: 2, 1: 2})
+                        d2=3, message_minislots=2)
+        state = BusState()
+        r1 = cycle(state, cfg, 0, et={0, 1})
         assert r1.transmissions == [(0, 2)]
-        assert len(r1.carried) == 1
+        assert r1.carried == [(1, 2, 0)]
         assert r1.conserved
-        r2 = advance_cycle(state, cfg, requests={})
+        assert [d[4] for d in state.deliveries] == [1, 2]  # the carried message arrives a cycle late
+        r2 = cycle(state, cfg, 1)
         assert r2.transmissions == [(1, 2)]
+        assert not r2.carried
         assert r2.conserved
 
     def test_carried_arrival_past_the_deadline_aborts(self):
@@ -150,17 +161,21 @@ class TestAdvanceCycle:
         assert not len(log["consumed"]) and not len(log["tx_cycle"])
 
     def test_conservation_random(self):
-        import numpy as np
-
+        # one message length per bus, and no deadline in reach, so the carry
+        # queue may grow and drain
         rng = np.random.default_rng(5)
-        cfg = BusConfig(4, {i: i + 1 for i in range(4)},
-                        minislots_per_cycle=6, d2=4)
-        state = BusState(modes={i: Mode.ET for i in range(4)})
-        for _ in range(200):
-            requests = {i: int(rng.integers(1, 4)) for i in range(4) if rng.random() < 0.5}
-            report = advance_cycle(state, cfg, requests=requests)
-            assert report.conserved
-            assert report.consumed_minislots <= cfg.minislots_per_cycle
+        carried = {}
+        for msg_len in (1, 2, 3):
+            cfg = BusConfig(4, {i: i + 1 for i in range(4)},
+                            minislots_per_cycle=6, d2=10**6, message_minislots=msg_len)
+            state = BusState()
+            carried[msg_len] = 0
+            for k in range(200):
+                report = cycle(state, cfg, k, et={i for i in range(4) if rng.random() < 0.5})
+                assert report.conserved
+                assert report.consumed_minislots <= cfg.minislots_per_cycle
+                carried[msg_len] += len(report.carried)
+        assert carried[1] == 0 and carried[2] and carried[3]
 
 
 class TestSwitchLog:
@@ -194,18 +209,19 @@ class TestSwitchLog:
 
 
 def per_sample_bus(cfg, modes, n):
-    """transmit for every app in priority order, then advance_cycle, per sample."""
-    state = BusState()
+    """transmit for every app in priority order, then advance_cycle, per
+    sample: (state, cycle reports, error text)."""
+    state, reports = BusState(), []
     try:
         for k in range(n):
             for app in cfg.priority_order():
                 state.modes[app] = modes[app][k]
             for app in cfg.priority_order():
                 transmit(state, cfg, app, k)
-            advance_cycle(state, cfg)
+            reports.append(advance_cycle(state, cfg))
     except BusCapacityError as exc:
-        return state, str(exc)
-    return state, None
+        return state, reports, str(exc)
+    return state, reports, None
 
 
 def random_bus(rng, n=40):
@@ -228,19 +244,19 @@ class TestReplay:
         carried = aborted = 0
         for _ in range(60):
             cfg, modes = random_bus(rng)
-            ref, ref_error = per_sample_bus(cfg, modes, 40)
-            state = BusState()
+            ref, ref_reports, ref_error = per_sample_bus(cfg, modes, 40)
+            state, reports = BusState(), []
             error = None
             try:
-                bus_reference.replay(state, cfg, modes, 40)
+                bus_reference.replay(state, cfg, modes, 40, reports)
             except BusCapacityError as exc:
                 error = str(exc)
             assert error == ref_error
             assert state.deliveries == ref.deliveries
-            assert state.cycle_log == ref.cycle_log
+            assert reports == ref_reports
             assert state.carryover == ref.carryover
             assert state.cycle_index == ref.cycle_index
-            carried += any(r.carried for r in state.cycle_log) and error is None
+            carried += any(r.carried for r in reports) and error is None
             aborted += error is not None
         assert carried and aborted
 
@@ -256,14 +272,14 @@ class TestReplay:
             cfg, modes = random_bus(rng)
             if cfg.message_minislots > cfg.minislots_per_cycle:
                 with pytest.raises(BusCapacityError, match="exceeds the whole dynamic segment"):
-                    bus_reference.replay(BusState(), cfg, modes, 40)
+                    bus_reference.replay(BusState(), cfg, modes, 40, [])
                 continue
-            free = BusState()
-            bus_reference.replay(free, replace(cfg, d2=10**6), modes, 40)
+            free, reports = BusState(), []
+            bus_reference.replay(free, replace(cfg, d2=10**6), modes, 40, reports)
             while free.carryover:
-                advance_cycle(free, cfg)
+                reports.append(advance_cycle(free, cfg))
             sends, arrivals = {}, {}
-            for report in free.cycle_log:
+            for report in reports:
                 for app, _len in report.transmissions:
                     sends.setdefault(app, []).append(report.cycle + 1)
             for app, _k, mode, _delivery, arrival in free.deliveries:
@@ -273,7 +289,7 @@ class TestReplay:
             state = BusState()
             stop = 40
             try:
-                bus_reference.replay(state, cfg, modes, 40)
+                bus_reference.replay(state, cfg, modes, 40, [])
             except BusCapacityError:
                 stop = state.cycle_index
                 late += 1
@@ -305,12 +321,12 @@ def memo_replay(cfg, modes, n):
 
 def oracle_replay(cfg, modes, n):
     """(columns, error text, failing sample) of the per-cycle replay."""
-    state = BusState()
+    state, reports = BusState(), []
     try:
-        bus_reference.replay(state, cfg, modes, n)
+        bus_reference.replay(state, cfg, modes, n, reports)
     except BusCapacityError as exc:
-        return bus_reference.log_columns(state), str(exc), state.cycle_index
-    return bus_reference.log_columns(state), None, None
+        return bus_reference.log_columns(state, reports), str(exc), state.cycle_index
+    return bus_reference.log_columns(state, reports), None, None
 
 
 class TestMemoisedReplay:
@@ -358,9 +374,9 @@ class TestMemoisedReplay:
         calls = []
         real = netbus.advance_cycle
 
-        def counting(state, config, requests=None):
-            calls.append((tuple(app for app, _l, _k in state.carryover), frozenset(state.cycle_requests)))
-            return real(state, config, requests)
+        def counting(state, config):
+            calls.append((tuple(app for app, _l, _k in state.carryover), frozenset(state.pending)))
+            return real(state, config)
 
         monkeypatch.setattr(netbus, "advance_cycle", counting)
         cfg = BusConfig.default(3, d2=3, minislots_per_cycle=2)

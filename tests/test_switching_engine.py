@@ -29,7 +29,7 @@ INT_COLUMNS = ("app", "k", "delay", "switch")
 
 
 def per_sample_run(cfg):
-    """(status, supervisors, bus state) of the sample-by-sample loop."""
+    """(status, supervisors, bus state, cycle reports) of the sample-by-sample loop."""
     buscfg = cfg.bus_config()
     T = cfg.horizon
     sups = [AppSupervisor(
@@ -38,7 +38,7 @@ def per_sample_run(cfg):
         gamma1=cfg.gammas[0], gamma2=cfg.gammas[1], beta0_init=spec.beta0_init,
         y_init=spec.y_init, u_init=spec.u_init,
     ) for i, spec in enumerate(cfg.plants)]
-    state = BusState()
+    state, reports = BusState(), []
     order = buscfg.priority_order()
     status = "ok"
     k = -1
@@ -48,12 +48,12 @@ def per_sample_run(cfg):
                 state.modes[app] = sups[app].sense(k)
             for app in order:
                 transmit(state, buscfg, app, k)
-            advance_cycle(state, buscfg)
+            reports.append(advance_cycle(state, buscfg))
             for app in order:
                 sups[app].supervise_step(k)
     except (PlantDivergenceError, BusCapacityError, ZeroDivisorError) as exc:
         status = f"aborted at sample {k}: {exc}"
-    return status, sups, state
+    return status, sups, state, reports
 
 
 def engine_run(cfg):
@@ -179,7 +179,7 @@ def test_carried_messages_arrive_by_their_deadline():
 
 
 def test_status_and_bus_match_the_per_sample_loop(case):
-    status, _sups, state = case["reference"]
+    status, _sups, state, reports = case["reference"]
     trace = case["trace"]
     assert trace.status == status
     assert trace.bus["deliveries"] == [list(dv) for dv in state.deliveries]
@@ -187,12 +187,12 @@ def test_status_and_bus_match_the_per_sample_loop(case):
         {"cycle": r.cycle, "consumed_minislots": r.consumed_minislots, "idle_slots": r.idle_slots,
          "transmissions": [[a, l] for a, l in r.transmissions], "carried": len(r.carried),
          "conserved": r.conserved}
-        for r in state.cycle_log
+        for r in reports
     ]
 
 
 def test_columns_and_switches_match_the_per_sample_loop(case):
-    _status, sups, _state = case["reference"]
+    _status, sups, _state, _reports = case["reference"]
     for app, sup, summary in zip(case["trace"].apps, sups, case["trace"].summary["apps"]):
         assert app.switches == [(ev.k, ev.direction, ev.p) for ev in sup.switch_log.events]
         for name in SIM_FIELDS:
@@ -207,7 +207,7 @@ def test_columns_and_switches_match_the_per_sample_loop(case):
 
 
 def test_recorded_histories_match_the_supervisor(case):
-    _status, sups, _state = case["reference"]
+    _status, sups, _state, _reports = case["reference"]
     for run, sup in zip(case["runs"], sups):
         n = len(sup.rows["k"])
         theta1, theta2 = run.theta_rows
