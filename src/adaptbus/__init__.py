@@ -37,9 +37,7 @@ from .supervisor import (
     DualEstimates,
     ReferenceModel,
     apply_reset,
-    equivalent_reference,
     lyapunov,
-    signal_error,
 )
 
 __version__ = "0.1.0"

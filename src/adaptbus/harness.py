@@ -23,13 +23,13 @@ from .excitation import _window_grams, sr_order
 from .netbus import BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode
 from .plant import DisturbanceTrain, PlantModel, make_impulse_train
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 TRACE_FIELDS = [
-    "app", "k", "mode", "y", "yref", "yref_prime", "e", "u", "delay", "eps",
-    "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res", "switch", "dist",
+    "app", "k", "mode", "y", "yref", "e", "u", "delay", "eps",
+    "V", "dV", "rank", "alpha_hat", "ortho_res", "switch", "dist",
 ]
 # computed after a run from the true plant; the loop records the rest
-MONITOR_FIELDS = ("yref_prime", "V", "dV", "phi_err", "rank", "alpha_hat", "ortho_res")
+MONITOR_FIELDS = ("V", "dV", "rank", "alpha_hat", "ortho_res")
 SIM_FIELDS = [name for name in TRACE_FIELDS if name not in MONITOR_FIELDS]
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
 
@@ -165,6 +165,13 @@ def _typed(kind, value, name: str, where: str = ""):
     raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
 
 
+def _shown(value) -> str:
+    """A number as a range error shows it: from 10**17 on as a float (1e+300,
+    not the 301 digits of the integer read from it), so that the message
+    stays one short line."""
+    return repr(float(value)) if abs(value) >= 10**17 else str(value)
+
+
 def _amplitudes(value, name: str):
     """A disturbance's impulse amplitudes: one number for all, or a list."""
     return _typed([float] if isinstance(value, list) else float, value, name)
@@ -247,22 +254,22 @@ def parse_config(source) -> ScenarioConfig:
         doc = _read(raw, "the scenario", _DOCUMENT, prefix="")
         horizon, seed, protocol, tol = doc["horizon"], doc["seed"], doc["protocol"], doc["tolerances"]
         if not 0 <= horizon <= MAX_HORIZON:
-            raise ConfigError(f"horizon must lie in [0, {MAX_HORIZON}], got {horizon}")
+            raise ConfigError(f"horizon must lie in [0, {MAX_HORIZON}], got {_shown(horizon)}")
         if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+            raise ConfigError(f"seed must be >= 0, got {_shown(seed)}")
         for key, (least, strict) in _TOLERANCE_FLOORS.items():
             if tol[key] < least or strict and tol[key] == least:
-                raise ConfigError(f"tolerances.{key} must be {'>' if strict else '>='} {least}, got {tol[key]}")
+                raise ConfigError(f"tolerances.{key} must be {'>' if strict else '>='} {least}, got {_shown(tol[key])}")
         delay_key, least = ("d", 1) if protocol["kind"] == "fixed" else ("d2", 2)
-        if not least <= protocol[delay_key] <= MAX_DELAY:
-            raise ConfigError(f"protocol.{delay_key} must lie in [{least}, {MAX_DELAY}], got {protocol[delay_key]}")
+        delay = protocol[delay_key]  # the longest delay a loop uses
+        if not least <= delay <= MAX_DELAY:
+            raise ConfigError(f"protocol.{delay_key} must lie in [{least}, {MAX_DELAY}], got {_shown(delay)}")
         if protocol["kind"] == "fixed":
-            delays, eth = (protocol["d"],), -1.0
+            delays, eth = (delay,), -1.0
         else:
             if protocol["eth"] <= 0:
                 raise ConfigError("switching protocol needs eth > 0")
-            delays, eth = (1, protocol["d2"]), protocol["eth"]
-        delay = delays[-1]  # the longest delay a loop uses
+            delays, eth = (1, delay), protocol["eth"]
         if not doc["plants"]:
             raise ConfigError("at least one plant is required")
         if doc["beta0_init"] == 0.0:
@@ -466,7 +473,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     rank_tol = cfg.tolerances["rank_tol"]
     apps, summary["apps"] = [], []
     for i, (n, spec, yref_ext) in enumerate(zip(rows, cfg.plants, yrefs)):
-        # the loop's lists are freed before this app's ideal models run
+        # the loop's lists are freed before this app's monitor columns are computed
         run, runs[i] = _loop_arrays(runs[i]), None
         # the aborting app keeps a switch logged at its aborted sample (a
         # diverging app logs it before the plant step)
@@ -574,9 +581,9 @@ def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: P
                yref_ext: np.ndarray, switches: list, rank_tol: float) -> tuple[AppTrace, dict]:
     """The first n rows of one app's trace, and its summary, from its loop
     run: the simulation columns, and the monitor columns computed from the
-    recorded estimates and regressors against the ideal model at each delay
-    (without the oracle: zero, and yref_prime = yref)."""
-    model, d = spec.model, delays[-1]
+    recorded estimates and regressors and the true parameters at each delay
+    (without the oracle: zero)."""
+    d = delays[-1]
     et = run.et[:n]
     delay = np.where(et, d, delays[0])
     switch = np.zeros(n, dtype=int)
@@ -600,60 +607,21 @@ def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: P
         "switch": switch,
         "dist": spec.train.dense(n),
     }
-    cols.update({name: np.zeros(n, dtype=int if name == "rank" else float) for name in MONITOR_FIELDS},
-                yref_prime=cols["yref"])
+    cols.update({name: np.zeros(n, dtype=int if name == "rank" else float) for name in MONITOR_FIELDS})
     thetas = [rows[:n] for rows in run.theta_rows]
     if spec.oracle and n:
-        yref_prime = yref_ext[:n + d] + _dprime_sequence(model, spec.train, n + d)
-        errs = [model.true_theta(dj) - theta for dj, theta in zip(delays, thetas)]
-        Phis = [rows[dj: dj + n] for dj, rows in zip(delays, run.phi_rows)]
-        # a one-element regressor compares nothing with its ideal model, which does not run
-        diffs = [Phi[:, :-1] - _ideal_regressors(model, dj, yref_prime, n, spec.y_init, spec.u_init)[:, :-1]
-                 if Phi.shape[1] > 1 else np.zeros((n, 0)) for dj, Phi in zip(delays, Phis)]
-        tt = ~et
-        cols.update(_monitor_columns(_by_mode(tt, errs[0], errs[-1]), _by_mode(tt, diffs[0], diffs[-1]),
-                                     Phis[-1], errs[-1], rank_tol), yref_prime=yref_prime[:n])
+        errs = [spec.model.true_theta(dj) - theta for dj, theta in zip(delays, thetas)]
+        Phi = run.phi_rows[-1][d: d + n]
+        cols.update(_monitor_columns(_by_mode(~et, errs[0], errs[-1]), Phi, errs[-1], rank_tol))
         if len(delays) == 2:
             # a switching app's Gram window reports once it holds M2 samples
-            M2 = Phis[-1].shape[1]
+            M2 = Phi.shape[1]
             cols["rank"][:M2 - 1] = 0
             cols["alpha_hat"][:M2 - 1] = 0.0
     cols = {name: cols[name] for name in TRACE_FIELDS}
     theta_norms = np.maximum.reduce([np.linalg.norm(theta, axis=1) for theta in thetas])
     app = AppTrace(app_id=app_id, columns=cols, switches=switches)
     return app, _app_summary(app_id, cols, theta_norms, switches)
-
-
-def _dprime_sequence(model: PlantModel, train: DisturbanceTrain, n: int) -> np.ndarray:
-    """D'(0..n-1): the disturbance run through the inverse plant A/B from rest,
-    in ``DisturbanceInverseFilter.step``'s arithmetic order."""
-    a, b = model.a.tolist(), model.b.tolist()
-    if not len(train.times):
-        return np.full(n, 0.0 / b[0])  # the filter's output from rest, with its sign of zero
-    m1, m2 = len(a), len(b) - 1
-    din = [0.0] * m1 + train.dense(n).tolist()  # din[m1 + t] = D(t)
-    dout = [0.0] * m2  # dout[m2 + t] = D'(t)
-    for k in range(n):
-        acc = din[m1 + k]
-        for l in range(1, m1 + 1):
-            acc += a[l - 1] * din[m1 + k - l]
-        for l in range(1, m2 + 1):
-            acc -= b[l] * dout[m2 + k - l]
-        dout.append(acc / b[0])
-    return np.array(dout[m2:], dtype=float)
-
-
-def _ideal_regressors(model: PlantModel, d: int, yref_prime: np.ndarray, n: int,
-                      y_init=(), u_init=()) -> np.ndarray:
-    """Phi*(k), k < n, of the ideal closed loop at delay d: the true plant and
-    parameters, no disturbance, driven by the equivalent reference."""
-    run = kernels.adaptive_loop(model.a, model.b, yref_prime[:n + d], (), y_init, u_init,
-                                (model.true_theta(d),), (0.5,), updates=False)
-    rows = run.phi_rows[0]
-    Phi = np.array(rows[d: d + n], dtype=float).reshape(-1, len(rows[0]))
-    if len(Phi) < n:  # a stopped run has no regressor past its stop
-        Phi = np.concatenate([Phi, np.zeros((n - len(Phi), Phi.shape[1]))])
-    return Phi
 
 
 def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.ndarray:
@@ -666,16 +634,15 @@ def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.nda
     return out
 
 
-def _monitor_columns(v_err, phi_diff, Phi, theta_err, rank_tol: float) -> dict:
+def _monitor_columns(v_err, Phi, theta_err, rank_tol: float) -> dict:
     """The monitor columns from whole-run arrays, one row per sample: V = |v_err|^2
-    and its increment, |phi_diff| (loop regressor minus the ideal model's), the
-    windowed Gram rank of Phi and |Phi . theta_err| / (1 + |Phi|)."""
+    and its increment, the windowed Gram rank of Phi and
+    |Phi . theta_err| / (1 + |Phi|)."""
     V = np.einsum("ki,ki->k", v_err, v_err)
     rank, alpha_hat = _windowed_rank(Phi, rank_tol)
     return {
         "V": V,
         "dV": np.concatenate([[0.0], np.diff(V)]),
-        "phi_err": np.linalg.norm(phi_diff, axis=1),
         "rank": rank,
         "alpha_hat": alpha_hat,
         "ortho_res": np.abs(np.einsum("ki,ki->k", Phi, theta_err)) / (1.0 + np.linalg.norm(Phi, axis=1)),
@@ -833,8 +800,10 @@ def _write_json(trace: Trace, texts: list, f) -> None:
 
 
 def load_trace(path) -> Trace:
-    """Read a JSON trace back into memory (the analyze entry point).  Only
-    ``SCHEMA_VERSION`` loads; a trace that names no version is version 1."""
+    """Read a JSON trace back into memory (the analyze entry point).  Version
+    2 loads as well as ``SCHEMA_VERSION``: it holds every column of version 3
+    and two more, which are ignored.  A trace that names no version is
+    version 1."""
     path = Path(path)
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
@@ -852,8 +821,8 @@ def load_trace(path) -> Trace:
         if missing:
             raise ValueError(f"{path}: not a trace: app entry {i} has no {missing[0]!r} key")
     version = doc.get("schema_version", 1)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{path}: not a trace: schema_version {json.dumps(version)} is not {SCHEMA_VERSION}; "
+    if version not in (2, SCHEMA_VERSION):
+        raise ValueError(f"{path}: not a trace: schema_version {json.dumps(version)} is not 2 or {SCHEMA_VERSION}; "
                          f"re-run `adaptbus run` on the trace's config to write a version-{SCHEMA_VERSION} trace")
     apps = [
         AppTrace(

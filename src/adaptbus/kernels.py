@@ -2,11 +2,11 @@
 
 ``adaptive_loop`` is the one whole-horizon engine, on Python floats and
 lists, with two policies: pinned (one estimate at one delay: the fixed
-protocol, and with updates off the ideal reference models) and switching
-(one application's TT/ET loop).  Its samples run in straight-line code that
-``_loop_source`` writes from one template per shape (m1, m2, the delays, the
-policy, updates on or off) and ``_loop_kernel`` compiles at the shape's
-first run and caches.  ``simulate_fixed_delay`` returns pinned runs as
+protocol, and with updates off a loop frozen at its initial estimate) and
+switching (one application's TT/ET loop).  Its samples run in straight-line
+code that ``_loop_source`` writes from one template per shape (m1, m2, the
+delays, the policy, updates on or off) and ``_loop_kernel`` compiles at the
+shape's first run and caches.  ``simulate_fixed_delay`` returns pinned runs as
 float64 arrays.  ``dot``, ``gradient_update`` and ``control_output`` compute
 the same formulas on float64 arrays for the per-sample reference loop.
 Every sum runs in a fixed order, with no BLAS reduction, so (config, seed)
@@ -303,7 +303,7 @@ def simulate_fixed_delay(a, b, d, gamma, theta0, yref_ext, dist, y_init, u_init,
         theta0: (M,) initial estimate, M = m1 + m2 + d; last element divides.
         yref_ext: (T+d,) reference with lookahead.
         dist: disturbance amplitudes by sample, D(0), D(1), ...
-        adapt_updates: False freezes theta (reference-model runs).
+        adapt_updates: False freezes theta at theta0.
 
     Returns:
         (status, k_stop, y, u, eps, theta_hist, Phi_hist) where y has length

@@ -54,6 +54,8 @@ class BusConfig:
     message_minislots: int = 1
 
     def __post_init__(self):
+        if self.n_apps < 1:
+            raise ValueError(f"a bus needs at least one app, got n_apps = {self.n_apps}")
         if self.d2 < 2:
             raise ValueError(f"d2 must be >= 2, got {self.d2}")
         if self.minislots_per_cycle < 0:

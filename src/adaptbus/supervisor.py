@@ -1,8 +1,8 @@
 """Switching adaptive controller: dual estimates (one per bus mode), the
 switching-instant reset/hold rules, the per-sample reference loop
 (``AppSupervisor``) of the switching kernels ``kernels.adaptive_loop`` runs,
-and the per-sample monitor definitions (common Lyapunov value, equivalent
-reference, ideal reference models).
+the common Lyapunov value of the monitors, and the ideal reference model and
+inverse disturbance filter of the analysis, which no trace column reads.
 """
 
 from __future__ import annotations
@@ -134,11 +134,6 @@ class DisturbanceInverseFilter:
         return out
 
 
-def equivalent_reference(yref_k: float, d_k: float, filt: DisturbanceInverseFilter) -> float:
-    """y'ref(k) = yref(k) + D'(k) with D' the inverse-plant-filtered disturbance."""
-    return float(yref_k) + filt.step(d_k)
-
-
 class ReferenceModel:
     """Ideal closed loop at a fixed delay: the true plant, disturbance-free,
     from the loop's initial conditions, driven by the equivalent reference
@@ -171,15 +166,6 @@ class ReferenceModel:
         Phi = np.concatenate([phi, [u_star]])
         step_difference(self.model, self.history, u_star, None, d=self.d)
         return Phi
-
-
-def signal_error(phi: np.ndarray, phi_star: np.ndarray) -> float:
-    """Euclidean distance between the loop regressor and the model regressor."""
-    phi = np.asarray(phi, dtype=float)
-    phi_star = np.asarray(phi_star, dtype=float)
-    if phi.shape != phi_star.shape:
-        raise ValueError(f"regressor dimensions disagree: {phi.shape} vs {phi_star.shape}")
-    return float(np.linalg.norm(phi - phi_star))
 
 
 class AppSupervisor:

@@ -1,9 +1,8 @@
 """The monitor columns of a switching run, computed after the run over whole
-columns, against their per-sample definitions: ``ReferenceModel.step``,
-``GramWindow.report``, ``lyapunov``, ``signal_error`` and
-``orthogonality_residual``, applied sample by sample to the estimates and
-regressors that each app's switching loop (``kernels.adaptive_loop``)
-recorded.
+columns, against their per-sample definitions: ``GramWindow.report``,
+``lyapunov`` and ``orthogonality_residual``, applied sample by sample to the
+estimates and regressors that each app's switching loop
+(``kernels.adaptive_loop``) recorded.
 
 The tolerances were fixed before the batched code was written: the float
 columns agree within 1e-12 x (1 + max |column|), rank at >= 99.9% of the
@@ -23,15 +22,8 @@ from adaptbus.excitation import GramWindow, orthogonality_residual
 from adaptbus.harness import MONITOR_FIELDS, SIM_FIELDS, parse_config, run_scenario
 from adaptbus.kernels import LoopRun
 from adaptbus.netbus import Mode
-from adaptbus.plant import DisturbanceTrain, PlantModel
-from adaptbus.supervisor import (
-    DisturbanceInverseFilter,
-    DualEstimates,
-    ReferenceModel,
-    equivalent_reference,
-    lyapunov,
-    signal_error,
-)
+from adaptbus.plant import PlantModel
+from adaptbus.supervisor import DualEstimates, lyapunov
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FLOAT_TOL = 1e-12
@@ -79,14 +71,10 @@ SCENARIOS = {
 
 
 class Recorded(NamedTuple):
-    """One app's loop run and the inputs it ran on."""
+    """One app's loop run and the plant it ran on."""
 
     run: LoopRun
     model: PlantModel
-    yref: np.ndarray
-    train: DisturbanceTrain
-    y_init: tuple
-    u_init: tuple
 
 
 def per_sample_monitors(rec: Recorded, n: int, rank_tol: float) -> dict:
@@ -94,22 +82,16 @@ def per_sample_monitors(rec: Recorded, n: int, rank_tol: float) -> dict:
     definitions give them."""
     run, model = rec.run, rec.model
     theta1_hist, theta2_hist = run.theta_rows
-    Phi1_hist, Phi2_hist = run.phi_rows
+    Phi2_hist = run.phi_rows[-1]
     M2 = theta2_hist.shape[1]
     d2 = M2 - model.m1 - model.m2
     ts1, ts2 = model.true_theta(1), model.true_theta(d2)
-    filt = DisturbanceInverseFilter(model)
-    yp = [equivalent_reference(rec.yref[j], rec.train.value(j), filt) for j in range(n + d2)]
-    # the ideal models start from the loop's initial conditions
-    rm1, rm2 = (ReferenceModel(model, d, rec.y_init, rec.u_init) for d in (1, d2))
     gram = GramWindow(M2, window_len=8 * M2)
     out = {name: [] for name in MONITOR_FIELDS}
     v_prev = None
     for k in range(n):
         mode = Mode.ET if run.et[k] else Mode.TT
-        star1, star2 = rm1.step(yp[k + 1]), rm2.step(yp[k + d2])
-        Phi1, Phi2 = Phi1_hist[k + 1], Phi2_hist[k + d2]
-        Phi, star = (Phi1, star1) if mode == Mode.TT else (Phi2, star2)
+        Phi2 = Phi2_hist[k + d2]
         theta1, theta2 = theta1_hist[k], theta2_hist[k]
         duals = DualEstimates(theta1=ParameterEstimate(theta1), theta2=ParameterEstimate(theta2),
                               theta2_memory=theta2.copy())
@@ -117,10 +99,8 @@ def per_sample_monitors(rec: Recorded, n: int, rank_tol: float) -> dict:
         v_prev = V
         gram.push(Phi2)
         rep = gram.report(rank_tol) if len(gram) >= M2 else None
-        out["yref_prime"].append(yp[k])
         out["V"].append(V)
         out["dV"].append(dV)
-        out["phi_err"].append(signal_error(Phi[:-1], star[:-1]))
         out["rank"].append(rep.rank if rep else 0)
         out["alpha_hat"].append(rep.alpha_hat if rep else 0.0)
         out["ortho_res"].append(orthogonality_residual(ts2 - theta2, [Phi2]))
@@ -135,8 +115,7 @@ def scenario(request):
     loop = harness._app_loop
 
     def kept(spec, yref, *args):
-        recs.append(Recorded(harness._loop_arrays(loop(spec, yref, *args)), spec.model, yref, spec.train,
-                             spec.y_init, spec.u_init))
+        recs.append(Recorded(harness._loop_arrays(loop(spec, yref, *args)), spec.model))
         return recs[-1].run
 
     with pytest.MonkeyPatch.context() as mp:
@@ -176,16 +155,10 @@ def test_oracle_leaves_the_simulation_unchanged(scenario):
                 assert list(a) == list(b), name
             else:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert list(other.columns["yref_prime"]) == list(other.columns["yref"])
         assert not other.columns["rank"].any() and not other.columns["V"].any()
 
 
-def test_yref_prime_is_exact(scenario):
-    for cols, ref in zip(scenario["batched"], scenario["reference"]):
-        assert cols["yref_prime"].tobytes() == ref["yref_prime"].tobytes()
-
-
-@pytest.mark.parametrize("name", ["V", "dV", "phi_err", "ortho_res"])
+@pytest.mark.parametrize("name", ["V", "dV", "ortho_res"])
 def test_float_columns_within_tolerance(scenario, name):
     for cols, ref in zip(scenario["batched"], scenario["reference"]):
         assert cols[name].shape == ref[name].shape
@@ -200,22 +173,6 @@ def test_rank_and_alpha_hat(scenario):
         assert np.count_nonzero(same) >= RANK_SHARE * same.size
         np.testing.assert_allclose(cols["alpha_hat"][same], ref["alpha_hat"][same],
                                    rtol=ALPHA_RTOL, atol=0.0)
-
-
-@pytest.mark.parametrize("protocol", [{"kind": "fixed", "d": 1}, {"kind": "fixed", "d": 2},
-                                      {"kind": "switching", "d2": 2, "eth": 0.05}],
-                         ids=["fixed_d1", "fixed_d2", "switching"])
-def test_ideal_models_start_from_the_initial_conditions(protocol):
-    """Every protocol starts its ideal models from the plant's y_init/u_init,
-    so the regressors agree at k = 0, where only y(0) differs from zero."""
-    raw = {
-        "name": "initial output", "horizon": 50, "seed": 1, "protocol": protocol,
-        "plants": [{"a": [-0.5], "b": [0.3], "y_init": [0.5]}],
-        "reference": {"type": "constant", "level": 1.0},
-    }
-    trace = run_scenario(parse_config(raw))
-    assert trace.status == "ok"
-    assert trace.apps[0].columns["phi_err"][0] == 0.0
 
 
 def _direct_alpha_error(Phi, rank, alpha, ks, rank_tol):

@@ -1,15 +1,15 @@
 """The bus log as int columns.
 
 A trace keeps its bus log as ``netbus.BUS_COLUMNS`` int64 arrays and writes
-them as JSON int lists (trace ``schema_version`` 2).  These tests pin:
+them as JSON int lists (trace ``schema_version`` 2 and on).  These tests pin:
 
 - the version-1 view (``bus["cycles"]`` and ``bus["deliveries"]``) built
   from the columns against the lists the per-cycle replay gives;
-- a version-2 trace read back into the same columns and verdicts, and a
+- a version-3 trace read back into the same columns and verdicts, and a
   version-1 trace, whose bus holds those lists, rejected;
 - the ``minislot_conservation`` rule over the columns, on hand-corrupted logs;
-- ``load_trace``'s rejection of a malformed version-2 bus and of any
-  version-1 trace, with exit code 2 from ``analyze``.
+- ``load_trace``'s rejection of a malformed bus and of any version-1
+  trace, with exit code 2 from ``analyze``.
 """
 
 import json
@@ -72,19 +72,19 @@ def test_v1_view_is_the_per_cycle_replay_lists(run):
         assert any(c["carried"] for c in cycles)
 
 
-V1_REJECTED = "schema_version 1 is not 2; re-run `adaptbus run` on the trace's config"
+V1_REJECTED = "schema_version 1 is not 2 or 3; re-run `adaptbus run` on the trace's config"
 
 
 def test_v1_trace_loads_into_the_same_columns_and_verdicts(run, tmp_path):
-    # only the version-2 file loads: the version-1 copy is rejected
+    # only the version-3 file loads: the version-1 copy is rejected
     cfg, trace = run
-    v2, v1 = tmp_path / "v2.json", tmp_path / "v1.json"
-    export_trace(trace, v2, "json")
-    doc = json.loads(v2.read_text())
-    assert doc["schema_version"] == 2 and list(doc["bus"]) == list(BUS_COLUMNS)
+    v3, v1 = tmp_path / "v3.json", tmp_path / "v1.json"
+    export_trace(trace, v3, "json")
+    doc = json.loads(v3.read_text())
+    assert doc["schema_version"] == 3 and list(doc["bus"]) == list(BUS_COLUMNS)
     doc.update(schema_version=1, bus={"cycles": trace.bus["cycles"], "deliveries": trace.bus["deliveries"]})
     v1.write_text(json.dumps(doc))
-    new = load_trace(v2)
+    new = load_trace(v3)
     assert new.bus == trace.bus
     assert all(new.bus[name].dtype == np.int64 for name in BUS_COLUMNS)
     for app_new, app in zip(new.apps, trace.apps, strict=True):
@@ -123,7 +123,7 @@ def test_minislot_conservation_fails_a_corrupted_log(changes, broken):
     assert (result.passed, result.measured) == (broken == 0, float(broken))
 
 
-def _v2_doc(tmp_path):
+def _trace_doc(tmp_path):
     trace = run_scenario(parse_config(dict(_scenario("switching_3app"), horizon=40)))
     p = tmp_path / "trace.json"
     export_trace(trace, p, "json")
@@ -146,7 +146,7 @@ def _v2_doc(tmp_path):
 ], ids=["missing", "short_cycle_column", "long_tx_column", "float", "str", "bool", "one_bool", "null", "nested", "not_a_list",
         "tx_cycle_out_of_range"])
 def test_load_trace_rejects_a_malformed_v2_bus(tmp_path, capsys, change, message):
-    doc = _v2_doc(tmp_path)
+    doc = _trace_doc(tmp_path)
     change(doc["bus"])
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
@@ -163,7 +163,7 @@ def test_load_trace_rejects_a_malformed_v2_bus(tmp_path, capsys, change, message
 ], ids=["not_an_object", "cycle_without_counts", "short_delivery"])
 def test_load_trace_rejects_a_malformed_v1_bus(tmp_path, bus, message):
     # a version-1 trace is rejected for its version, before its bus is read
-    doc = dict(_v2_doc(tmp_path), schema_version=1, bus=bus)
+    doc = dict(_trace_doc(tmp_path), schema_version=1, bus=bus)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"not a trace: {V1_REJECTED}") as info:
@@ -173,7 +173,7 @@ def test_load_trace_rejects_a_malformed_v1_bus(tmp_path, bus, message):
 
 @pytest.mark.parametrize("version", [1, None], ids=["version_1", "no_version"])
 def test_analyze_rejects_a_version_1_trace(tmp_path, capsys, version):
-    doc = _v2_doc(tmp_path)
+    doc = _trace_doc(tmp_path)
     del doc["schema_version"]
     if version is not None:
         doc["schema_version"] = version
@@ -181,4 +181,4 @@ def test_analyze_rejects_a_version_1_trace(tmp_path, capsys, version):
     p.write_text(json.dumps(doc))
     assert cli.main(["analyze", "--trace", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {p}: not a trace: {V1_REJECTED} to write a version-2 trace\n"
+    assert err == f"error: {p}: not a trace: {V1_REJECTED} to write a version-3 trace\n"

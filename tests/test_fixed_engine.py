@@ -6,18 +6,16 @@ arrays one scalar at a time; the float-list ``kernels.simulate_fixed_delay``
 must return the same seven outputs byte for byte, on clean runs and on every
 abort path.  ``run_scenario`` runs the fixed protocol on the engine itself,
 so its trace columns, row counts, status and estimate norms are checked
-against the same loop.  ``harness._dprime_sequence`` is likewise checked
-against the per-sample ``DisturbanceInverseFilter.step`` loop.
+against the same loop.
 """
 
 import numpy as np
 import pytest
 
-from adaptbus import harness, kernels
+from adaptbus import kernels
 from adaptbus.harness import parse_config, run_scenario
 from adaptbus.kernels import DIVERGENCE_LIMIT, SIM_DIVERGED, SIM_OK, SIM_ZERO_DIVISOR, ZERO_FLOOR
-from adaptbus.plant import PlantModel, make_impulse_train
-from adaptbus.supervisor import DisturbanceInverseFilter
+from adaptbus.plant import PlantModel
 
 
 def _dot(x, y):
@@ -258,15 +256,3 @@ def test_run_scenario_matches_the_numpy_scalar_loop(name, d):
     assert trace.status == ("; ".join(stops) or "ok")
     if name != "clean" and name != "initial_conditions":
         assert stops
-
-
-def test_dprime_sequence_matches_the_inverse_filter():
-    # without an impulse the filter gives 0.0 / b0 throughout: -0.0 for a negative b0
-    for b, times in (([1.2, 0.36], [0, 170, 333]), ([1.2, 0.36], []), ([-0.25], []), ([-2.0, -0.5], [])):
-        model = PlantModel(a=np.array([-1.1, 0.3]), b=np.array(b))
-        train = make_impulse_train(40, 500, amplitudes=[1.0, -0.6, 2.5][: len(times)], times=times)
-        filt = DisturbanceInverseFilter(model)
-        want = np.array([filt.step(train.value(t)) for t in range(400)])
-        got = harness._dprime_sequence(model, train, 400)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert np.count_nonzero(got) > 3 if times else np.signbit(got).all() == (b[0] < 0)

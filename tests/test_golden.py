@@ -104,16 +104,16 @@ BUS_GOLDEN = {
 
 # config: (CSV sha256, JSON sha256)
 EXPORT_GOLDEN = {
-    "fixed_tt": ("f309066215010f3961a7f4ee00e63799cfefe38f782a206a6f4c38f7b8afd9b3",
-                 "be3b4da52a7d5b03696477424601b7bb1cd47038e08c620534ff17206fefe7bd"),
-    "fixed_et": ("62730fb74402eb73b2da3bd3ecbe2dbd33d9d4d6db0a630333b650bfbb804dc2",
-                 "c5a9cf42d1b0ecca4cce9b89f62557f3f9e233a520a554160684421c73c83e52"),
-    "switching_1app": ("4b46cb4ba6666ddef22e97363f777c5b967e19ace41ee556d995cb30b931af96",
-                       "521c80b931efe4c6ec0e8de07db8552575dcd1a43b931347e0c318d3b30a6d7a"),
-    "switching_1app_quiet": ("1c0d045770032b9d288b8b3c5eda8d241357de0edbd188dc40ea8f63ca9e7991",
-                             "1b1ead75c660ff2d7759aaefe364ef63498bd29b811a9e7f9752c41d0bdac478"),
-    "switching_3app": ("02618ffe3771ce2f372836a517d2dc6883891a2168a8987e6dd6df648b9cc88b",
-                       "57708cfc0752c365c048d80724502e5d4942ac299f97b7118e04c5ab234ee1d4"),
+    "fixed_tt": ("66c21d4edb5993b6b09b1e213c67a55ad171894ddb504be97eca7f8a7e761b42",
+                 "6b85d09220bb0d106a2dcff2a8b377c4a65412d63c9e4f36818a6bc7e297e2ac"),
+    "fixed_et": ("0d1507d4f297a36175bde7ab84352238d34d986914213ab1a01e9c0837d9a80c",
+                 "9d342d1b7283e3c582386507aa6e5169eed0cd83637f1fd3267057ab9b390c84"),
+    "switching_1app": ("3ec6eb76717b86f180da488255601c65efd3eb2e3c7ab9bd9de3600b77a4ac38",
+                       "5459dbbe26e8421513a5cce743c67d0ab2c37354159ce465ccf611187b4d8ad1"),
+    "switching_1app_quiet": ("b01e0af7fbe2dd89ea65bf163b6821863dc5caf3a7562d897825edeab43d89f6",
+                             "36db7eea50d6be1637eb977451d509f4a34aa17bdc403b40119386765bfd6e0b"),
+    "switching_3app": ("256a8cdee6e5216a0a4fa089cd113e8ae4a6487d04f767ae16e1b5950c0f77f3",
+                       "3a23899a4b78e064d57ae05b6ffa171afc0c10b9b2a1f8044ab15c7c6ae692e8"),
 }
 
 # apps 0 and 2 take the shared random train, app 1 its own; recorded before

@@ -262,7 +262,7 @@ class TestTolerances:
             parse_config(minimal_config(tolerances=tolerances))
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"horizon": 1e30}, f"horizon must lie in [0, {MAX_HORIZON}], got {int(1e30)}"),
+        ({"horizon": 1e30}, f"horizon must lie in [0, {MAX_HORIZON}], got 1e+30"),
         # rejected before the random train's draws, which would not end
         ({"horizon": 1e12, "disturbance": {"random": True, "t_dw": 5}},
          f"horizon must lie in [0, {MAX_HORIZON}], got {10 ** 12}"),
@@ -280,7 +280,7 @@ class TestTolerances:
         ({"protocol": {"kind": "fixed", "d": 0}}, f"protocol.d must lie in [1, {MAX_DELAY}], got 0"),
         ({"protocol": {"kind": "fixed", "d": MAX_DELAY + 1}},
          f"protocol.d must lie in [1, {MAX_DELAY}], got {MAX_DELAY + 1}"),
-        ({"protocol": {"kind": "fixed", "d": 1e300}}, f"protocol.d must lie in [1, {MAX_DELAY}], got {int(1e300)}"),
+        ({"protocol": {"kind": "fixed", "d": 1e300}}, f"protocol.d must lie in [1, {MAX_DELAY}], got 1e+300"),
         ({"protocol": dict(SWITCHING, d2=1)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 1"),
         ({"protocol": dict(SWITCHING, d2=MAX_DELAY + 1)},
          f"protocol.d2 must lie in [2, {MAX_DELAY}], got {MAX_DELAY + 1}"),
@@ -491,17 +491,6 @@ class TestRunFixed:
             assert len(trace.apps[0].columns["k"]) == 0
             assert trace.summary["apps"][0]["samples"] == 0
 
-    def test_yref_prime_is_yref_without_the_oracle(self):
-        # the equivalent reference comes from the true plant, which an app
-        # without the oracle does not consult
-        dist = {"times": [10, 30], "amplitudes": 1.0, "t_dw": 5}
-        plants = [{"a": [-0.5], "b": [1.0], "oracle": False}, {"a": [-0.5], "b": [1.0]}]
-        trace = run_scenario(parse_config(minimal_config(protocol={"kind": "fixed", "d": 2},
-                                                         plants=plants, disturbance=dist)))
-        blind, seen = trace.apps
-        assert blind.columns["yref_prime"].tobytes() == blind.columns["yref"].tobytes()
-        assert not np.array_equal(seen.columns["yref_prime"], seen.columns["yref"])
-
     def test_columns_present_and_sized(self):
         trace = run_scenario(parse_config(minimal_config()))
         for name in TRACE_FIELDS:
@@ -548,8 +537,7 @@ class TestExportRoundTrip:
         export_trace(trace, p, "csv")
         header = p.read_text().splitlines()[0]
         assert header == ",".join(TRACE_FIELDS)
-        assert header == ("app,k,mode,y,yref,yref_prime,e,u,delay,eps,V,dV,"
-                          "phi_err,rank,alpha_hat,ortho_res,switch,dist")
+        assert header == "app,k,mode,y,yref,e,u,delay,eps,V,dV,rank,alpha_hat,ortho_res,switch,dist"
 
     def test_empty_trace_header_only(self, tmp_path):
         trace = run_scenario(parse_config(minimal_config(horizon=0)))
@@ -616,6 +604,36 @@ class TestExportRoundTrip:
                     for r in evaluate_monitors(trace).results]
 
         assert verdicts(b) == verdicts(a)
+
+    @pytest.mark.parametrize("name,horizon", [("fixed_tt", 300), ("switching_3app", 1600)])
+    def test_version_2_trace_loads_as_version_3(self, tmp_path, name, horizon):
+        # version 2 held two more columns, yref_prime and phi_err, which loading ignores
+        raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        raw["horizon"] = horizon
+        trace = run_scenario(parse_config(raw))
+        v3, v2 = tmp_path / "v3.json", tmp_path / "v2.json"
+        export_trace(trace, v3, "json")
+        doc = json.loads(v3.read_text())
+        assert doc["schema_version"] == 3 and all(list(app["columns"]) == TRACE_FIELDS for app in doc["apps"])
+        doc["schema_version"] = 2
+        for app in doc["apps"]:
+            cols = app["columns"]
+            app["columns"] = dict(cols, yref_prime=[v + 0.5 for v in cols["yref"]], phi_err=[1.0] * len(cols["k"]))
+        v2.write_text(json.dumps(doc))
+        a, b = load_trace(v3), load_trace(v2)
+        assert (b.status, b.summary, b.bus, b.config) == (a.status, a.summary, a.bus, a.config)
+        for app, app_a, app_b in zip(trace.apps, a.apps, b.apps, strict=True):
+            assert list(app_b.columns) == list(app_a.columns) == TRACE_FIELDS
+            for col in TRACE_FIELDS:
+                x, y, z = app.columns[col], app_a.columns[col], app_b.columns[col]
+                assert ((list(x) == list(y) == list(z)) if x.dtype == object
+                        else x.tobytes() == y.tobytes() == z.tobytes())
+
+        def verdicts(trace):
+            return [(r.name, r.passed, repr(r.measured), repr(r.threshold), r.detail)
+                    for r in evaluate_monitors(trace).results]
+
+        assert verdicts(b) == verdicts(a) == verdicts(trace)
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = minimal_config(horizon=200, disturbance={"random": True, "t_dw": 30})
@@ -904,10 +922,14 @@ class TestCLI:
         ({"horizon": 10.5}, "horizon must be an integer, got 10.5"),
         # the delays past MAX_DELAY once passed check and then failed a run:
         # a numpy dimension error, a hang, and a memory-error traceback
-        ({"protocol": {"kind": "fixed", "d": 1e300}}, f"protocol.d must lie in [1, {MAX_DELAY}], got {int(1e300)}"),
+        # an integer read from a huge float shows as that float, not in its 301 digits
+        ({"protocol": {"kind": "fixed", "d": 1e300}}, f"protocol.d must lie in [1, {MAX_DELAY}], got 1e+300"),
+        ({"horizon": 1e30}, f"horizon must lie in [0, {MAX_HORIZON}], got 1e+30"),
+        ({"seed": -1e25}, "seed must be >= 0, got -1e+25"),
         ({"protocol": dict(SWITCHING, d2=1e6)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 1000000"),
         ({"protocol": dict(SWITCHING, d2=500)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 500"),
-    ], ids=["unknown_key", "no_gammas", "fractional_horizon", "d_1e300", "d2_1e6", "d2_500"])
+    ], ids=["unknown_key", "no_gammas", "fractional_horizon", "d_1e300", "horizon_1e30", "seed_-1e25", "d2_1e6",
+            "d2_500"])
     def test_parse_fault_is_config_error(self, tmp_path, command, overrides, message):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(minimal_config(**overrides)))
@@ -915,7 +937,7 @@ class TestCLI:
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
         assert f"configuration error: {message}" in out.stderr
-        assert "Traceback" not in out.stderr and out.stderr.count("\n") == 1
+        assert "Traceback" not in out.stderr and out.stderr.count("\n") == 1 and len(out.stderr) < 200
 
     @pytest.mark.parametrize("command", ["check", "run"])
     @pytest.mark.parametrize("overrides, message", [

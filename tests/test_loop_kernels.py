@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import adaptbus
-from adaptbus import adapt, harness, kernels
+from adaptbus import adapt, kernels
 from adaptbus.adapt import ZeroDivisorError
 from adaptbus.kernels import SIM_DIVERGED, SIM_GUARD_BROKEN, SIM_OK, SIM_ZERO_DIVISOR, adaptive_loop
 from adaptbus.plant import DisturbanceTrain, PlantDivergenceError
@@ -203,26 +203,6 @@ def test_cases_reach_every_stop_and_the_hold():
         assert runs["nan"].status == SIM_DIVERGED and np.isnan(runs["nan"].value)
         re_entries += any(p >= 3 for _k, _direction, p in runs["clean"].switches)
     assert re_entries >= len(SWITCHING) // 2
-
-
-@pytest.mark.parametrize("config,delays", [("switching_3app", [2, 2, 2]), ("fixed_tt", [1])])
-def test_an_ideal_model_runs_only_where_the_monitors_compare_it(config, delays):
-    """phi_err compares all but the last regressor element with the ideal
-    model's: a gain plant's TT regressor (one element) compares nothing."""
-    ran = []
-    ideal = harness._ideal_regressors
-
-    def counted(model, d, *args):
-        ran.append(d)
-        return ideal(model, d, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_ideal_regressors", counted)
-        trace = harness.run_scenario(harness.parse_config(str(CONFIG_DIR / f"{config}.json")))
-    assert ran == delays
-    for app in trace.apps:
-        tt = app.columns["delay"] == 1
-        assert (app.columns["phi_err"][tt] == 0.0).all() == (config == "switching_3app")
 
 
 def test_a_shape_compiles_once():

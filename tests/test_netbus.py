@@ -46,6 +46,11 @@ class TestBusConfig:
         with pytest.raises(ValueError, match="d2"):
             BusConfig(1, {0: 1}, 4, d2=1)
 
+    @pytest.mark.parametrize("n_apps", [0, -1])
+    def test_needs_at_least_one_app(self, n_apps):
+        with pytest.raises(ValueError, match=f"a bus needs at least one app, got n_apps = {n_apps}"):
+            BusConfig(n_apps, {}, 4, d2=2)
+
     def test_injective_slots(self):
         with pytest.raises(ValueError, match="injective"):
             BusConfig(2, {0: 1, 1: 1}, 4, d2=2)
@@ -130,7 +135,7 @@ class TestAdvanceCycle:
         assert report.conserved
 
     def test_empty_dynamic_segment(self):
-        cfg = BusConfig(0, {}, minislots_per_cycle=4, d2=2)
+        cfg = BusConfig(1, {0: 1}, minislots_per_cycle=0, d2=2)
         report = cycle(BusState(), cfg, 0)
         assert report.consumed_minislots == 0
         assert report.conserved

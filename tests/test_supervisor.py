@@ -12,9 +12,7 @@ from adaptbus.supervisor import (
     DualEstimates,
     ReferenceModel,
     apply_reset,
-    equivalent_reference,
     lyapunov,
-    signal_error,
 )
 from tests.conftest import make_random_plant
 
@@ -104,13 +102,13 @@ class TestEquivalentReference:
         model = PlantModel(a=[-0.5], b=[1.0])
         filt = DisturbanceInverseFilter(model)
         for k in range(5):
-            assert equivalent_reference(1.5, 0.0, filt) == 1.5
+            assert filt.step(0.0) == 0.0
 
     def test_unit_plant_passthrough(self):
         model = PlantModel(a=[], b=[1.0])
         filt = DisturbanceInverseFilter(model)
-        assert equivalent_reference(0.0, 1.0, filt) == 1.0
-        assert equivalent_reference(0.0, 0.0, filt) == 0.0
+        assert filt.step(1.0) == 1.0
+        assert filt.step(0.0) == 0.0
 
     def test_inverse_filter_values(self):
         # A = (1, -0.5), B = (1): a unit impulse maps to (1, -0.5, 0, ...)
@@ -166,18 +164,6 @@ class TestReferenceModel:
             gaps.append(np.linalg.norm(Phi_hist[k + d][:-1] - Phi_star[:-1]))
         assert max(gaps[-200:]) < 0.01
         assert max(gaps[-200:]) < max(gaps[:200])
-
-
-class TestSignalError:
-    def test_zero(self):
-        assert signal_error(np.ones(3), np.ones(3)) == 0.0
-
-    def test_value(self):
-        assert signal_error(np.array([1.0, 0.0]), np.zeros(2)) == 1.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            signal_error(np.zeros(2), np.zeros(3))
 
 
 class TestErrorEquationOracle:
