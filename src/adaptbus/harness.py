@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,23 +34,11 @@ MONITOR_FIELDS = ("V", "dV", "rank", "alpha_hat", "ortho_res")
 SIM_FIELDS = [name for name in TRACE_FIELDS if name not in MONITOR_FIELDS]
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
 
-DEFAULT_TOLERANCES = {
-    "bound": 1e3,
-    "tracking_tol": 1e-3,
-    "settle_sample": 2000,
-    "rank_tol": 1e-6,
-    "ortho_tol": 1e-3,
-    "ortho_window": 500,
-    "dv_tol": 1e-9,
-    "dv_fixed_tol": 1e-12,
-    "check_sr": True,
-}
-# each numeric tolerance's floor: (least value, whether the least value itself is rejected)
-_TOLERANCE_FLOORS = {"bound": (0, True), "tracking_tol": (0, True), "settle_sample": (0, False),
-                     "rank_tol": (0, True), "ortho_tol": (0, True), "ortho_window": (1, False),
-                     "dv_tol": (0, False), "dv_fixed_tol": (0, False)}
 MAX_HORIZON = 10**7  # samples, 2,000 times the longest bundled horizon: bounds what a parse draws
 MAX_DELAY = 64  # samples, 21 times the longest bundled delay: bounds the loop histories and the bus deadline
+MAX_ORDER = 8  # of a plant's m1 and m2, 4 times the highest bundled order: bounds the regressor width
+MAX_SR_ORDER = 2 * MAX_ORDER + MAX_DELAY  # the widest regressor, m1 + m2 + d, so a reference exciting it is declarable
+MAX_MINISLOTS = 7986  # FlexRay 2.1 Rev. A's largest gNumberOfMinislots: a dynamic segment's length
 
 
 class ConfigError(ValueError):
@@ -116,7 +105,8 @@ def _object(value, name: str, keys=None) -> dict:
 # integral number: 2000 or 2000.0), bool, str, a schema (an object of it),
 # (tag, {value: schema}) (an object whose tag picks its schema), [kind] (a
 # list of it, read as a tuple; [kind, label] names item j by the label) or a
-# function (value, name) -> value.  A missing key takes its default, but for
+# function (value, name) -> value, such as _within's range of a number.  A
+# missing key takes its default, which is read as a given value is, but for
 # _REQUIRED (it must be given) and _ABSENT (it stays unset); null stands for
 # the default only where the default is None.
 _REQUIRED, _ABSENT = object(), object()
@@ -142,6 +132,8 @@ def _typed(kind, value, name: str, where: str = ""):
     """``value`` read as ``kind``, or a ConfigError naming the field ``name``
     of the object ``where``."""
     if kind is float or kind is int:  # a JSON number is an int or a float, never a bool
+        if type(value) is int and abs(value) > sys.float_info.max:  # no float holds it
+            raise ConfigError(f"{name} must be below 1.8e308 in magnitude, got a {len(str(abs(value)))}-digit integer")
         if type(value) in (int, float) and math.isfinite(value) and (kind is float or float(value).is_integer()):
             return kind(value)
     elif kind is bool or kind is str:
@@ -165,10 +157,31 @@ def _typed(kind, value, name: str, where: str = ""):
     raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {json.dumps(value)}")
 
 
+def _in_range(kind, least, most, above: bool, value, name: str):
+    """``value`` read as ``kind``, int or float, that is at least ``least``
+    (above it where ``above``) and, unless ``most`` is None, at most ``most``."""
+    value = _typed(kind, value, name)
+    if value < least or above and value == least or most is not None and value > most:
+        rule = f"be {'>' if above else '>='} {least}" if most is None else f"lie in {'[('[above]}{least}, {most}]"
+        raise ConfigError(f"{name} must {rule}, got {_shown(value)}")
+    return value
+
+
+def _within(kind, least, most=None, above=False):
+    """The kind of a number in a range: its bounds are the partial's args."""
+    return functools.partial(_in_range, kind, least, most, above)
+
+
+def _nonzero(value, name: str) -> float:
+    """A divisor prior: a number other than zero."""
+    if _typed(float, value, name) == 0.0:
+        raise ConfigError(f"{name} must be nonzero: the divisor estimate cannot start at zero")
+    return float(value)
+
+
 def _shown(value) -> str:
     """A number as a range error shows it: from 10**17 on as a float (1e+300,
-    not the 301 digits of the integer read from it), so that the message
-    stays one short line."""
+    not the 301 digits of the integer read from it), so the line stays short."""
     return repr(float(value)) if abs(value) >= 10**17 else str(value)
 
 
@@ -200,36 +213,40 @@ def _priorities(value, name: str) -> dict:
     return prios
 
 
-_DISTURBANCE = {"t_dw": (int, 0), "times": ([int, "{where}: an impulse time"], _ABSENT), "random": (bool, False),
-                "amplitudes": (_amplitudes, 1.0)}
+_POSITIVE, _NONNEGATIVE = _within(float, 0, above=True), _within(float, 0)
+_DISTURBANCE = {"t_dw": (_within(int, 1), 0), "times": ([int, "{where}: an impulse time"], _ABSENT),
+                "random": (bool, False), "amplitudes": (_amplitudes, 1.0)}
 # h, the sample period, is metadata that no run reads
 _PLANT = {"a": ([float], []), "b": ([float], _REQUIRED), "h": (float, _ABSENT), "y_init": ([float], []),
           "u_init": ([float], []), "oracle": (bool, True), "phase_offset": (float, 0.0),
-          "disturbance": (_DISTURBANCE, None), "beta0_init": (float, None)}
+          "disturbance": (_DISTURBANCE, None), "beta0_init": (_nonzero, None)}
 _PROTOCOLS = {
-    "fixed": {"kind": (str, _REQUIRED), "d": (int, 0)},
-    "switching": {"kind": (str, _REQUIRED), "d2": (int, 0), "eth": (float, 0.0),
-                  "minislots_per_cycle": (int, _ABSENT),  # unset: BusConfig.default's budget
-                  "message_minislots": (int, 1), "dyn_priorities": (_priorities, None)},
+    "fixed": {"kind": (str, _REQUIRED), "d": (_within(int, 1, MAX_DELAY), 0)},
+    "switching": {"kind": (str, _REQUIRED), "d2": (_within(int, 2, MAX_DELAY), 0), "eth": (_POSITIVE, 0.0),
+                  "minislots_per_cycle": (_within(int, 0, MAX_MINISLOTS), _ABSENT),  # unset: BusConfig.default
+                  "message_minislots": (_within(int, 1, MAX_MINISLOTS), 1), "dyn_priorities": (_priorities, None)},
 }
 _COMPONENT = {"amplitude": (float, _REQUIRED), "omega": (float, _REQUIRED), "phase": (float, 0.0)}
+_SR_ORDER = (_within(int, 0, MAX_SR_ORDER), None)
 _REFERENCES = {
-    "constant": {"type": (str, _REQUIRED), "level": (float, 1.0), "sr_order": (int, None)},
+    "constant": {"type": (str, _REQUIRED), "level": (float, 1.0), "sr_order": _SR_ORDER},
     "sinusoid": {"type": (str, _REQUIRED), "components": ([_component, "{where}: components[{j}]"], _REQUIRED),
-                 "sr_order": (int, None)},
+                 "sr_order": _SR_ORDER},
     "square": {"type": (str, _REQUIRED), "amplitude": (float, 1.0), "period": (int, 100), "duty": (float, 0.5),
-               "sr_order": (int, None)},
-    "file": {"type": (str, _REQUIRED), "values": ([float], _ABSENT), "path": (str, _ABSENT), "sr_order": (int, None)},
+               "sr_order": _SR_ORDER},
+    "file": {"type": (str, _REQUIRED), "values": ([float], _ABSENT), "path": (str, _ABSENT), "sr_order": _SR_ORDER},
 }
 _GENERATORS = {"constant": reference.Constant, "sinusoid": reference.SinusoidSum, "square": reference.Square,
                "file": reference.Tabulated}
+_TOLERANCES = {"bound": (_POSITIVE, 1e3), "tracking_tol": (_POSITIVE, 1e-3), "settle_sample": (_within(int, 0), 2000),
+               "rank_tol": (_POSITIVE, 1e-6), "ortho_tol": (_POSITIVE, 1e-3), "ortho_window": (_within(int, 1), 500),
+               "dv_tol": (_NONNEGATIVE, 1e-9), "dv_fixed_tol": (_NONNEGATIVE, 1e-12), "check_sr": (bool, True)}
+DEFAULT_TOLERANCES = {key: default for key, (_kind, default) in _TOLERANCES.items()}
 _DOCUMENT = {
-    "name": (str, "scenario"), "horizon": (int, 0), "seed": (int, 0),
-    "protocol": (("kind", _PROTOCOLS), {"kind": "fixed", "d": 1}),
-    "plants": ([_PLANT, "plant[{j}]"], []),
-    "reference": (("type", _REFERENCES), {"type": "constant", "level": 1.0}),
-    "disturbance": (_DISTURBANCE, None), "gammas": ([float], [0.5, 0.5]), "beta0_init": (float, 1.0),
-    "tolerances": ({key: (type(value), value) for key, value in DEFAULT_TOLERANCES.items()}, {}),
+    "name": (str, "scenario"), "horizon": (_within(int, 0, MAX_HORIZON), 0), "seed": (_within(int, 0), 0),
+    "protocol": (("kind", _PROTOCOLS), {"kind": "fixed", "d": 1}), "plants": ([_PLANT, "plant[{j}]"], []),
+    "reference": (("type", _REFERENCES), {"type": "constant", "level": 1.0}), "tolerances": (_TOLERANCES, {}),
+    "disturbance": (_DISTURBANCE, None), "gammas": ([float], [0.5, 0.5]), "beta0_init": (_nonzero, 1.0),
 }
 
 
@@ -242,9 +259,10 @@ def _check_gamma(g: float, name: str) -> float:
 def parse_config(source) -> ScenarioConfig:
     """Load, validate and resolve a scenario, a path or a dict, so that a
     scenario that parses will run.  Every object is read through its schema
-    (``_DOCUMENT``), and every plant/gain/protocol/reference rule is enforced
-    here but one: impulse times at or past the horizon are accepted, so that
-    a caller can shorten a run, and rejected by ``check_impulse_times``.
+    (``_DOCUMENT``), which holds each field's kind and range; the rules that
+    join fields are enforced here but one: impulse times at or past the
+    horizon are accepted, so that a caller can shorten a run, and rejected by
+    ``check_impulse_times``.
 
     Each app takes its own ``disturbance`` and ``beta0_init``, else the shared
     ones; random impulse trains are drawn from one generator seeded by
@@ -253,27 +271,10 @@ def parse_config(source) -> ScenarioConfig:
     try:
         doc = _read(raw, "the scenario", _DOCUMENT, prefix="")
         horizon, seed, protocol, tol = doc["horizon"], doc["seed"], doc["protocol"], doc["tolerances"]
-        if not 0 <= horizon <= MAX_HORIZON:
-            raise ConfigError(f"horizon must lie in [0, {MAX_HORIZON}], got {_shown(horizon)}")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {_shown(seed)}")
-        for key, (least, strict) in _TOLERANCE_FLOORS.items():
-            if tol[key] < least or strict and tol[key] == least:
-                raise ConfigError(f"tolerances.{key} must be {'>' if strict else '>='} {least}, got {_shown(tol[key])}")
-        delay_key, least = ("d", 1) if protocol["kind"] == "fixed" else ("d2", 2)
-        delay = protocol[delay_key]  # the longest delay a loop uses
-        if not least <= delay <= MAX_DELAY:
-            raise ConfigError(f"protocol.{delay_key} must lie in [{least}, {MAX_DELAY}], got {_shown(delay)}")
-        if protocol["kind"] == "fixed":
-            delays, eth = (delay,), -1.0
-        else:
-            if protocol["eth"] <= 0:
-                raise ConfigError("switching protocol needs eth > 0")
-            delays, eth = (1, delay), protocol["eth"]
+        delays = (protocol["d"],) if protocol["kind"] == "fixed" else (1, protocol["d2"])
+        delay = delays[-1]  # the longest delay a loop uses
         if not doc["plants"]:
             raise ConfigError("at least one plant is required")
-        if doc["beta0_init"] == 0.0:
-            raise ConfigError("beta0_init must be nonzero: the divisor estimate cannot start at zero")
         shared_dist = doc["disturbance"]
         if shared_dist is not None:
             # checked even where every plant has its own; these draws are unused
@@ -284,12 +285,11 @@ def parse_config(source) -> ScenarioConfig:
         rng = functools.cache(lambda: np.random.default_rng(seed))
         plants = []
         for i, p in enumerate(doc["plants"]):
+            _in_range(int, 0, MAX_ORDER, False, max(len(p["a"]), len(p["b"]) - 1), f"plant[{i}]: the order max(m1, m2)")
             try:
                 model = PlantModel(a=p["a"], b=p["b"])
             except ValueError as exc:
                 raise ConfigError(f"plant[{i}]: {exc}") from exc
-            if p["beta0_init"] == 0.0:
-                raise ConfigError(f"plant[{i}]: beta0_init must be nonzero")
             for name, depth in (("y_init", max(model.m1, 1)), ("u_init", max(model.m2 + delay, 1))):
                 if len(p[name]) > depth:
                     raise ConfigError(f"plant[{i}]: {name} has {len(p[name])} values; the history holds {depth}")
@@ -315,7 +315,7 @@ def parse_config(source) -> ScenarioConfig:
         _check_reference_richness(gen, tol)
         return ScenarioConfig(name=doc["name"], horizon=horizon, seed=seed, kind=protocol["kind"], plants=plants,
                               reference=gen, delays=delays, gammas=tuple(gamma1 if d == 1 else gamma2 for d in delays),
-                              eth=eth, tolerances=tol, raw=raw, bus=bus)
+                              eth=protocol.get("eth", -1.0), tolerances=tol, raw=raw, bus=bus)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -339,6 +339,8 @@ def _generator(ref: dict) -> reference.ReferenceGenerator:
         raise ConfigError(f"reference: {exc}") from exc
     if ref["sr_order"] is not None:
         gen.declared_sr_order = ref["sr_order"]
+    elif kind == "sinusoid":  # its own order, 2 per component, in the range of a declared one
+        _SR_ORDER[0](gen.declared_sr_order, "reference.components' richness order")
     return gen
 
 
@@ -382,8 +384,6 @@ def _impulse_train(spec: dict, horizon: int, rng) -> DisturbanceTrain:
     """The impulse train of a typed disturbance: its explicit times, or times
     drawn from the generator ``rng()`` returns.  Times below 0 are rejected;
     times at or past the horizon are left to check_impulse_times."""
-    if spec["t_dw"] < 1:
-        raise ConfigError("disturbance t_dw must be >= 1")
     times = spec.get("times")
     if times is None and not spec["random"]:
         raise ConfigError("disturbance needs explicit 'times' or 'random': true")
