@@ -24,7 +24,7 @@ from .excitation import _window_grams, sr_order
 from .netbus import BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode
 from .plant import DisturbanceTrain, PlantModel, make_impulse_train
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 TRACE_FIELDS = [
     "app", "k", "mode", "y", "yref", "e", "u", "delay", "eps",
     "V", "dV", "rank", "alpha_hat", "ortho_res", "switch", "dist",
@@ -33,6 +33,11 @@ TRACE_FIELDS = [
 MONITOR_FIELDS = ("V", "dV", "rank", "alpha_hat", "ortho_res")
 SIM_FIELDS = [name for name in TRACE_FIELDS if name not in MONITOR_FIELDS]
 INT_FIELDS = ("app", "k", "delay", "rank", "switch")  # trace columns holding ints
+# the columns a JSON trace writes of each app, the monitor group only where
+# some monitor column is nonzero; _trace_columns derives the rest from them
+JSON_FIELDS = ("y", "yref", "u", "delay", "eps", "dist")
+JSON_MONITOR_FIELDS = ("V", "rank", "alpha_hat", "ortho_res")
+_SWITCH_CODES = {"TT->ET": 1, "ET->TT": 2}  # the switch column's marker of each direction
 
 MAX_HORIZON = 10**7  # samples, 2,000 times the longest bundled horizon: bounds what a parse draws
 MAX_DELAY = 64  # samples, 21 times the longest bundled delay: bounds the loop histories and the bus deadline
@@ -80,12 +85,15 @@ class ScenarioConfig:
 
 def load_document(source) -> dict:
     """The scenario document of a path or a dict (copied)."""
-    if isinstance(source, dict):
-        return json.loads(json.dumps(source))
     try:
+        if isinstance(source, dict):
+            return json.loads(json.dumps(source))
         doc = json.loads(Path(source).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's int-string limit, or a file that is not UTF-8
+        where = "the scenario" if isinstance(source, dict) else source
+        raise ConfigError(f"{where}: {str(exc).split(';')[0]}") from exc
     return _object(doc, f"{source}: the scenario")
 
 
@@ -214,7 +222,7 @@ def _priorities(value, name: str) -> dict:
 
 
 _POSITIVE, _NONNEGATIVE = _within(float, 0, above=True), _within(float, 0)
-_DISTURBANCE = {"t_dw": (_within(int, 1), 0), "times": ([int, "{where}: an impulse time"], _ABSENT),
+_DISTURBANCE = {"t_dw": (_within(int, 1, MAX_HORIZON), 0), "times": ([int, "{where}: an impulse time"], _ABSENT),
                 "random": (bool, False), "amplitudes": (_amplitudes, 1.0)}
 # h, the sample period, is metadata that no run reads
 _PLANT = {"a": ([float], []), "b": ([float], _REQUIRED), "h": (float, _ABSENT), "y_init": ([float], []),
@@ -585,43 +593,57 @@ def _app_trace(app_id: int, run: kernels.LoopRun, n: int, delays: tuple, spec: P
     (without the oracle: zero)."""
     d = delays[-1]
     et = run.et[:n]
-    delay = np.where(et, d, delays[0])
-    switch = np.zeros(n, dtype=int)
-    for k, direction, _p in switches:
-        if k < n:
-            switch[k] = 1 if direction == "TT->ET" else 2
     # copies: a view would keep the loop's arrays alive, which were made
     # among its lists and which peak RSS then pays for (about 4 MB on the
     # benchmark's fixed workload)
-    y, yref = run.y[:n].copy(), yref_ext[:n].copy()
-    cols = {
-        "app": np.full(n, app_id, dtype=int),
-        "k": np.arange(n),
-        "mode": _mode_labels(delay),
-        "y": y,
-        "yref": yref,
-        "e": y - yref,  # the loop's own e(k) = y(k) - ref[k]
+    written = {
+        "y": run.y[:n].copy(),
+        "yref": yref_ext[:n].copy(),
         "u": run.u[:n].copy(),
-        "delay": delay,
+        "delay": np.where(et, d, delays[0]),
         "eps": run.eps[:n].copy(),
-        "switch": switch,
         "dist": spec.train.dense(n),
     }
-    cols.update({name: np.zeros(n, dtype=int if name == "rank" else float) for name in MONITOR_FIELDS})
     thetas = [rows[:n] for rows in run.theta_rows]
     if spec.oracle and n:
         errs = [spec.model.true_theta(dj) - theta for dj, theta in zip(delays, thetas)]
         Phi = run.phi_rows[-1][d: d + n]
-        cols.update(_monitor_columns(_by_mode(~et, errs[0], errs[-1]), Phi, errs[-1], rank_tol))
+        written.update(_monitor_columns(_by_mode(~et, errs[0], errs[-1]), Phi, errs[-1], rank_tol))
         if len(delays) == 2:
             # a switching app's Gram window reports once it holds M2 samples
             M2 = Phi.shape[1]
-            cols["rank"][:M2 - 1] = 0
-            cols["alpha_hat"][:M2 - 1] = 0.0
-    cols = {name: cols[name] for name in TRACE_FIELDS}
+            written["rank"][:M2 - 1] = 0
+            written["alpha_hat"][:M2 - 1] = 0.0
+    cols = _trace_columns(app_id, written, switches)
     theta_norms = np.maximum.reduce([np.linalg.norm(theta, axis=1) for theta in thetas])
     app = AppTrace(app_id=app_id, columns=cols, switches=switches)
     return app, _app_summary(app_id, cols, theta_norms, switches)
+
+
+def _trace_columns(app_id: int, written: dict, switches: list) -> dict:
+    """An app's trace columns, in ``TRACE_FIELDS`` order, from the columns a
+    JSON trace writes (``JSON_FIELDS``, and ``JSON_MONITOR_FIELDS`` unless
+    they are left out as zero) and its ``(k, direction, p)`` switches.  The
+    run and ``load_trace`` both build their columns here, so that each
+    derived column has one rule."""
+    n = len(written["y"])
+    y, yref, delay = written["y"], written["yref"], written["delay"]
+    if "V" not in written:
+        written = dict(written, **{name: np.zeros(n, dtype=int if name == "rank" else float)
+                                   for name in JSON_MONITOR_FIELDS})
+    switch = np.zeros(n, dtype=int)
+    for k, direction, _p in switches:
+        if k < n:  # an aborting app keeps a switch logged at its aborted sample
+            switch[k] = _SWITCH_CODES[direction]
+    derived = {
+        "app": np.full(n, app_id, dtype=int),
+        "k": np.arange(n),
+        "mode": _mode_labels(delay),
+        "e": y - yref,  # the loop's own e(k) = y(k) - ref[k]
+        "dV": np.concatenate([[0.0], np.diff(written["V"])])[:n],
+        "switch": switch,
+    }
+    return {name: written[name] if name in written else derived[name] for name in TRACE_FIELDS}
 
 
 def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.ndarray:
@@ -635,14 +657,12 @@ def _by_mode(tt: np.ndarray, tt_rows: np.ndarray, et_rows: np.ndarray) -> np.nda
 
 
 def _monitor_columns(v_err, Phi, theta_err, rank_tol: float) -> dict:
-    """The monitor columns from whole-run arrays, one row per sample: V = |v_err|^2
-    and its increment, the windowed Gram rank of Phi and
-    |Phi . theta_err| / (1 + |Phi|)."""
-    V = np.einsum("ki,ki->k", v_err, v_err)
+    """The written monitor columns from whole-run arrays, one row per sample:
+    V = |v_err|^2, the windowed Gram rank of Phi and
+    |Phi . theta_err| / (1 + |Phi|); _trace_columns derives dV from V."""
     rank, alpha_hat = _windowed_rank(Phi, rank_tol)
     return {
-        "V": V,
-        "dV": np.concatenate([[0.0], np.diff(V)]),
+        "V": np.einsum("ki,ki->k", v_err, v_err),
         "rank": rank,
         "alpha_hat": alpha_hat,
         "ortho_res": np.abs(np.einsum("ki,ki->k", Phi, theta_err)) / (1.0 + np.linalg.norm(Phi, axis=1)),
@@ -696,6 +716,7 @@ class _ColumnText:
 class _HeldTexts:
     """The column texts of the last trace exported, for its next export."""
     trace: weakref.ref
+    block: int  # the _BLOCK the texts were cut at: every column of an export is cut alike
     columns: dict  # (app index, name) -> (digest of the typed column, _ColumnText)
     written: set  # formats exported from these texts
 
@@ -704,16 +725,17 @@ _held: _HeldTexts | None = None
 
 
 def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
-    """Write the trace; CSV holds the per-sample rows (header pinned to the
-    trace schema), JSON the full structure including config and summary, as
-    ``json.dumps(doc)`` writes it.  Floats are serialized at round-trip
-    precision.  Both formats are written from one text of each column, kept
-    until the same trace has been exported to both, and streamed to the file
-    a block of rows at a time."""
+    """Write the trace; CSV holds every column of the per-sample rows (header
+    pinned to the trace schema), JSON the config, summary and bus log and each
+    app's independent columns (``_json_fields``), as ``json.dumps(doc)``
+    writes it.  Floats are serialized at round-trip precision.  Both formats
+    are written from one text of each column, kept until the same trace has
+    been exported to both, and streamed to the file a block of rows at a
+    time."""
     global _held
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
-    texts = _trace_texts(trace)
+    texts = _trace_texts(trace, [TRACE_FIELDS if fmt == "csv" else _json_fields(app) for app in trace.apps])
     path = Path(path)
     try:
         with path.open("w") as f:
@@ -728,17 +750,26 @@ def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
         _held = None
 
 
-def _trace_texts(trace: Trace) -> list:
-    """Each app's column texts, by name.  A column is formatted again unless
-    it was formatted for this same trace object and its bytes are unchanged."""
+def _json_fields(app: AppTrace) -> tuple:
+    """The columns a JSON trace writes of an app: ``JSON_FIELDS``, then
+    ``JSON_MONITOR_FIELDS`` unless every monitor column is zero to the bit,
+    as on every app without the oracle (a -0.0 keeps them)."""
+    zero = not any(np.any(_typed_column(name, app.columns[name]).view(np.int64)) for name in MONITOR_FIELDS)
+    return JSON_FIELDS if zero else JSON_FIELDS + JSON_MONITOR_FIELDS
+
+
+def _trace_texts(trace: Trace, fields: list) -> list:
+    """Each app's texts of the columns ``fields`` names for it, by name.  A
+    column is formatted again unless it was formatted for this same trace
+    object and its bytes are unchanged."""
     global _held
     import hashlib  # here, not at the top: loading it is a few percent of a parse's set-up time
-    if _held is None or _held.trace() is not trace:
-        _held = _HeldTexts(weakref.ref(trace), {}, set())
+    if _held is None or _held.trace() is not trace or _held.block != _BLOCK:
+        _held = _HeldTexts(weakref.ref(trace), _BLOCK, {}, set())
     texts = []
-    for i, app in enumerate(trace.apps):
+    for i, (app, names) in enumerate(zip(trace.apps, fields)):
         app_texts = {}
-        for name in TRACE_FIELDS:
+        for name in names:
             col = _typed_column(name, app.columns[name])
             data = json.dumps(col.tolist()).encode() if col.dtype == object else col.tobytes()
             digest = hashlib.blake2b(data, digest_size=16).digest()
@@ -782,61 +813,103 @@ def _write_csv(texts: list, f) -> None:
 
 
 def _write_json(trace: Trace, texts: list, f) -> None:
-    """Write the text ``json.dumps(doc)`` gives for the trace's document: the
-    columns are spliced in from their texts, the rest is ``json.dumps``'s."""
+    """Write the text ``json.dumps(doc)`` gives for the trace's document: each
+    app's columns are those of its texts, spliced in from them; the rest is
+    ``json.dumps``'s."""
     head = json.dumps({"schema_version": SCHEMA_VERSION, "status": trace.status,
                        "config": trace.config, "summary": trace.summary})
     f.write(head[:-1] + ', "apps": [')
     for i, (app, columns) in enumerate(zip(trace.apps, texts)):
         f.write((", " if i else "") + '{"app": ' + json.dumps(app.app_id) + ', "switches": '
                 + json.dumps(app.switches) + ', "columns": {')
-        for j, name in enumerate(TRACE_FIELDS):
-            spell = columns[name].json_spelling
+        for j, (name, text) in enumerate(columns.items()):
+            spell = text.json_spelling
             cells = [", ".join([spell.get(c, c) for c in p.split("\n")]) if spell else p.replace("\n", ", ")
-                     for p in columns[name].pieces]
+                     for p in text.pieces]
             f.write((", " if j else "") + json.dumps(name) + ": [" + ", ".join(cells) + "]")
         f.write("}}")
     f.write('], "bus": ' + json.dumps({name: trace.bus[name].tolist() for name in BUS_COLUMNS}) + "}")
 
 
 def load_trace(path) -> Trace:
-    """Read a JSON trace back into memory (the analyze entry point).  Version
-    2 loads as well as ``SCHEMA_VERSION``: it holds every column of version 3
-    and two more, which are ignored.  A trace that names no version is
-    version 1."""
+    """Read a JSON trace back into memory (the analyze entry point).  A
+    version-4 trace holds each app's independent columns, and
+    ``_trace_columns`` derives the rest as the run did; versions 2 and 3 hold
+    every column (version 2 two more, which are ignored) and load as written.
+    A trace that names no version is version 1, which no longer loads."""
     path = Path(path)
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a trace: the document must be a JSON object, got {type(doc).__name__}")
+        raise _not_a_trace(path, f"the document must be a JSON object, got {type(doc).__name__}")
     for key in ("apps", "bus", "config", "status", "summary"):
         if key not in doc:
-            raise ValueError(f"{path}: not a trace: it has no {key!r} key")
+            raise _not_a_trace(path, f"it has no {key!r} key")
     if not isinstance(doc["apps"], list):
-        raise ValueError(f"{path}: not a trace: 'apps' must be a list, got {type(doc['apps']).__name__}")
+        raise _not_a_trace(path, f"'apps' must be a list, got {type(doc['apps']).__name__}")
+    version = doc.get("schema_version", 1)
+    required = TRACE_FIELDS if version in (2, 3) else JSON_FIELDS
     for i, a in enumerate(doc["apps"]):
         if not isinstance(a, dict) or not isinstance(a.get("columns", {}), dict):
-            raise ValueError(f"{path}: not a trace: app entry {i} and its 'columns' must be objects")
+            raise _not_a_trace(path, f"app entry {i} and its 'columns' must be objects")
         missing = [key for key in ("app", "switches", "columns") if key not in a]
-        missing = missing or [f"columns.{name}" for name in TRACE_FIELDS if name not in a["columns"]]
+        missing = missing or [f"columns.{name}" for name in required if name not in a["columns"]]
         if missing:
-            raise ValueError(f"{path}: not a trace: app entry {i} has no {missing[0]!r} key")
-    version = doc.get("schema_version", 1)
-    if version not in (2, SCHEMA_VERSION):
-        raise ValueError(f"{path}: not a trace: schema_version {json.dumps(version)} is not 2 or {SCHEMA_VERSION}; "
-                         f"re-run `adaptbus run` on the trace's config to write a version-{SCHEMA_VERSION} trace")
-    apps = [
-        AppTrace(
-            app_id=a["app"],
-            columns={name: _typed_column(name, a["columns"][name]) for name in TRACE_FIELDS},
-            switches=[tuple(s) for s in a["switches"]],
-        )
-        for a in doc["apps"]
-    ]
+            raise _not_a_trace(path, f"app entry {i} has no {missing[0]!r} key")
+    if version not in (2, 3, SCHEMA_VERSION):
+        raise _not_a_trace(path, f"schema_version {json.dumps(version)} is not 2, 3 or {SCHEMA_VERSION}; re-run "
+                                 f"`adaptbus run` on the trace's config to write a version-{SCHEMA_VERSION} trace")
+    apps = [_load_app(a, f"app entry {i}", version, path) for i, a in enumerate(doc["apps"])]
     bus = doc["bus"]
     if not isinstance(bus, dict):
-        raise ValueError(f"{path}: not a trace: 'bus' must be an object, got {type(bus).__name__}")
+        raise _not_a_trace(path, f"'bus' must be an object, got {type(bus).__name__}")
     return Trace(config=doc["config"], status=doc["status"], apps=apps, bus=_bus_columns(bus, path),
                  summary=doc["summary"])
+
+
+def _not_a_trace(path, fault: str) -> ValueError:
+    return ValueError(f"{path}: not a trace: {fault}")
+
+
+def _load_app(a: dict, where: str, version: int, path) -> AppTrace:
+    """The app of the trace entry ``a``: a version-4 entry's written columns
+    and the columns ``_trace_columns`` derives from them, an earlier entry's
+    columns as written.  The app index, the columns read (lists of one
+    length) and the switches are checked; each fault is a ``ValueError``
+    whose text starts ``not a trace:`` after the path."""
+    cols, switches = a["columns"], a["switches"]
+    names = TRACE_FIELDS
+    if version == SCHEMA_VERSION:
+        monitors = [name for name in JSON_MONITOR_FIELDS if name in cols]
+        if monitors and len(monitors) < len(JSON_MONITOR_FIELDS):
+            raise _not_a_trace(path, f"{where} must hold all or none of the columns {', '.join(JSON_MONITOR_FIELDS)}")
+        names = JSON_FIELDS + tuple(monitors)
+    if type(a["app"]) is not int or not 0 <= a["app"] < 2**63:  # an int64 index
+        raise _not_a_trace(path, f"{where}: 'app' must be an integer in [0, 2**63), got {json.dumps(a['app'])}")
+    for name in names:
+        if not isinstance(cols[name], list):
+            raise _not_a_trace(path, f"{where}: column {name!r} must be a list, got {type(cols[name]).__name__}")
+        if len(cols[name]) != len(cols[names[0]]):
+            raise _not_a_trace(path, f"{where}: columns {names[0]!r} and {name!r} differ in length")
+    n = len(cols[names[0]])
+    if not isinstance(switches, list):
+        raise _not_a_trace(path, f"{where}: 'switches' must be a list, got {json.dumps(switches)}")
+    for s in switches:
+        if not (isinstance(s, list) and len(s) == 3 and type(s[0]) is int and 0 <= s[0] <= n
+                and isinstance(s[1], str) and s[1] in _SWITCH_CODES and type(s[2]) is int):
+            raise _not_a_trace(path, f'{where}: a switch must be [k, "TT->ET" or "ET->TT", p] with integers '
+                                     f"k in [0, {n}] and p, got {json.dumps(s)}")
+    written = {}
+    for name in names:
+        integer = name in INT_FIELDS
+        col = _typed_column(name, cols[name]) if name == "mode" else _number_column(cols[name], integer)
+        if col is None:
+            cells = "integers" if integer else "numbers"
+            raise _not_a_trace(path, f"{where}: column {name!r} must be a list of {cells}")
+        written[name] = col
+    switches = [tuple(s) for s in switches]
+    if version == SCHEMA_VERSION:
+        written = _trace_columns(a["app"], written, switches)
+    return AppTrace(app_id=a["app"], columns=written, switches=switches)
 
 
 def _bus_columns(bus: dict, path) -> BusLog:
@@ -846,24 +919,33 @@ def _bus_columns(bus: dict, path) -> BusLog:
     cols = BusLog()
     for name in BUS_COLUMNS:
         if name not in bus:
-            raise ValueError(f"{path}: not a trace: the bus has no {name!r} column")
-        try:
-            col = np.array(bus[name])
-        except ValueError:  # ragged
-            col = None
-        # numpy reads [true, 0, 1] as ints; the cells' types tell the bools apart
-        if col is None or col.ndim != 1 or (col.size and (col.dtype.kind not in "iu"
-                                                           or bool in set(map(type, bus[name])))):
-            raise ValueError(f"{path}: not a trace: bus column {name!r} must be a list of integers")
-        cols[name] = col.astype(np.int64, copy=False)
+            raise _not_a_trace(path, f"the bus has no {name!r} column")
+        cols[name] = _number_column(bus[name], integer=True)
+        if cols[name] is None:
+            raise _not_a_trace(path, f"bus column {name!r} must be a list of integers")
     for group in (CYCLE_COLUMNS, TX_COLUMNS, DELIVERY_COLUMNS):
         lengths = {len(cols[name]) for name in group}
         if len(lengths) > 1:
-            raise ValueError(f"{path}: not a trace: bus columns {', '.join(group)} differ in length")
+            raise _not_a_trace(path, f"bus columns {', '.join(group)} differ in length")
     tx_cycle = cols["tx_cycle"]
     if tx_cycle.size and not (0 <= tx_cycle.min() and tx_cycle.max() < len(cols["consumed"])):
-        raise ValueError(f"{path}: not a trace: a transmission names a cycle the bus does not log")
+        raise _not_a_trace(path, "a transmission names a cycle the bus does not log")
     return cols
+
+
+def _number_column(values, integer: bool) -> np.ndarray | None:
+    """A trace document's list of numbers as a float64 array, or of integers
+    as an int64 array; None if it is not one.  numpy alone reads a nested
+    list as a 2-D array, [1.5] as ints where ints are asked for, and
+    [true, 0, 1] as ints: the shape, the inferred type and the cells' types
+    tell them apart."""
+    try:
+        col = np.array(values, dtype=None if integer else float)
+    except (TypeError, ValueError):  # ragged, or a cell that is not a number
+        return None
+    if col.ndim != 1 or integer and col.size and (col.dtype.kind != "i" or bool in set(map(type, values))):
+        return None
+    return col.astype(np.int64, copy=False) if integer else col
 
 
 def read_trace_csv(path) -> dict:

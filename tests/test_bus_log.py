@@ -5,7 +5,7 @@ them as JSON int lists (trace ``schema_version`` 2 and on).  These tests pin:
 
 - the version-1 view (``bus["cycles"]`` and ``bus["deliveries"]``) built
   from the columns against the lists the per-cycle replay gives;
-- a version-3 trace read back into the same columns and verdicts, and a
+- a version-4 trace read back into the same columns and verdicts, and a
   version-1 trace, whose bus holds those lists, rejected;
 - the ``minislot_conservation`` rule over the columns, on hand-corrupted logs;
 - ``load_trace``'s rejection of a malformed bus and of any version-1
@@ -72,24 +72,26 @@ def test_v1_view_is_the_per_cycle_replay_lists(run):
         assert any(c["carried"] for c in cycles)
 
 
-V1_REJECTED = "schema_version 1 is not 2 or 3; re-run `adaptbus run` on the trace's config"
+V1_REJECTED = "schema_version 1 is not 2, 3 or 4; re-run `adaptbus run` on the trace's config"
 
 
 def test_v1_trace_loads_into_the_same_columns_and_verdicts(run, tmp_path):
-    # only the version-3 file loads: the version-1 copy is rejected
+    # only the version-4 file loads: the version-1 copy is rejected
     cfg, trace = run
-    v3, v1 = tmp_path / "v3.json", tmp_path / "v1.json"
-    export_trace(trace, v3, "json")
-    doc = json.loads(v3.read_text())
-    assert doc["schema_version"] == 3 and list(doc["bus"]) == list(BUS_COLUMNS)
+    v4, v1 = tmp_path / "v4.json", tmp_path / "v1.json"
+    export_trace(trace, v4, "json")
+    doc = json.loads(v4.read_text())
+    assert doc["schema_version"] == 4 and list(doc["bus"]) == list(BUS_COLUMNS)
     doc.update(schema_version=1, bus={"cycles": trace.bus["cycles"], "deliveries": trace.bus["deliveries"]})
     v1.write_text(json.dumps(doc))
-    new = load_trace(v3)
+    new = load_trace(v4)
     assert new.bus == trace.bus
     assert all(new.bus[name].dtype == np.int64 for name in BUS_COLUMNS)
     for app_new, app in zip(new.apps, trace.apps, strict=True):
+        assert list(app_new.columns) == TRACE_FIELDS
         for name in TRACE_FIELDS:
             x, y = app_new.columns[name], app.columns[name]
+            assert x.dtype == y.dtype
             assert (list(x) == list(y)) if x.dtype == object else x.tobytes() == y.tobytes()
     assert verdicts(evaluate_monitors(new)) == verdicts(evaluate_monitors(trace, cfg))
     with pytest.raises(ValueError, match=f"{v1}: not a trace: {V1_REJECTED}"):
@@ -141,10 +143,12 @@ def _trace_doc(tmp_path):
     (lambda bus: bus["et"].__setitem__(0, True), "bus column 'et' must be a list of integers"),
     (lambda bus: bus["arrival"].__setitem__(2, None), "bus column 'arrival' must be a list of integers"),
     (lambda bus: bus["app"].__setitem__(0, [0]), "bus column 'app' must be a list of integers"),
+    # numpy reads it as uint64, which int64 would wrap
+    (lambda bus: bus["arrival"].__setitem__(2, 2**63), "bus column 'arrival' must be a list of integers"),
     (lambda bus: bus.__setitem__("consumed", 4), "bus column 'consumed' must be a list of integers"),
     (lambda bus: bus["tx_cycle"].__setitem__(-1, 40), "a transmission names a cycle the bus does not log"),
-], ids=["missing", "short_cycle_column", "long_tx_column", "float", "str", "bool", "one_bool", "null", "nested", "not_a_list",
-        "tx_cycle_out_of_range"])
+], ids=["missing", "short_cycle_column", "long_tx_column", "float", "str", "bool", "one_bool", "null", "nested",
+        "past_int64", "not_a_list", "tx_cycle_out_of_range"])
 def test_load_trace_rejects_a_malformed_v2_bus(tmp_path, capsys, change, message):
     doc = _trace_doc(tmp_path)
     change(doc["bus"])
@@ -181,4 +185,4 @@ def test_analyze_rejects_a_version_1_trace(tmp_path, capsys, version):
     p.write_text(json.dumps(doc))
     assert cli.main(["analyze", "--trace", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {p}: not a trace: {V1_REJECTED} to write a version-3 trace\n"
+    assert err == f"error: {p}: not a trace: {V1_REJECTED} to write a version-4 trace\n"

@@ -3,11 +3,14 @@
 The writer spells each distinct value of a column once and writes both
 formats from that text; these tests pin its output to the standard encoders:
 ``repr`` of every CSV cell, and ``json.dumps(doc)``, one line with the default
-separators, of the whole JSON document.  Traces written in the earlier
+separators, of the whole JSON document.  CSV holds every column; a version-4
+JSON trace holds each app's independent columns, and its monitor columns only
+where one of them has a nonzero bit.  Traces written in the earlier
 ``json.dumps(doc, indent=1)`` layout still load (``tests/test_harness.py``).
 These tests also pin when a column's text is reused: only for the next export
 of the same trace object, while the column's bytes are unchanged, and until
-both formats are written.
+both formats are written; and that a JSON export formats only the columns it
+writes.
 """
 
 import copy
@@ -51,9 +54,19 @@ def oracle_csv(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def json_columns(app: AppTrace) -> list:
+    """The columns a version-4 JSON trace writes of an app: the independent
+    ones, then the written monitor columns unless all five monitor columns
+    are zero to the bit."""
+    monitors = ("V", "dV", "rank", "alpha_hat", "ortho_res")
+    nonzero = any(np.asarray(app.columns[name], dtype=np.int64 if name in INT_FIELDS else float).view(np.int64).any()
+                  for name in monitors)
+    return ["y", "yref", "u", "delay", "eps", "dist"] + (["V", "rank", "alpha_hat", "ortho_res"] if nonzero else [])
+
+
 def oracle_json(trace: Trace) -> str:
     doc = {
-        "schema_version": harness.SCHEMA_VERSION,
+        "schema_version": 4,
         "status": trace.status,
         "config": trace.config,
         "summary": trace.summary,
@@ -62,7 +75,7 @@ def oracle_json(trace: Trace) -> str:
                 "app": app.app_id,
                 "switches": [list(s) for s in app.switches],
                 "columns": {
-                    name: [_json_cell(name, v) for v in app.columns[name]] for name in TRACE_FIELDS
+                    name: [_json_cell(name, v) for v in app.columns[name]] for name in json_columns(app)
                 },
             }
             for app in trace.apps
@@ -144,9 +157,13 @@ def _odd_values() -> Trace:
     }.items()})
     app = AppTrace(app_id=0, columns=cols, switches=[(1, "TT->ET", 1), (4, "ET->TT", 0)])
     empty = AppTrace(app_id=1, columns={name: np.zeros(0) for name in TRACE_FIELDS}, switches=[])
-    # CSV rows follow the k column, JSON writes every column whole
+    # CSV rows follow the k column, JSON writes each of its columns whole
     ragged = AppTrace(app_id=2, columns=dict(cols, k=cols["k"][:6]), switches=[])
-    return Trace(config=config, status="aborted: «odd» values", apps=[app, empty, ragged], bus=bus,
+    # zero monitor columns but for one -0.0, whose sign bit keeps them in the JSON
+    signed = AppTrace(app_id=3, columns=dict(cols, **{name: np.zeros(n) for name in harness.MONITOR_FIELDS}),
+                      switches=[])
+    signed.columns["alpha_hat"][4] = -0.0
+    return Trace(config=config, status="aborted: «odd» values", apps=[app, empty, ragged, signed], bus=bus,
                  summary=summary)
 
 
@@ -200,6 +217,9 @@ def test_traces_cover_the_cases():
     assert {"nan", "inf", "-inf", "-0.0", "5e-324", "1e+16", "1e-07"} <= {
         repr(float(v)) for v in odd.apps[0].columns["y"]
     }
+    # the monitor columns are written for the oracle app and the -0.0, not for the oracle-off and empty apps
+    assert [len(json_columns(app)) for app in TRACES["multi_app"]().apps] == [10, 6, 10]
+    assert [len(json_columns(app)) for app in odd.apps] == [10, 6, 10, 10]
 
 
 def test_unknown_format_writes_nothing(tmp_path):
@@ -233,6 +253,10 @@ def _columns(trace) -> int:
     return len(trace.apps) * len(TRACE_FIELDS)
 
 
+def _json_columns(trace) -> int:
+    return sum(len(json_columns(app)) for app in trace.apps)
+
+
 def test_csv_then_json_formats_each_column_once(formatted, tmp_path):
     trace = TRACES["multi_app"]()
     assert _export_bytes(trace, tmp_path, "csv") == _oracle_bytes(tmp_path, oracle_csv(trace))
@@ -241,12 +265,21 @@ def test_csv_then_json_formats_each_column_once(formatted, tmp_path):
     assert len(formatted) == _columns(trace)
 
 
+def test_json_formats_only_the_columns_it_writes(formatted, tmp_path):
+    trace = TRACES["multi_app"]()
+    assert _export_bytes(trace, tmp_path, "json") == _oracle_bytes(tmp_path, oracle_json(trace))
+    assert len(formatted) == _json_columns(trace) == 26
+    # the CSV then formats the columns the JSON left out, and no column twice
+    assert _export_bytes(trace, tmp_path, "csv") == _oracle_bytes(tmp_path, oracle_csv(trace))
+    assert len(formatted) == _columns(trace)
+
+
 def test_equal_trace_is_formatted_again(formatted, tmp_path):
     first = TRACES["multi_app"]()
     second = copy.deepcopy(first)
     _export_bytes(first, tmp_path, "csv")
     assert _export_bytes(second, tmp_path, "json") == _oracle_bytes(tmp_path, oracle_json(second))
-    assert len(formatted) == 2 * _columns(first)
+    assert len(formatted) == _columns(first) + _json_columns(second)
 
 
 def test_column_changed_in_place_reaches_json(formatted, tmp_path):
@@ -256,7 +289,7 @@ def test_column_changed_in_place_reaches_json(formatted, tmp_path):
     y[2] = 0.25
     y[3] = -y[3]  # the sign bit alone: -0.0 and 0.0 have other texts
     assert _export_bytes(trace, tmp_path, "json") == _oracle_bytes(tmp_path, oracle_json(trace))
-    assert len(formatted) == _columns(trace) + 2  # the ragged app shares this y array
+    assert len(formatted) == _columns(trace) + 3  # the ragged and signed apps share this y array
 
 
 @pytest.mark.parametrize("first_block", [3, harness._BLOCK], ids=["block_3_first", "default_first"])

@@ -102,18 +102,18 @@ BUS_GOLDEN = {
                        "80ad2233fd0af8fbd179a87f97f3dfe4fccdc102045c4cbe4797c33d8194ca9b", 15000, [11, 11, 11]),
 }
 
-# config: (CSV sha256, JSON sha256)
+# config: (CSV sha256, JSON sha256); the JSON digests were recorded at schema_version 4
 EXPORT_GOLDEN = {
     "fixed_tt": ("66c21d4edb5993b6b09b1e213c67a55ad171894ddb504be97eca7f8a7e761b42",
-                 "6b85d09220bb0d106a2dcff2a8b377c4a65412d63c9e4f36818a6bc7e297e2ac"),
+                 "dde1c7e7e50d285e8e7ac8f637499097eb3c4df3f3906edc9590e1e4fd9418d8"),
     "fixed_et": ("0d1507d4f297a36175bde7ab84352238d34d986914213ab1a01e9c0837d9a80c",
-                 "9d342d1b7283e3c582386507aa6e5169eed0cd83637f1fd3267057ab9b390c84"),
+                 "fb502829a2d0ce24b07e6b4ace1878c9fe97f3516db62705af745d2ecf559f43"),
     "switching_1app": ("3ec6eb76717b86f180da488255601c65efd3eb2e3c7ab9bd9de3600b77a4ac38",
-                       "5459dbbe26e8421513a5cce743c67d0ab2c37354159ce465ccf611187b4d8ad1"),
+                       "100a8870c1964487cbf62eb025992f8337ff47df9d13176bfac3289c065f5f34"),
     "switching_1app_quiet": ("b01e0af7fbe2dd89ea65bf163b6821863dc5caf3a7562d897825edeab43d89f6",
-                             "36db7eea50d6be1637eb977451d509f4a34aa17bdc403b40119386765bfd6e0b"),
+                             "e036a52d9e252bcc1a191f488e966eb6df02a843c80f71ca76cb1a071c8a6584"),
     "switching_3app": ("256a8cdee6e5216a0a4fa089cd113e8ae4a6487d04f767ae16e1b5950c0f77f3",
-                       "3a23899a4b78e064d57ae05b6ffa171afc0c10b9b2a1f8044ab15c7c6ae692e8"),
+                       "505668776e6439bd8d8ea48d44220cd654df2c5321d83eba3a1e1f897091e91a"),
 }
 
 # apps 0 and 2 take the shared random train, app 1 its own; recorded before

@@ -47,6 +47,16 @@ def minimal_config(**overrides):
 SWITCHING = {"kind": "switching", "d2": 2, "eth": 0.1}
 
 
+def _dumps(doc) -> str:
+    """json.dumps, which also writes an integer past Python's int-string limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestParseConfig:
     def test_minimal_valid(self):
         cfg = parse_config(minimal_config())
@@ -292,6 +302,15 @@ class TestTolerances:
         with pytest.raises(ConfigError) as info:
             parse_config(minimal_config(**overrides))
         assert str(info.value) == message
+
+    def test_integer_past_the_int_string_limit_is_config_error(self, tmp_path):
+        # json cannot write such an integer of a dict nor read one from a file
+        p = tmp_path / "cfg.json"
+        p.write_text(_dumps(minimal_config(horizon=10**5000)))
+        for source, where in ((minimal_config(horizon=10**5000), "the scenario"), (p, str(p))):
+            with pytest.raises(ConfigError) as info:
+                parse_config(source)
+            assert str(info.value).startswith(f"{where}: Exceeds the limit (4300 digits) for integer string conversion")
 
     def test_range_edges_parse(self):
         tol = {"settle_sample": 0, "ortho_window": 1, "dv_tol": 0.0, "dv_fixed_tol": 0.0}
@@ -607,33 +626,38 @@ class TestExportRoundTrip:
 
     @pytest.mark.parametrize("name,horizon", [("fixed_tt", 300), ("switching_3app", 1600)])
     def test_version_2_trace_loads_as_version_3(self, tmp_path, name, horizon):
-        # version 2 held two more columns, yref_prime and phi_err, which loading ignores
+        # versions 2 and 3 held every column, version 2 two more, yref_prime
+        # and phi_err, which loading ignores; version 4 derives what it leaves out
         raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         raw["horizon"] = horizon
         trace = run_scenario(parse_config(raw))
-        v3, v2 = tmp_path / "v3.json", tmp_path / "v2.json"
-        export_trace(trace, v3, "json")
-        doc = json.loads(v3.read_text())
-        assert doc["schema_version"] == 3 and all(list(app["columns"]) == TRACE_FIELDS for app in doc["apps"])
-        doc["schema_version"] = 2
-        for app in doc["apps"]:
-            cols = app["columns"]
-            app["columns"] = dict(cols, yref_prime=[v + 0.5 for v in cols["yref"]], phi_err=[1.0] * len(cols["k"]))
-        v2.write_text(json.dumps(doc))
-        a, b = load_trace(v3), load_trace(v2)
-        assert (b.status, b.summary, b.bus, b.config) == (a.status, a.summary, a.bus, a.config)
-        for app, app_a, app_b in zip(trace.apps, a.apps, b.apps, strict=True):
-            assert list(app_b.columns) == list(app_a.columns) == TRACE_FIELDS
-            for col in TRACE_FIELDS:
-                x, y, z = app.columns[col], app_a.columns[col], app_b.columns[col]
-                assert ((list(x) == list(y) == list(z)) if x.dtype == object
-                        else x.tobytes() == y.tobytes() == z.tobytes())
+        v4, v3, v2 = tmp_path / "v4.json", tmp_path / "v3.json", tmp_path / "v2.json"
+        export_trace(trace, v4, "json")
+        doc = json.loads(v4.read_text())
+        assert doc["schema_version"] == 4 and all("e" not in app["columns"] for app in doc["apps"])
+        for app, entry in zip(trace.apps, doc["apps"], strict=True):
+            entry["columns"] = {col: app.columns[col].tolist() for col in TRACE_FIELDS}
+        v3.write_text(json.dumps(dict(doc, schema_version=3)))
+        for entry in doc["apps"]:
+            cols = entry["columns"]
+            cols.update(yref_prime=[v + 0.5 for v in cols["yref"]], phi_err=[1.0] * len(cols["k"]))
+        v2.write_text(json.dumps(dict(doc, schema_version=2)))
+        loaded = [load_trace(v4), load_trace(v3), load_trace(v2)]
+        for other in loaded:
+            assert (other.status, other.summary, other.bus, other.config) == (
+                loaded[0].status, loaded[0].summary, loaded[0].bus, loaded[0].config)
+            for app, app_other in zip(trace.apps, other.apps, strict=True):
+                assert list(app_other.columns) == TRACE_FIELDS
+                for col in TRACE_FIELDS:
+                    x, y = app.columns[col], app_other.columns[col]
+                    assert x.dtype == y.dtype
+                    assert (list(x) == list(y)) if x.dtype == object else x.tobytes() == y.tobytes()
 
         def verdicts(trace):
             return [(r.name, r.passed, repr(r.measured), repr(r.threshold), r.detail)
                     for r in evaluate_monitors(trace).results]
 
-        assert verdicts(b) == verdicts(a) == verdicts(trace)
+        assert [verdicts(other) for other in loaded] == [verdicts(trace)] * 3
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = minimal_config(horizon=200, disturbance={"random": True, "t_dw": 30})
@@ -928,15 +952,23 @@ class TestCLI:
         ({"seed": -1e25}, "seed must be >= 0, got -1e+25"),
         ({"protocol": dict(SWITCHING, d2=1e6)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 1000000"),
         ({"protocol": dict(SWITCHING, d2=500)}, f"protocol.d2 must lie in [2, {MAX_DELAY}], got 500"),
+        # numpy once failed to draw the train, in a message that named neither the field nor the plant
+        ({"disturbance": {"random": True, "t_dw": 1e300}},
+         f"disturbance.t_dw must lie in [1, {MAX_HORIZON}], got 1e+300"),
+        ({"plants": [{"b": [1.0], "disturbance": {"random": True, "t_dw": 1e300}}]},
+         f"plant[0].disturbance.t_dw must lie in [1, {MAX_HORIZON}], got 1e+300"),
+        # json.loads itself refuses an integer past Python's int-string limit; <path> is the config's
+        ({"horizon": 10**5000},
+         "<path>: Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits"),
     ], ids=["unknown_key", "no_gammas", "fractional_horizon", "d_1e300", "horizon_1e30", "seed_-1e25", "d2_1e6",
-            "d2_500"])
+            "d2_500", "t_dw_1e300", "plant_t_dw_1e300", "horizon_5001_digits"])
     def test_parse_fault_is_config_error(self, tmp_path, command, overrides, message):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(minimal_config(**overrides)))
+        p.write_text(_dumps(minimal_config(**overrides)))
         args = ["--out", str(tmp_path / "out")] if command == "run" else []
         out = self.run_cli(command, "--config", str(p), *args)
         assert out.returncode == 2, out.stdout + out.stderr
-        assert f"configuration error: {message}" in out.stderr
+        assert f"configuration error: {message.replace('<path>', str(p))}" in out.stderr
         assert "Traceback" not in out.stderr and out.stderr.count("\n") == 1 and len(out.stderr) < 200
 
     @pytest.mark.parametrize("command", ["check", "run"])

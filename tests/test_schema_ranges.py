@@ -93,7 +93,7 @@ RANGES = {
     "protocol.d": (int, 1, MAX_DELAY, False), "protocol.d2": (int, 2, MAX_DELAY, False),
     "protocol.eth": (float, 0, None, True), "protocol.minislots_per_cycle": (int, 0, MAX_MINISLOTS, False),
     "protocol.message_minislots": (int, 1, MAX_MINISLOTS, False), "reference.sr_order": (int, 0, MAX_SR_ORDER, False),
-    "disturbance.t_dw": (int, 1, None, False), "plant[0].disturbance.t_dw": (int, 1, None, False),
+    "disturbance.t_dw": (int, 1, MAX_HORIZON, False), "plant[0].disturbance.t_dw": (int, 1, MAX_HORIZON, False),
     "tolerances.bound": (float, 0, None, True), "tolerances.tracking_tol": (float, 0, None, True),
     "tolerances.settle_sample": (int, 0, None, False), "tolerances.rank_tol": (float, 0, None, True),
     "tolerances.ortho_tol": (float, 0, None, True), "tolerances.ortho_window": (int, 1, None, False),
