@@ -24,7 +24,7 @@ from .excitation import _window_grams, sr_order
 from .netbus import BUS_COLUMNS, CYCLE_COLUMNS, DELIVERY_COLUMNS, TX_COLUMNS, BusCapacityError, BusConfig, Mode
 from .plant import DisturbanceTrain, PlantModel, make_impulse_train
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 TRACE_FIELDS = [
     "app", "k", "mode", "y", "yref", "e", "u", "delay", "eps",
     "V", "dV", "rank", "alpha_hat", "ortho_res", "switch", "dist",
@@ -470,8 +470,7 @@ def run_scenario(cfg: ScenarioConfig) -> Trace:
     if cfg.kind == "fixed":
         summary = {"kind": "fixed", "d": cfg.delays[0]}
         # every app runs to its own stop; the status names each app that stopped, in app order
-        rows, aborting = [run.k_stop for run in runs], None
-        bus = BusLog({name: np.zeros(0, dtype=np.int64) for name in BUS_COLUMNS})
+        rows, aborting, bus = [run.k_stop for run in runs], None, _no_bus()
         status = "; ".join(
             f"{'diverged' if run.status == kernels.SIM_DIVERGED else 'zero divisor'}: app {i} at sample {run.k_stop}"
             for i, run in enumerate(runs) if run.status) or "ok"
@@ -525,22 +524,38 @@ def _replay_bus(buscfg: BusConfig, runs: list, T: int) -> tuple[list, int | None
     # the first app abort as (sample, priority position); the bus runs through that sample
     k_stop, j_stop = min(((runs[app].k_stop, j) for j, app in enumerate(order) if runs[app].status),
                          default=(T, 0))
-    n = min(k_stop + 1, T)
-    bus = BusLog()
+    bus, error = _bus_replay(buscfg, [run.et[:min(k_stop + 1, T)] for run in runs])
     status, aborting = "ok", None
-    try:
-        netbus.replay(buscfg, [run.et[:n] for run in runs], n, bus)
-        if k_stop < T:
-            aborting = order[j_stop]
-            status = f"aborted at sample {k_stop}: {_abort_text(runs[aborting])}"
-    except BusCapacityError as exc:
+    if error is not None:
         # a bus abort at sample k precedes every app step at k
         k_stop, j_stop = len(bus["consumed"]), 0
-        status = f"aborted at sample {k_stop}: {exc}"
+        status = f"aborted at sample {k_stop}: {error}"
+    elif k_stop < T:
+        aborting = order[j_stop]
+        status = f"aborted at sample {k_stop}: {_abort_text(runs[aborting])}"
     rows = [0] * len(runs)
     for j, app in enumerate(order):
         rows[app] = k_stop + (j < j_stop)
     return rows, aborting, status, bus
+
+
+def _bus_replay(buscfg: BusConfig, et) -> tuple[BusLog, BusCapacityError | None]:
+    """The bus log that ``netbus.replay`` gives over the apps' ET flags
+    ``et[app][k]``, one row of equal length per app, and the
+    ``BusCapacityError`` that cut it short, else None.  A cut log keeps every
+    cycle before the failing sample, which is ``len(bus["consumed"])``, and
+    every delivery through it.  The run and ``load_trace`` both replay here."""
+    bus = BusLog()
+    try:
+        netbus.replay(buscfg, et, len(et[0]), bus)
+    except BusCapacityError as exc:
+        return bus, exc
+    return bus, None
+
+
+def _no_bus() -> BusLog:
+    """The bus log of a fixed-protocol trace: every column empty."""
+    return BusLog({name: np.zeros(0, dtype=np.int64) for name in BUS_COLUMNS})
 
 
 def _minislots_sent(bus: dict) -> np.ndarray:
@@ -576,7 +591,8 @@ def _abort_text(run: kernels.LoopRun) -> str:
     return "update drove the divisor estimate to zero despite the guard"
 
 
-_MODE_LABELS = np.array([Mode.TT.value, Mode.ET.value], dtype=object)
+_TT, _ET = Mode.TT.value, Mode.ET.value
+_MODE_LABELS = np.array([_TT, _ET], dtype=object)
 
 
 def _mode_labels(delay: np.ndarray) -> np.ndarray:
@@ -726,12 +742,13 @@ _held: _HeldTexts | None = None
 
 def export_trace(trace: Trace, path, fmt: str = "csv") -> None:
     """Write the trace; CSV holds every column of the per-sample rows (header
-    pinned to the trace schema), JSON the config, summary and bus log and each
-    app's independent columns (``_json_fields``), as ``json.dumps(doc)``
-    writes it.  Floats are serialized at round-trip precision.  Both formats
-    are written from one text of each column, kept until the same trace has
-    been exported to both, and streamed to the file a block of rows at a
-    time."""
+    pinned to the trace schema), JSON the config, summary, each app's
+    independent columns (``_json_fields``) and, for the switching protocol,
+    what the bus log cannot be replayed without (``_bus_entry``), as
+    ``json.dumps(doc)`` writes it.  Floats are serialized at round-trip
+    precision.  Both formats are written from one text of each column, kept
+    until the same trace has been exported to both, and streamed to the file
+    a block of rows at a time."""
     global _held
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}")
@@ -771,23 +788,29 @@ def _trace_texts(trace: Trace, fields: list) -> list:
         app_texts = {}
         for name in names:
             col = _typed_column(name, app.columns[name])
-            data = json.dumps(col.tolist()).encode() if col.dtype == object else col.tobytes()
+            # what tells the cells apart: a number's 64-bit pattern (-0.0 and each NaN payload are values
+            # of their own), a mode cell's ET flag where every cell is TT or ET, else (None) the str itself
+            keys = _mode_flags(col) if col.dtype == object else col.view(np.int64)
+            data = json.dumps(col.tolist()).encode() if keys is None else keys.tobytes()
             digest = hashlib.blake2b(data, digest_size=16).digest()
             held = _held.columns.get((i, name))
             if held is None or held[0] != digest:
-                held = _held.columns[(i, name)] = (digest, _column_text(col))
+                held = _held.columns[(i, name)] = (digest, _column_text(col, keys))
             app_texts[name] = held[1]
         texts.append(app_texts)
     return texts
 
 
-def _column_text(col: np.ndarray) -> _ColumnText:
+def _column_text(col: np.ndarray, keys: np.ndarray | None) -> _ColumnText:
     """Spell each distinct value of a typed column once, with ``str`` (for a
-    float the ``repr`` text).  Numbers are told apart by their 64-bit pattern,
-    so -0.0 and every NaN payload keep their own text."""
-    keys = col if col.dtype == object else col.view(np.int64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    values = col[first]
+    float the ``repr`` text), its cells told apart by their ``keys`` (see
+    ``_trace_texts``); a mode column of TT and ET cells is spelled from the
+    two labels."""
+    if keys is not None and keys.dtype == bool:
+        values, inverse = _MODE_LABELS, keys.astype(np.intp)
+    else:
+        _, first, inverse = np.unique(col if keys is None else keys, return_index=True, return_inverse=True)
+        values = col[first]
     cells = np.array(list(map(str, values.tolist())), dtype=object)[inverse]
     pieces = ["\n".join(cells[i:i + _BLOCK].tolist()) for i in range(0, len(cells), _BLOCK)]
     odd = values.tolist() if col.dtype == object else values[~np.isfinite(values)].tolist()
@@ -800,8 +823,25 @@ def _typed_column(name: str, col) -> np.ndarray:
     writer and reader types its columns here; the CSV reader passes the
     cells' text."""
     if name == "mode":
-        return np.array([str(v) for v in col], dtype=object)
+        flags = _mode_flags(col)
+        return np.array([str(v) for v in col], dtype=object) if flags is None else _MODE_LABELS[flags.astype(np.intp)]
     return np.asarray(col, dtype=np.int64 if name in INT_FIELDS else float)
+
+
+def _mode_flags(col) -> np.ndarray | None:
+    """The ET flag of each cell of a mode column whose cells are all the
+    text TT or ET, else None, read from the column's joined text rather
+    than cell by cell."""
+    try:
+        text = "\n".join(col.tolist() if isinstance(col, np.ndarray) else col).encode()
+    except TypeError:  # a cell that is not a str
+        return None
+    n = len(col)
+    # TT or ET per cell: three bytes a cell, its second a T and its third the separator, its first a T or an E
+    if (len(text) != max(3 * n - 1, 0) or text[1::3] != b"T" * n or text[2::3] != b"\n" * max(n - 1, 0)
+            or text[::3].translate(None, b"TE")):
+        return None
+    return np.frombuffer(text[::3], dtype=np.uint8) == ord("E")
 
 
 def _write_csv(texts: list, f) -> None:
@@ -828,25 +868,51 @@ def _write_json(trace: Trace, texts: list, f) -> None:
                      for p in text.pieces]
             f.write((", " if j else "") + json.dumps(name) + ": [" + ", ".join(cells) + "]")
         f.write("}}")
-    f.write('], "bus": ' + json.dumps({name: trace.bus[name].tolist() for name in BUS_COLUMNS}) + "}")
+    f.write("]" + (', "bus": ' + json.dumps(_bus_entry(trace)) if _switching(trace.config) else "") + "}")
+
+
+def _switching(config) -> bool:
+    """Whether a raw scenario config names the switching protocol, read
+    without parsing it; a config that names neither protocol kind fails to
+    parse."""
+    protocol = config.get("protocol") if isinstance(config, dict) else None
+    return isinstance(protocol, dict) and protocol.get("kind") == "switching"
+
+
+def _bus_entry(trace: Trace) -> dict:
+    """What a switching trace writes of its bus: the ``samples`` the bus ran,
+    and ``cut_et``, the ET flag at the last of them of each app, in app
+    order, that has no row there (the aborting app and those behind it in
+    priority order, or every app when the bus aborted).  ``load_trace``
+    replays the rest from each app's ``delay`` column."""
+    et, bus_app, n_apps = trace.bus["et"], trace.bus["app"], len(trace.apps)
+    n = len(et) // max(n_apps, 1)  # the bus logs one delivery per app per sample
+    last = dict(zip(bus_app[len(et) - n_apps:].tolist(), et[len(et) - n_apps:].tolist())) if n else {}
+    return {"samples": n, "cut_et": [last[i] for i, app in enumerate(trace.apps) if len(app.columns["k"]) < n]}
 
 
 def load_trace(path) -> Trace:
     """Read a JSON trace back into memory (the analyze entry point).  A
-    version-4 trace holds each app's independent columns, and
+    version-4 or -5 trace holds each app's independent columns, and
     ``_trace_columns`` derives the rest as the run did; versions 2 and 3 hold
     every column (version 2 two more, which are ignored) and load as written.
-    A trace that names no version is version 1, which no longer loads."""
+    A version-5 trace's bus log is replayed (``_replayed_bus``), an earlier
+    one's read as written.  The app entries must be apps 0..N-1 in order,
+    one per plant of the config.  A trace that names no version is version
+    1, which no longer loads."""
     path = Path(path)
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise _not_a_trace(path, f"the document must be a JSON object, got {type(doc).__name__}")
+    version = doc.get("schema_version", 1)
     for key in ("apps", "bus", "config", "status", "summary"):
-        if key not in doc:
+        if key not in doc and not (key == "bus" and version == SCHEMA_VERSION):  # a v5 fixed trace has none
             raise _not_a_trace(path, f"it has no {key!r} key")
     if not isinstance(doc["apps"], list):
         raise _not_a_trace(path, f"'apps' must be a list, got {type(doc['apps']).__name__}")
-    version = doc.get("schema_version", 1)
+    config = doc["config"]
+    if not isinstance(config, dict) or not isinstance(config.get("plants", []), list):
+        raise _not_a_trace(path, "'config' must be an object whose 'plants', where given, is a list")
     required = TRACE_FIELDS if version in (2, 3) else JSON_FIELDS
     for i, a in enumerate(doc["apps"]):
         if not isinstance(a, dict) or not isinstance(a.get("columns", {}), dict):
@@ -855,15 +921,24 @@ def load_trace(path) -> Trace:
         missing = missing or [f"columns.{name}" for name in required if name not in a["columns"]]
         if missing:
             raise _not_a_trace(path, f"app entry {i} has no {missing[0]!r} key")
-    if version not in (2, 3, SCHEMA_VERSION):
-        raise _not_a_trace(path, f"schema_version {json.dumps(version)} is not 2, 3 or {SCHEMA_VERSION}; re-run "
+    if version not in (2, 3, 4, SCHEMA_VERSION):
+        raise _not_a_trace(path, f"schema_version {json.dumps(version)} is not 2, 3, 4 or {SCHEMA_VERSION}; re-run "
                                  f"`adaptbus run` on the trace's config to write a version-{SCHEMA_VERSION} trace")
     apps = [_load_app(a, f"app entry {i}", version, path) for i, a in enumerate(doc["apps"])]
-    bus = doc["bus"]
-    if not isinstance(bus, dict):
-        raise _not_a_trace(path, f"'bus' must be an object, got {type(bus).__name__}")
-    return Trace(config=doc["config"], status=doc["status"], apps=apps, bus=_bus_columns(bus, path),
-                 summary=doc["summary"])
+    n_plants = len(config.get("plants", []))  # the monitors judge app i against plant i
+    if len(apps) != n_plants:
+        raise _not_a_trace(path, f"it has {len(apps)} app entries and its config {n_plants} plants")
+    for i, app in enumerate(apps):
+        if app.app_id != i:
+            raise _not_a_trace(path, f"app entry {i} is app {app.app_id}; the entries must be apps 0 to "
+                                     f"{n_plants - 1} in order")
+    if version == SCHEMA_VERSION:
+        bus = _replayed_bus(doc, apps, path)
+    elif not isinstance(doc["bus"], dict):
+        raise _not_a_trace(path, f"'bus' must be an object, got {type(doc['bus']).__name__}")
+    else:
+        bus = _bus_columns(doc["bus"], path)
+    return Trace(config=config, status=doc["status"], apps=apps, bus=bus, summary=doc["summary"])
 
 
 def _not_a_trace(path, fault: str) -> ValueError:
@@ -871,14 +946,14 @@ def _not_a_trace(path, fault: str) -> ValueError:
 
 
 def _load_app(a: dict, where: str, version: int, path) -> AppTrace:
-    """The app of the trace entry ``a``: a version-4 entry's written columns
+    """The app of the trace entry ``a``: a version-4 or -5 entry's written columns
     and the columns ``_trace_columns`` derives from them, an earlier entry's
     columns as written.  The app index, the columns read (lists of one
     length) and the switches are checked; each fault is a ``ValueError``
     whose text starts ``not a trace:`` after the path."""
     cols, switches = a["columns"], a["switches"]
     names = TRACE_FIELDS
-    if version == SCHEMA_VERSION:
+    if version >= 4:
         monitors = [name for name in JSON_MONITOR_FIELDS if name in cols]
         if monitors and len(monitors) < len(JSON_MONITOR_FIELDS):
             raise _not_a_trace(path, f"{where} must hold all or none of the columns {', '.join(JSON_MONITOR_FIELDS)}")
@@ -907,9 +982,53 @@ def _load_app(a: dict, where: str, version: int, path) -> AppTrace:
             raise _not_a_trace(path, f"{where}: column {name!r} must be a list of {cells}")
         written[name] = col
     switches = [tuple(s) for s in switches]
-    if version == SCHEMA_VERSION:
+    if version >= 4:
         written = _trace_columns(a["app"], written, switches)
     return AppTrace(app_id=a["app"], columns=written, switches=switches)
+
+
+def _replayed_bus(doc: dict, apps: list, path) -> BusLog:
+    """The bus log of a version-5 trace.  A fixed-protocol trace has none,
+    and loads without parsing its config.  A switching trace's bus ran
+    ``samples`` samples, so each app has that many rows or one fewer; the
+    bus is replayed as the run replayed it, over each app's ``delay != 1``
+    and, at the last sample, the written ``cut_et`` flag of each app with no
+    row there.  A replay that a ``BusCapacityError`` cuts short must end at
+    that last sample."""
+    if not _switching(doc["config"]):
+        if "bus" in doc:
+            raise _not_a_trace(path, "a fixed-protocol trace has no 'bus' key")
+        return _no_bus()
+    entry = doc.get("bus")
+    if not isinstance(entry, dict) or set(entry) != {"samples", "cut_et"}:
+        raise _not_a_trace(path, f"'bus' must be an object of 'samples' and 'cut_et', got {_brief(entry)}")
+    n, flags = entry["samples"], entry["cut_et"]
+    rows = [len(app.columns["k"]) for app in apps]
+    if type(n) is not int or not all(n - 1 <= r <= n for r in rows):
+        raise _not_a_trace(path, f"the bus's 'samples' must be an integer that is each app's row count or one "
+                                 f"more, got {_brief(n)}; the apps have {min(rows, default=0)} to "
+                                 f"{max(rows, default=0)} rows")
+    cut = [i for i, r in enumerate(rows) if r < n]
+    if not (isinstance(flags, list) and len(flags) == len(cut) and all(type(f) is int and f in (0, 1) for f in flags)):
+        raise _not_a_trace(path, f"the bus's 'cut_et' must hold a 0 or 1 for each of the {len(cut)} apps with no row "
+                                 f"at sample {n - 1}, got {_brief(flags)}")
+    buscfg = parse_config(doc["config"]).bus
+    et = np.zeros((len(apps), n), dtype=bool)
+    for i, (app, r) in enumerate(zip(apps, rows)):
+        et[i, :r] = app.columns["delay"] != 1
+    if cut:
+        et[cut, n - 1] = flags
+    bus, error = _bus_replay(buscfg, et)
+    if error is not None and len(bus["consumed"]) != n - 1:
+        raise _not_a_trace(path, f"the bus replay stops at sample {len(bus['consumed'])}: {error}; the trace says "
+                                 f"the bus ran {n} samples")
+    return bus
+
+
+def _brief(value) -> str:
+    """A JSON value as an error shows it, cut to 60 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _bus_columns(bus: dict, path) -> BusLog:

@@ -1,11 +1,12 @@
 """The bus log as int columns.
 
-A trace keeps its bus log as ``netbus.BUS_COLUMNS`` int64 arrays and writes
-them as JSON int lists (trace ``schema_version`` 2 and on).  These tests pin:
+A trace keeps its bus log as ``netbus.BUS_COLUMNS`` int64 arrays.  Trace
+``schema_version`` 2 to 4 wrote them as JSON int lists; version 5 writes only
+what the replay needs beyond the app columns.  These tests pin:
 
 - the version-1 view (``bus["cycles"]`` and ``bus["deliveries"]``) built
   from the columns against the lists the per-cycle replay gives;
-- a version-4 trace read back into the same columns and verdicts, and a
+- a version-5 trace read back into the same columns and verdicts, and a
   version-1 trace, whose bus holds those lists, rejected;
 - the ``minislot_conservation`` rule over the columns, on hand-corrupted logs;
 - ``load_trace``'s rejection of a malformed bus and of any version-1
@@ -72,19 +73,19 @@ def test_v1_view_is_the_per_cycle_replay_lists(run):
         assert any(c["carried"] for c in cycles)
 
 
-V1_REJECTED = "schema_version 1 is not 2, 3 or 4; re-run `adaptbus run` on the trace's config"
+V1_REJECTED = "schema_version 1 is not 2, 3, 4 or 5; re-run `adaptbus run` on the trace's config"
 
 
 def test_v1_trace_loads_into_the_same_columns_and_verdicts(run, tmp_path):
-    # only the version-4 file loads: the version-1 copy is rejected
+    # only the version-5 file loads: the version-1 copy is rejected
     cfg, trace = run
-    v4, v1 = tmp_path / "v4.json", tmp_path / "v1.json"
-    export_trace(trace, v4, "json")
-    doc = json.loads(v4.read_text())
-    assert doc["schema_version"] == 4 and list(doc["bus"]) == list(BUS_COLUMNS)
+    v5, v1 = tmp_path / "v5.json", tmp_path / "v1.json"
+    export_trace(trace, v5, "json")
+    doc = json.loads(v5.read_text())
+    assert doc["schema_version"] == 5 and doc["bus"] == {"samples": cfg.horizon, "cut_et": []}
     doc.update(schema_version=1, bus={"cycles": trace.bus["cycles"], "deliveries": trace.bus["deliveries"]})
     v1.write_text(json.dumps(doc))
-    new = load_trace(v4)
+    new = load_trace(v5)
     assert new.bus == trace.bus
     assert all(new.bus[name].dtype == np.int64 for name in BUS_COLUMNS)
     for app_new, app in zip(new.apps, trace.apps, strict=True):
@@ -126,10 +127,12 @@ def test_minislot_conservation_fails_a_corrupted_log(changes, broken):
 
 
 def _trace_doc(tmp_path):
+    """A version-4 document, whose bus holds the run's bus columns."""
     trace = run_scenario(parse_config(dict(_scenario("switching_3app"), horizon=40)))
     p = tmp_path / "trace.json"
     export_trace(trace, p, "json")
-    return json.loads(p.read_text())
+    return dict(json.loads(p.read_text()), schema_version=4,
+                bus={name: trace.bus[name].tolist() for name in BUS_COLUMNS})
 
 
 @pytest.mark.parametrize("change,message", [
@@ -185,4 +188,4 @@ def test_analyze_rejects_a_version_1_trace(tmp_path, capsys, version):
     p.write_text(json.dumps(doc))
     assert cli.main(["analyze", "--trace", str(p)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {p}: not a trace: {V1_REJECTED} to write a version-4 trace\n"
+    assert err == f"error: {p}: not a trace: {V1_REJECTED} to write a version-5 trace\n"

@@ -3,9 +3,11 @@
 The writer spells each distinct value of a column once and writes both
 formats from that text; these tests pin its output to the standard encoders:
 ``repr`` of every CSV cell, and ``json.dumps(doc)``, one line with the default
-separators, of the whole JSON document.  CSV holds every column; a version-4
+separators, of the whole JSON document.  CSV holds every column; a version-5
 JSON trace holds each app's independent columns, and its monitor columns only
-where one of them has a nonzero bit.  Traces written in the earlier
+where one of them has a nonzero bit; of a switching run's bus it holds only
+the samples the bus ran and the ET flag at the last of them of each app with
+no row there.  Traces written in the earlier
 ``json.dumps(doc, indent=1)`` layout still load (``tests/test_harness.py``).
 These tests also pin when a column's text is reused: only for the next export
 of the same trace object, while the column's bytes are unchanged, and until
@@ -25,7 +27,6 @@ import pytest
 
 from adaptbus import harness
 from adaptbus.harness import INT_FIELDS, TRACE_FIELDS, AppTrace, BusLog, Trace, export_trace, parse_config, run_scenario
-from adaptbus.netbus import BUS_COLUMNS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,9 +65,17 @@ def json_columns(app: AppTrace) -> list:
     return ["y", "yref", "u", "delay", "eps", "dist"] + (["V", "rank", "alpha_hat", "ortho_res"] if nonzero else [])
 
 
+def bus_entry(trace: Trace) -> dict:
+    """The bus entry of a version-5 trace, read delivery by delivery."""
+    deliveries = trace.bus["deliveries"]
+    n = max([k + 1 for _app, k, _mode, _delivery, _arrival in deliveries], default=0)
+    last = {app: int(mode == "ET") for app, k, mode, _delivery, _arrival in deliveries if k == n - 1}
+    return {"samples": n, "cut_et": [last[i] for i, app in enumerate(trace.apps) if len(app.columns["k"]) < n]}
+
+
 def oracle_json(trace: Trace) -> str:
     doc = {
-        "schema_version": 4,
+        "schema_version": 5,
         "status": trace.status,
         "config": trace.config,
         "summary": trace.summary,
@@ -80,8 +89,9 @@ def oracle_json(trace: Trace) -> str:
             }
             for app in trace.apps
         ],
-        "bus": {name: [int(v) for v in trace.bus[name]] for name in BUS_COLUMNS},
     }
+    if trace.config.get("protocol", {}).get("kind") == "switching":
+        doc["bus"] = bus_entry(trace)
     return json.dumps(doc)
 
 
@@ -163,6 +173,8 @@ def _odd_values() -> Trace:
     signed = AppTrace(app_id=3, columns=dict(cols, **{name: np.zeros(n) for name in harness.MONITOR_FIELDS}),
                       switches=[])
     signed.columns["alpha_hat"][4] = -0.0
+    # mode cells other than TT and ET, each written as its str
+    signed.columns["mode"] = np.array(["TT", "T", "TTET", "", "ET", "XX", "tt", "ET ", "E", "TTT"], dtype=object)
     return Trace(config=config, status="aborted: «odd» values", apps=[app, empty, ragged, signed], bus=bus,
                  summary=summary)
 
@@ -222,6 +234,23 @@ def test_traces_cover_the_cases():
     assert [len(json_columns(app)) for app in odd.apps] == [10, 6, 10, 10]
 
 
+@pytest.mark.parametrize("cells,labels", [
+    (["TT", "ET", "ET", "TT"], True),
+    ([], True),
+    (np.array(["ET"], dtype=object), True),
+    (["TT", "ET", "TTET", ""], False),
+    (["TT", "E", "T"], False),
+    (["TT", 3], False),
+], ids=["labels", "empty", "one_label_array", "joined_label", "split_label", "a_number"])
+def test_mode_column_is_typed_from_its_labels(cells, labels):
+    # a column of TT and ET cells is read from its joined text; any other is typed cell by cell with str
+    col = harness._typed_column("mode", cells)
+    assert col.dtype == object and col.tolist() == [str(v) for v in cells]
+    flags = harness._mode_flags(cells)
+    assert (flags is not None) == labels
+    assert flags is None or flags.tolist() == [v == "ET" for v in cells]
+
+
 def test_unknown_format_writes_nothing(tmp_path):
     p = tmp_path / "t.xml"
     with pytest.raises(ValueError, match="unknown export format"):
@@ -235,9 +264,9 @@ def formatted(monkeypatch):
     calls = []
     real = harness._column_text
 
-    def counting(col):
+    def counting(col, keys):
         calls.append(col)
-        return real(col)
+        return real(col, keys)
 
     monkeypatch.setattr(harness, "_column_text", counting)
     return calls

@@ -24,7 +24,7 @@ from adaptbus.harness import (
     read_trace_csv,
     run_scenario,
 )
-from adaptbus.netbus import BusConfig
+from adaptbus.netbus import BUS_COLUMNS, BusConfig
 from adaptbus.plant import make_impulse_train
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -598,7 +598,7 @@ class TestExportRoundTrip:
         export_trace(trace, p, "json")
         doc = json.loads(p.read_text())
         assert len(doc["apps"]) == 2
-        assert "bus" in doc and "summary" in doc
+        assert "bus" not in doc and "summary" in doc  # a fixed-protocol trace has no bus
 
     @pytest.mark.parametrize("name,horizon", [("fixed_tt", 300), ("switching_3app", 1600)])
     def test_trace_in_the_indent_1_layout_loads(self, tmp_path, name, horizon):
@@ -626,15 +626,20 @@ class TestExportRoundTrip:
 
     @pytest.mark.parametrize("name,horizon", [("fixed_tt", 300), ("switching_3app", 1600)])
     def test_version_2_trace_loads_as_version_3(self, tmp_path, name, horizon):
-        # versions 2 and 3 held every column, version 2 two more, yref_prime
-        # and phi_err, which loading ignores; version 4 derives what it leaves out
+        # versions 2 to 4 wrote the bus columns; versions 2 and 3 held every
+        # column, version 2 two more, yref_prime and phi_err, which loading
+        # ignores; versions 4 and 5 derive what they leave out, and version 5
+        # replays the bus
         raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
         raw["horizon"] = horizon
         trace = run_scenario(parse_config(raw))
-        v4, v3, v2 = tmp_path / "v4.json", tmp_path / "v3.json", tmp_path / "v2.json"
-        export_trace(trace, v4, "json")
-        doc = json.loads(v4.read_text())
-        assert doc["schema_version"] == 4 and all("e" not in app["columns"] for app in doc["apps"])
+        v5, v4, v3, v2 = (tmp_path / f"v{v}.json" for v in (5, 4, 3, 2))
+        export_trace(trace, v5, "json")
+        doc = json.loads(v5.read_text())
+        assert doc["schema_version"] == 5 and all("e" not in app["columns"] for app in doc["apps"])
+        assert ("bus" in doc) == (name == "switching_3app")
+        doc["bus"] = {col: trace.bus[col].tolist() for col in BUS_COLUMNS}
+        v4.write_text(json.dumps(dict(doc, schema_version=4)))
         for app, entry in zip(trace.apps, doc["apps"], strict=True):
             entry["columns"] = {col: app.columns[col].tolist() for col in TRACE_FIELDS}
         v3.write_text(json.dumps(dict(doc, schema_version=3)))
@@ -642,7 +647,7 @@ class TestExportRoundTrip:
             cols = entry["columns"]
             cols.update(yref_prime=[v + 0.5 for v in cols["yref"]], phi_err=[1.0] * len(cols["k"]))
         v2.write_text(json.dumps(dict(doc, schema_version=2)))
-        loaded = [load_trace(v4), load_trace(v3), load_trace(v2)]
+        loaded = [load_trace(v5), load_trace(v4), load_trace(v3), load_trace(v2)]
         for other in loaded:
             assert (other.status, other.summary, other.bus, other.config) == (
                 loaded[0].status, loaded[0].summary, loaded[0].bus, loaded[0].config)
@@ -657,7 +662,7 @@ class TestExportRoundTrip:
             return [(r.name, r.passed, repr(r.measured), repr(r.threshold), r.detail)
                     for r in evaluate_monitors(trace).results]
 
-        assert [verdicts(other) for other in loaded] == [verdicts(trace)] * 3
+        assert [verdicts(other) for other in loaded] == [verdicts(trace)] * 4
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = minimal_config(horizon=200, disturbance={"random": True, "t_dw": 30})

@@ -1,9 +1,11 @@
-"""Trace schema version 4: the JSON trace writes each fact once.
+"""Trace schema versions 4 and 5: the JSON trace writes each fact once.
 
-A version-4 JSON trace writes each app's independent columns (``y``,
+Since version 4 a JSON trace writes each app's independent columns (``y``,
 ``yref``, ``u``, ``delay``, ``eps``, ``dist``) and its monitor columns
 (``V``, ``rank``, ``alpha_hat``, ``ortho_res``) unless all five are zero to
-the bit; ``load_trace`` derives the rest.  These tests pin:
+the bit; ``load_trace`` derives the rest.  Version 5 also leaves out the bus
+log, which ``load_trace`` replays (``tests/test_trace_v5.py``).  These tests
+pin:
 
 - the round trip: every column of a loaded trace equals the run's own, in
   dtype and bytes, and ``analyze`` gives the verdicts ``run`` gave, on the
@@ -62,7 +64,7 @@ def _assert_round_trip(raw, tmp_path):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_bundled_config_round_trips(name, tmp_path):
     trace, doc = _assert_round_trip(json.loads((ROOT / "configs" / f"{name}.json").read_text()), tmp_path)
-    assert doc["schema_version"] == 4
+    assert doc["schema_version"] == 5
     oracle = parse_config(trace.config).plants[0].oracle
     written = ["y", "yref", "u", "delay", "eps", "dist"] + (["V", "rank", "alpha_hat", "ortho_res"] if oracle else [])
     assert [list(app["columns"]) for app in doc["apps"]] == [written] * len(trace.apps)
@@ -80,7 +82,7 @@ def test_workloads_cover_both_monitor_groups():
 
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
-    """Version-4 documents: a switching run with switches and no monitor
+    """Version-5 documents: a switching run with switches and no monitor
     columns, and a fixed run with them."""
     out = {}
     for name, horizon in (("switching_1app", 1800), ("fixed_tt", 60)):
